@@ -21,8 +21,7 @@ from .complexes import (
     InvalidTorusKnotError,
     KnotExpressionError,
     canonical_expression,
-    dual,
-    tensor,
+    parse_knot_expression,
     torus_knot_complex,
 )
 from .exactnum import PiecewiseLinear
@@ -44,23 +43,10 @@ def _fmt(x: Fraction) -> str:
     return str(Fraction(x))
 
 
-def _build_complex_from_canonical(canonical: str):
-    out = None
-    for factor in canonical.split(" # "):
-        negate = factor.startswith("-")
-        body = factor[1:] if negate else factor
-        p, q = body[2:-1].split(",")
-        c = torus_knot_complex(int(p), int(q))
-        if negate:
-            c = dual(c)
-        out = c if out is None else tensor(out, c)
-    return out
-
-
 def build_invariant_report(expression: str, grid: int = 0) -> dict:
     """Invariant report for a knot expression, without the timing field."""
     canonical = canonical_expression(expression)
-    complex_ = _build_complex_from_canonical(canonical)
+    complex_ = parse_knot_expression(canonical)
     ups = upsilon(complex_)
     entries = []
     for t0, jump in ups.singularities():
@@ -108,6 +94,24 @@ def _cache_path(cache_dir: str, canonical: str) -> str:
     return os.path.join(cache_dir, digest + ".json")
 
 
+def _read_cache(path: str, canonical: str):
+    """The cached report for canonical, or None for a miss.
+
+    An entry that cannot be read or parsed, is not a JSON object, or has
+    another schema version or expression is a miss, and gets rewritten.
+    """
+    try:
+        with open(path, encoding="utf-8") as fh:
+            report = json.load(fh)
+    except (OSError, ValueError):
+        return None
+    if (not isinstance(report, dict)
+            or report.get("schema_version") != SCHEMA_VERSION
+            or report.get("expression") != canonical):
+        return None
+    return report
+
+
 def cmd_invariants(args) -> int:
     started = time.perf_counter()
     try:
@@ -118,10 +122,7 @@ def cmd_invariants(args) -> int:
     cache_dir = args.cache or os.environ.get(CACHE_ENV_VAR)
     report = None
     if cache_dir:
-        path = _cache_path(cache_dir, canonical)
-        if os.path.exists(path):
-            with open(path, encoding="utf-8") as fh:
-                report = json.load(fh)
+        report = _read_cache(_cache_path(cache_dir, canonical), canonical)
     if report is None:
         try:
             report = build_invariant_report(args.expression, grid=args.grid)
@@ -184,8 +185,8 @@ def distinguish_report(expr1: str, expr2: str) -> dict:
     """Compare upsilon and, where defined, secondary upsilon of two expressions."""
     canon1 = canonical_expression(expr1)
     canon2 = canonical_expression(expr2)
-    c1 = _build_complex_from_canonical(canon1)
-    c2 = _build_complex_from_canonical(canon2)
+    c1 = parse_knot_expression(canon1)
+    c2 = parse_knot_expression(canon2)
     ups1 = upsilon(c1)
     ups2 = upsilon(c2)
     report = {
@@ -303,7 +304,7 @@ def _svg_plot(ups: PiecewiseLinear) -> str:
 def cmd_plot(args) -> int:
     try:
         canonical = canonical_expression(args.expression)
-        complex_ = _build_complex_from_canonical(canonical)
+        complex_ = parse_knot_expression(canonical)
         ups = upsilon(complex_)
     except (KnotExpressionError, InvalidTorusKnotError) as exc:
         print(f"error: {exc}", file=sys.stderr)

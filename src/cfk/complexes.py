@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from functools import cached_property, reduce
 from math import gcd
 
-from .f2linalg import Echelon, F2Matrix, in_span, solve
+from .f2linalg import Echelon, in_span
 from .semigroup import (
     InvalidTorusKnotError,
     StepVector,
@@ -208,9 +208,10 @@ def _h0_from_parts(gens, bnd) -> frozenset[int]:
     zeros = [i for i, g in enumerate(gens) if g.maslov == 0]
     ones = [i for i, g in enumerate(gens) if g.maslov == 1]
     pos = {i: k for k, i in enumerate(zeros)}
-    n = len(gens)
-    M = F2Matrix.from_columns([_mask(bnd[i]) for i in zeros], n)
-    kernel = solve(M, 0).kernel_basis
+    cycles = Echelon(track=True)
+    for b, i in enumerate(zeros):
+        cycles.add(_mask(bnd[i]), 1 << b)
+    kernel = cycles.kernel
     boundaries = Echelon()
     for f in ones:
         boundaries.add(_mask(pos[t] for t in bnd[f]))

@@ -4,17 +4,16 @@ A vector is a Python int used as a bitmask (bit j = coordinate j), so a row
 operation is a single big-int XOR over machine words.  Elimination uses
 deterministic first-nonzero pivoting, which makes every certificate produced
 downstream reproducible across runs.
+
+Every homology question in the package asks at which threshold a target
+first enters a filtered span; :func:`first_entry` answers it on one tagged
+:class:`Echelon`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional
-
-
-def parity(x: int) -> int:
-    """Parity of the popcount of x, i.e. the GF(2) sum of its bits."""
-    return x.bit_count() & 1
+from itertools import groupby
+from typing import Iterable, Optional, Sequence
 
 
 class Echelon:
@@ -22,19 +21,18 @@ class Echelon:
 
     Rows are kept sorted by pivot (lowest set bit).  With ``track=True`` each
     row carries a tag combined by XOR alongside the row itself, which lets a
-    caller recover which original vectors produced a reduction.
+    caller recover which original vectors produced a reduction, and the tags
+    of inserted vectors that reduced to zero are kept in ``kernel``.
     """
 
     def __init__(self, track: bool = False):
         self._rows: list[tuple[int, int, int]] = []  # (pivot, vector, tag)
         self.track = track
+        self.kernel: list[int] = []
 
     @property
     def rank(self) -> int:
         return len(self._rows)
-
-    def basis(self) -> list[int]:
-        return [vec for _, vec, _ in self._rows]
 
     def _reduce(self, vec: int, tag: int) -> tuple[int, int]:
         for pivot, row, row_tag in self._rows:
@@ -47,6 +45,8 @@ class Echelon:
         """Insert vec; returns True if it increased the rank."""
         vec, tag = self._reduce(vec, tag)
         if vec == 0:
+            if self.track:
+                self.kernel.append(tag)
             return False
         pivot = vec & -vec
         entry = (pivot, vec, tag if self.track else 0)
@@ -67,166 +67,6 @@ class Echelon:
         return self.reduce(vec) == 0
 
 
-@dataclass(frozen=True)
-class F2Matrix:
-    """Dense GF(2) matrix; row i is the bitmask row_bits[i] over the columns."""
-
-    rows: int
-    cols: int
-    row_bits: tuple[int, ...]
-
-    def __post_init__(self):
-        if self.rows < 0 or self.cols < 0:
-            raise ValueError("matrix dimensions must be non-negative")
-        bits = tuple(self.row_bits)
-        if len(bits) != self.rows:
-            raise ValueError("row count does not match the number of row bitmasks")
-        for r in bits:
-            if r < 0 or r >> self.cols:
-                raise ValueError("row bitmask has bits outside the column range")
-        object.__setattr__(self, "row_bits", bits)
-
-    @classmethod
-    def zeros(cls, rows: int, cols: int) -> "F2Matrix":
-        return cls(rows, cols, (0,) * rows)
-
-    @classmethod
-    def identity(cls, n: int) -> "F2Matrix":
-        return cls(n, n, tuple(1 << i for i in range(n)))
-
-    @classmethod
-    def from_rows(cls, row_bits: Iterable[int], cols: int) -> "F2Matrix":
-        bits = tuple(row_bits)
-        return cls(len(bits), cols, bits)
-
-    @classmethod
-    def from_columns(cls, col_bits: Iterable[int], rows: int) -> "F2Matrix":
-        cols = tuple(col_bits)
-        for c in cols:
-            if c < 0 or c >> rows:
-                raise ValueError("column bitmask has bits outside the row range")
-        out = []
-        for i in range(rows):
-            r = 0
-            for j, c in enumerate(cols):
-                if (c >> i) & 1:
-                    r |= 1 << j
-            out.append(r)
-        return cls(rows, len(cols), tuple(out))
-
-    def entry(self, i: int, j: int) -> int:
-        return (self.row_bits[i] >> j) & 1
-
-    def column_bits(self) -> list[int]:
-        cols = [0] * self.cols
-        for i, r in enumerate(self.row_bits):
-            while r:
-                low = r & -r
-                cols[low.bit_length() - 1] |= 1 << i
-                r ^= low
-        return cols
-
-    def transpose(self) -> "F2Matrix":
-        return F2Matrix(self.cols, self.rows, tuple(self.column_bits()))
-
-    def mul_vec(self, x: int) -> int:
-        """Matrix-vector product A·x, x a bitmask over the columns."""
-        out = 0
-        for i, r in enumerate(self.row_bits):
-            if parity(r & x):
-                out |= 1 << i
-        return out
-
-
-@dataclass(frozen=True)
-class AffineSolutionSpace:
-    """Solution set of a linear system: particular + span(kernel_basis).
-
-    ``particular is None`` encodes an inconsistent system; kernel_basis is a
-    basis of the kernel of the coefficient matrix either way.
-    """
-
-    particular: Optional[int]
-    kernel_basis: tuple[int, ...]
-
-    @property
-    def is_empty(self) -> bool:
-        return self.particular is None
-
-    def contains(self, x: int) -> bool:
-        if self.particular is None:
-            return False
-        return in_span(self.kernel_basis, x ^ self.particular)
-
-    def vectors(self) -> Iterator[int]:
-        """Enumerate every solution (2**len(kernel_basis) of them)."""
-        if self.particular is None:
-            return
-        basis = self.kernel_basis
-        for mask in range(1 << len(basis)):
-            x = self.particular
-            m = mask
-            i = 0
-            while m:
-                if m & 1:
-                    x ^= basis[i]
-                m >>= 1
-                i += 1
-            yield x
-
-
-def solve(A: F2Matrix, b: int) -> AffineSolutionSpace:
-    """Full solution set of A·x = b over GF(2)."""
-    if b < 0 or b >> A.rows:
-        raise ValueError("right-hand side has bits outside the row range")
-    n = A.cols
-    aug = 1 << n
-    work = [A.row_bits[i] | (aug if (b >> i) & 1 else 0) for i in range(A.rows)]
-    pivot_rows: dict[int, int] = {}
-    r = 0
-    for col in range(n):
-        sel = None
-        for i in range(r, len(work)):
-            if (work[i] >> col) & 1:
-                sel = i
-                break
-        if sel is None:
-            continue
-        work[r], work[sel] = work[sel], work[r]
-        for i in range(len(work)):
-            if i != r and (work[i] >> col) & 1:
-                work[i] ^= work[r]
-        pivot_rows[col] = r
-        r += 1
-        if r == len(work):
-            break
-    consistent = all(row != aug for row in work[r:])
-    particular = None
-    if consistent:
-        particular = 0
-        for col, i in pivot_rows.items():
-            if work[i] & aug:
-                particular |= 1 << col
-    kernel = []
-    for col in range(n):
-        if col in pivot_rows:
-            continue
-        vec = 1 << col
-        for pcol, i in pivot_rows.items():
-            if (work[i] >> col) & 1:
-                vec |= 1 << pcol
-        kernel.append(vec)
-    return AffineSolutionSpace(particular, tuple(kernel))
-
-
-def span_basis(vectors: Iterable[int]) -> list[int]:
-    """An echelon basis of the span of the given vectors."""
-    ech = Echelon()
-    for v in vectors:
-        ech.add(v)
-    return ech.basis()
-
-
 def in_span(vectors: Iterable[int], target: int) -> bool:
     """Membership of target in the GF(2) span of vectors."""
     ech = Echelon()
@@ -235,38 +75,38 @@ def in_span(vectors: Iterable[int], target: int) -> bool:
     return ech.contains(target)
 
 
-def span_intersection(left: Iterable[int], right: Iterable[int]) -> list[int]:
-    """Basis of span(left) ∩ span(right)."""
-    lb = span_basis(left)
-    rb = span_basis(right)
-    if not lb or not rb:
-        return []
-    ambient = max(v.bit_length() for v in lb + rb)
-    M = F2Matrix.from_columns(lb + rb, ambient)
-    out = Echelon()
-    for k in solve(M, 0).kernel_basis:
-        w = 0
-        for i in range(len(lb)):
-            if (k >> i) & 1:
-                w ^= lb[i]
-        out.add(w)
-    return out.basis()
+Column = tuple[int, int]  # (vector, tag)
 
 
-def subspace_saturates(space: AffineSolutionSpace,
-                       constraints: Iterable[tuple[int, int]]) -> bool:
-    """True iff every element of the affine space satisfies all constraints.
+def by_threshold(thresholds: Sequence, columns: Sequence[Column]):
+    """Batches (threshold, columns) in increasing threshold order.
 
-    A constraint is a pair (functional, rhs): functional is a bitmask and the
-    condition is parity(functional & x) == rhs.  An empty space saturates
-    vacuously.
+    Column k sits at ``thresholds[k]``; ties keep index order.  Batches are
+    produced lazily, so a caller that stops early sorts but never groups the
+    rest.
     """
-    if space.particular is None:
-        return True
-    for functional, rhs in constraints:
-        if parity(functional & space.particular) != rhs & 1:
-            return False
-        for k in space.kernel_basis:
-            if parity(functional & k):
-                return False
-    return True
+    order = sorted(range(len(columns)), key=thresholds.__getitem__)
+    for value, group in groupby(order, key=thresholds.__getitem__):
+        yield value, [columns[k] for k in group]
+
+
+def first_entry(batches: Iterable[tuple[object, list[Column]]], target: int,
+                ) -> tuple[Optional[object], Optional[int], list[int]]:
+    """First threshold at which target enters a filtered GF(2) span.
+
+    ``batches`` yields (threshold, columns) in threshold order, each column a
+    (vector, tag) pair.  Every column of a batch goes into one tracked
+    Echelon before target is reduced.  Returns (threshold, witness, kernel):
+    witness is the XOR of the tags of columns that sum to target, and kernel
+    holds the tags of the columns fed so far that reduced to zero, a basis of
+    their linear relations when the tags are independent.  threshold and
+    witness are None when target never enters.
+    """
+    ech = Echelon(track=True)
+    for threshold, columns in batches:
+        for vec, tag in columns:
+            ech.add(vec, tag)
+        residue, witness = ech.reduce_with_tag(target)
+        if residue == 0:
+            return threshold, witness, ech.kernel
+    return None, None, ech.kernel

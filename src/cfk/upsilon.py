@@ -19,7 +19,7 @@ from itertools import combinations
 
 from .complexes import BifilteredComplex, Generator, UnsupportedComplexError
 from .exactnum import PiecewiseLinear, check_parameter
-from .f2linalg import Echelon, F2Matrix, in_span, solve
+from .f2linalg import Echelon, by_threshold, first_entry, in_span
 
 
 class CertificateError(RuntimeError):
@@ -57,8 +57,9 @@ class SectorElement:
 def sector(c: BifilteredComplex, m: int) -> tuple[SectorElement, ...]:
     """All U-translates of generators with effective grading m.
 
-    Each generator of matching grading parity contributes exactly one
-    translate, so the sector is finite and listed in generator order.
+    Each generator whose grading differs from m by an even number contributes
+    exactly one translate, so the sector is finite and listed in generator
+    order.
     """
     out = []
     for g in c.generators:
@@ -90,20 +91,17 @@ class GammaCertificate:
     levels: tuple[Fraction, ...]
 
 
-class _SectorEngine:
-    """Graded sectors, boundary blocks, and the class-detecting functional.
+class _SectorTables:
+    """Graded sectors and the boundary blocks between them.
 
     The boundary of the U-completed complex restricted to the grading-0 and
     grading-1 sectors equals the fundamental boundary restricted to even and
-    odd generators, so all homology questions reduce to two bit matrices.
-    The functional lam vanishes on boundaries and takes value 1 on the
-    distinguished representative; because the completed grading-0 homology
-    has rank one (checked here), a cycle z represents that class exactly
-    when lam(z) = 1.
+    odd generators, so all homology questions reduce to two bit matrices:
+    ``d_even[k]`` is the boundary of even element k over the odd sector and
+    ``d_odd[j]`` that of odd element j over the even sector.
     """
 
     def __init__(self, c: BifilteredComplex):
-        self.complex = c
         self.even = sector(c, 0)
         self.odd = sector(c, 1)
         even_pos = {}
@@ -113,30 +111,9 @@ class _SectorEngine:
                 even_pos[i] = len(even_pos)
             else:
                 odd_pos[i] = len(odd_pos)
-        even_idx = sorted(even_pos, key=even_pos.get)
-        odd_idx = sorted(odd_pos, key=odd_pos.get)
-        self.d_even = [
-            _mask_of(c.boundary[i], odd_pos) for i in even_idx
-        ]
-        self.d_odd = [
-            _mask_of(c.boundary[i], even_pos) for i in odd_idx
-        ]
+        self.d_even = [_mask_of(c.boundary[i], odd_pos) for i in even_pos]
+        self.d_odd = [_mask_of(c.boundary[i], even_pos) for i in odd_pos]
         self.h0_mask = _mask_of(c.h0_rep, even_pos)
-
-        cycles = Echelon()
-        rank_d = sum(cycles.add(v) for v in self.d_even)
-        image = Echelon()
-        rank_b = sum(image.add(v) for v in self.d_odd)
-        if (len(self.even) - rank_d) - rank_b != 1:
-            raise UnsupportedComplexError(
-                "not a knot-like complex in scope: completed grading-0 homology "
-                "must have rank one"
-            )
-        rows = tuple(self.d_odd) + (self.h0_mask,)
-        sol = solve(F2Matrix.from_rows(rows, len(self.even)), 1 << len(self.d_odd))
-        if sol.particular is None:
-            raise AssertionError("no functional separates the h0 class from boundaries")
-        self.lam = sol.particular
 
     def even_levels(self, t: Fraction) -> list[Fraction]:
         half = t / 2
@@ -146,31 +123,56 @@ class _SectorEngine:
         half = t / 2
         return [half * e.alex + (1 - half) * e.alg for e in self.odd]
 
+
+class _SectorEngine(_SectorTables):
+    """Sector tables plus the class-detecting functional of the search.
+
+    The functional lam vanishes on boundaries and takes value 1 on the
+    distinguished representative; because the completed grading-0 homology
+    has rank one (checked here), a cycle z represents that class exactly
+    when lam(z) = 1, and a cycle with lam(z) = 0 is a boundary.
+    """
+
+    def __init__(self, c: BifilteredComplex):
+        super().__init__(c)
+        cycles = Echelon()
+        rank_d = sum(cycles.add(v) for v in self.d_even)
+        image = Echelon()
+        rank_b = sum(image.add(v) for v in self.d_odd)
+        if (len(self.even) - rank_d) - rank_b != 1:
+            raise UnsupportedComplexError(
+                "not a knot-like complex in scope: completed grading-0 homology "
+                "must have rank one"
+            )
+        # lam solves lam . d_odd[j] = 0 for every j and lam . h0 = 1: reduce
+        # e_last against the columns of the rows [d_odd; h0], tagging column k.
+        last = 1 << len(self.odd)
+        columns = [last if (self.h0_mask >> k) & 1 else 0 for k in range(len(self.even))]
+        for j, d in enumerate(self.d_odd):
+            for k in _bits(d):
+                columns[k] |= 1 << j
+        _, lam, _ = first_entry([(None, [(v, 1 << k) for k, v in enumerate(columns)])], last)
+        if lam is None:
+            raise AssertionError("no functional separates the h0 class from boundaries")
+        # columns [d(e); lam(e)] of the even elements, tagged by position
+        self.class_columns = [
+            (d | (last if (lam >> k) & 1 else 0), 1 << k)
+            for k, d in enumerate(self.d_even)
+        ]
+
     def gamma(self, t) -> tuple[Fraction, int]:
         """Minimal threshold and a witness cycle (bitmask over the even sector).
 
-        Columns [d(e); lam(e)] are fed to an incremental echelon in level
-        order; the class is reachable once the pure-lam target reduces to
-        zero, and the tag trail recovers the witness combination.
+        Columns [d(e); lam(e)] enter in level order; the class is reachable
+        once the pure-lam target reduces to zero, and the witness tag is the
+        cycle.
         """
         t = check_parameter(t)
-        levels = self.even_levels(t)
-        order = sorted(range(len(levels)), key=lambda k: (levels[k], k))
-        lam_bit = 1 << len(self.odd)
-        target = lam_bit
-        ech = Echelon(track=True)
-        i = 0
-        while i < len(order):
-            threshold = levels[order[i]]
-            while i < len(order) and levels[order[i]] == threshold:
-                k = order[i]
-                col = self.d_even[k] | (lam_bit if (self.lam >> k) & 1 else 0)
-                ech.add(col, 1 << k)
-                i += 1
-            residue, combo = ech.reduce_with_tag(target)
-            if residue == 0:
-                return threshold, combo
-        raise AssertionError("the distinguished class was not reachable at any level")
+        batches = by_threshold(self.even_levels(t), self.class_columns)
+        threshold, combo, _ = first_entry(batches, 1 << len(self.odd))
+        if threshold is None:
+            raise AssertionError("the distinguished class was not reachable at any level")
+        return threshold, combo
 
 
 def _mask_of(indices, positions) -> int:
@@ -231,7 +233,7 @@ def verify_gamma_certificate(c: BifilteredComplex, cert: GammaCertificate) -> No
         zmask |= 1 << even_pos[e]
     if engine_free.boundary_of_even(zmask) != 0:
         raise CertificateError("certificate support is not a cycle")
-    if not in_span(engine_free.image, zmask ^ engine_free.h0_mask):
+    if not in_span(engine_free.d_odd, zmask ^ engine_free.h0_mask):
         raise CertificateError("certificate cycle is not homologous to the h0 class")
 
     below = [lv for lv in engine_free.even_levels(cert.t) if lv < cert.s]
@@ -239,27 +241,8 @@ def verify_gamma_certificate(c: BifilteredComplex, cert: GammaCertificate) -> No
         raise CertificateError("a cycle in the h0 class exists below the threshold")
 
 
-class _DirectChecker:
+class _DirectChecker(_SectorTables):
     """Definition-level feasibility checks used by certificate verification."""
-
-    def __init__(self, c: BifilteredComplex):
-        self.even = sector(c, 0)
-        self.odd = sector(c, 1)
-        even_pos = {}
-        odd_pos = {}
-        for i, g in enumerate(c.generators):
-            if g.maslov % 2 == 0:
-                even_pos[i] = len(even_pos)
-            else:
-                odd_pos[i] = len(odd_pos)
-        even_idx = sorted(even_pos, key=even_pos.get)
-        odd_idx = sorted(odd_pos, key=odd_pos.get)
-        self.d_even = [_mask_of(c.boundary[i], odd_pos) for i in even_idx]
-        self.image = [_mask_of(c.boundary[i], even_pos) for i in odd_idx]
-        self.h0_mask = _mask_of(c.h0_rep, even_pos)
-
-    def even_levels(self, t: Fraction) -> list[Fraction]:
-        return [level(t, e) for e in self.even]
 
     def boundary_of_even(self, zmask: int) -> int:
         out = 0
@@ -268,18 +251,38 @@ class _DirectChecker:
         return out
 
     def feasible(self, t: Fraction, s: Fraction) -> bool:
-        """Does a cycle within level s represent the h0 class?"""
-        levels = self.even_levels(t)
-        admissible = [k for k, lv in enumerate(levels) if lv <= s]
-        M = F2Matrix.from_columns([self.d_even[k] for k in admissible],
-                                  len(self.odd))
-        kernel = []
-        for vec in solve(M, 0).kernel_basis:
-            z = 0
-            for b in _bits(vec):
-                z |= 1 << admissible[b]
-            kernel.append(z)
-        return in_span(kernel + self.image, self.h0_mask)
+        """Does a cycle within level s represent the h0 class?
+
+        Unknowns z on the admissible even elements and u on the whole odd
+        sector; the equations z + du = h0 (low bits) and dz = 0 (high bits).
+        """
+        shift = len(self.even)
+        columns = [
+            (1 << k) | (self.d_even[k] << shift)
+            for k, lv in enumerate(self.even_levels(t)) if lv <= s
+        ]
+        return in_span(columns + self.d_odd, self.h0_mask)
+
+    def merges(self, minus: int, plus: int, odd_levels: list[Fraction],
+               r: Fraction) -> bool:
+        """Do the class cycles on two admissible sets meet within level r?
+
+        Unknowns x on the even positions in ``minus``, u on the whole odd
+        sector and y on the odd elements of level at most r; the equations
+        x + du = h0, dx = 0, and x + dy = 0 outside ``plus``.  A solution
+        gives z_minus = x and z_plus = x + dy with w = y.
+        """
+        ne, no = len(self.even), len(self.odd)
+        outside = ((1 << ne) - 1) & ~plus
+        columns = [
+            (1 << k) | (self.d_even[k] << ne) | ((outside >> k & 1) << (k + ne + no))
+            for k in _bits(minus)
+        ]
+        columns += self.d_odd
+        columns += [
+            (d & outside) << (ne + no) for d, lv in zip(self.d_odd, odd_levels) if lv <= r
+        ]
+        return in_span(columns, self.h0_mask)
 
 
 def upsilon(c: BifilteredComplex) -> PiecewiseLinear:

@@ -14,12 +14,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 
 from .complexes import BifilteredComplex
 from .exactnum import PiecewiseLinear, check_parameter
-from .f2linalg import F2Matrix, in_span, solve, span_intersection
+from .f2linalg import by_threshold, first_entry, in_span
 from .upsilon import (
+    CertificateError,
     SectorElement,
+    _DirectChecker,
     _SectorEngine,
     _bits,
     level,
@@ -82,29 +85,6 @@ class Gamma2Certificate:
     def upsilon2(self) -> Fraction:
         return -2 * (self.gamma2 - self.gamma)
 
-    def to_json_dict(self) -> dict:
-        def part(elems):
-            rows = [
-                {
-                    "id": e.generator.name,
-                    "u_power": e.u_power,
-                    "level": str(level(self.t0, e)),
-                }
-                for e in elems
-            ]
-            rows.sort(key=lambda r: r["id"])
-            return rows
-
-        return {
-            "t0": str(self.t0),
-            "gamma": str(self.gamma),
-            "gamma2": str(self.gamma2),
-            "upsilon2": str(self.upsilon2()),
-            "z_minus": part(self.witness.z_minus),
-            "z_plus": part(self.witness.z_plus),
-            "w": part(self.witness.w),
-        }
-
 
 def _slope_data(ups: PiecewiseLinear, t0: Fraction):
     """gamma value and one-sided gamma slopes at a positive-jump singularity."""
@@ -122,44 +102,39 @@ def _slope_data(ups: PiecewiseLinear, t0: Fraction):
     return gamma0, -left / 2, -right / 2
 
 
-def _check_gamma_consistency(engine: _SectorEngine, t0: Fraction,
-                             gamma0: Fraction) -> None:
-    if engine.gamma(t0)[0] != gamma0:
-        raise ValueError(
-            "the provided upsilon function does not belong to this complex"
-        )
+def _side_pass(engine: _SectorEngine, t0: Fraction, sign: int):
+    """One side of t0: its gamma jet, admissible positions, class cycle, null cycles.
 
-
-def _side_masks(engine: _SectorEngine, t0: Fraction, gamma0: Fraction,
-                gamma_slope: Fraction, sign: int):
-    """Admissible even positions, one class cycle, and the null-cycle span."""
-    gamma_key = (gamma0, sign * gamma_slope)
-    admissible = []
-    for k, e in enumerate(engine.even):
-        jet = Jet(level(t0, e), level_slope(e))
-        if jet.side_key(sign) <= gamma_key:
-            admissible.append(k)
-    lam_bit = 1 << len(engine.odd)
-    cols = [
-        engine.d_even[k] | (lam_bit if (engine.lam >> k) & 1 else 0)
-        for k in admissible
-    ]
-    sol = solve(F2Matrix.from_columns(cols, len(engine.odd) + 1), lam_bit)
-    if sol.particular is None:
+    The columns [d(e); lam(e)] enter in ``Jet.side_key`` order.  The key at
+    which the pure-lam target enters is the side gamma jet, the witness tag
+    is a class cycle z0, and the kernel tags are the cycles with lam = 0 on
+    the admissible elements: boundaries, since grading-0 homology has rank
+    one.
+    """
+    keys = [Jet(lv, level_slope(e)).side_key(sign)
+            for lv, e in zip(engine.even_levels(t0), engine.even)]
+    key, z0, null_cycles = first_entry(by_threshold(keys, engine.class_columns),
+                                       1 << len(engine.odd))
+    if key is None:
         raise AssertionError("side cycles must attain gamma on each side of a singularity")
-    z0 = 0
-    for b in _bits(sol.particular):
-        z0 |= 1 << admissible[b]
-    plain = F2Matrix.from_columns([engine.d_even[k] for k in admissible],
-                                  len(engine.odd))
-    kernel = []
-    for vec in solve(plain, 0).kernel_basis:
-        z = 0
-        for b in _bits(vec):
-            z |= 1 << admissible[b]
-        kernel.append(z)
-    null_cycles = span_intersection(kernel, engine.d_odd)
-    return admissible, z0, null_cycles
+    admissible = [k for k, kk in enumerate(keys) if kk <= key]
+    return Jet(key[0], sign * key[1]), admissible, z0, null_cycles
+
+
+def _sides(c: BifilteredComplex, t0, ups: PiecewiseLinear | None, signs):
+    """Engine, gamma and side passes at t0, each side jet checked against ups."""
+    t0 = check_parameter(t0)
+    if ups is None:
+        ups = upsilon(c)
+    gamma0, slope_minus, slope_plus = _slope_data(ups, t0)
+    engine = _SectorEngine(c)
+    passes = [_side_pass(engine, t0, sign) for sign in signs]
+    for sign, (jet, *_) in zip(signs, passes):
+        if jet != Jet(gamma0, slope_minus if sign < 0 else slope_plus):
+            raise ValueError(
+                "the provided upsilon function does not belong to this complex"
+            )
+    return engine, t0, gamma0, passes
 
 
 def _elements(engine: _SectorEngine, mask: int) -> frozenset[SectorElement]:
@@ -171,94 +146,44 @@ def side_cycles(c: BifilteredComplex, t0, side: str,
     """Admissible pivots and class cycles on one side of the singularity t0."""
     if side not in (SIDE_MINUS, SIDE_PLUS):
         raise ValueError(f"side must be '{SIDE_MINUS}' or '{SIDE_PLUS}'")
-    t0 = check_parameter(t0)
-    if ups is None:
-        ups = upsilon(c)
-    gamma0, slope_minus, slope_plus = _slope_data(ups, t0)
     sign = -1 if side == SIDE_MINUS else 1
-    gamma_slope = slope_minus if side == SIDE_MINUS else slope_plus
-    engine = _SectorEngine(c)
-    _check_gamma_consistency(engine, t0, gamma0)
-    admissible, z0, null_cycles = _side_masks(engine, t0, gamma0, gamma_slope, sign)
+    engine, _, _, [(jet, admissible, z0, null_cycles)] = _sides(c, t0, ups, [sign])
     return SideData(
         side=side,
-        gamma_jet=Jet(gamma0, gamma_slope),
+        gamma_jet=jet,
         admissible=tuple(engine.even[k] for k in admissible),
         cycle_particular=_elements(engine, z0),
         cycle_basis=tuple(_elements(engine, v) for v in null_cycles),
     )
 
 
-def gamma2_at(c: BifilteredComplex, t0, ups: PiecewiseLinear | None = None,
-              search: str = "binary") -> Gamma2Certificate:
+def gamma2_at(c: BifilteredComplex, t0,
+              ups: PiecewiseLinear | None = None) -> Gamma2Certificate:
     """Minimal threshold at which the two side classes merge, with witness.
 
-    Feasibility at threshold r asks for z_minus, z_plus in the side cycle
-    spaces and w supported on grading-1 elements of level at most r with
-    dw = z_minus + z_plus; this is one affine GF(2) system per threshold.
-    Solvability is monotone in r, so the threshold list may be binary
-    searched (search='linear' scans instead; both must agree).
+    Merging at threshold r asks for z_minus, z_plus in the side cycle spaces
+    and w supported on grading-1 elements of level at most r with
+    dw = z_minus + z_plus.  One pass feeds the boundaries of the grading-1
+    elements in level order, seeded at gamma with both sides' null cycles,
+    until z0_minus + z0_plus enters their span.  The minus-side null cycles
+    are tagged with their own mask above the odd bits, so the witness tag
+    gives w and z_minus, and z_plus = z_minus + dw.
     """
-    if search not in ("binary", "linear"):
-        raise ValueError("search must be 'binary' or 'linear'")
-    t0 = check_parameter(t0)
-    if ups is None:
-        ups = upsilon(c)
-    gamma0, slope_minus, slope_plus = _slope_data(ups, t0)
-    engine = _SectorEngine(c)
-    _check_gamma_consistency(engine, t0, gamma0)
-    _, z0m, null_m = _side_masks(engine, t0, gamma0, slope_minus, -1)
-    _, z0p, null_p = _side_masks(engine, t0, gamma0, slope_plus, +1)
-    target = z0m ^ z0p
-
-    odd_levels = engine.odd_levels(t0)
-    odd_order = sorted(range(len(odd_levels)), key=lambda j: (odd_levels[j], j))
-    thresholds = sorted({gamma0} | {lv for lv in odd_levels if lv > gamma0})
-
-    def feasible(r: Fraction) -> bool:
-        cols = [engine.d_odd[j] for j in odd_order if odd_levels[j] <= r]
-        return in_span(cols + null_m + null_p, target)
-
-    last = len(thresholds) - 1
-    if not feasible(thresholds[last]):
+    engine, t0, gamma0, passes = _sides(c, t0, ups, [-1, 1])
+    (_, _, z0m, null_m), (_, _, z0p, null_p) = passes
+    n_odd = len(engine.odd)
+    seed = [(v, v << n_odd) for v in null_m] + [(v, 0) for v in null_p]
+    thresholds = [max(lv, gamma0) for lv in engine.odd_levels(t0)]
+    columns = [(d, 1 << j) for j, d in enumerate(engine.d_odd)]
+    batches = chain([(gamma0, seed)], by_threshold(thresholds, columns))
+    r_star, tag, _ = first_entry(batches, z0m ^ z0p)
+    if r_star is None:
         raise AssertionError("side classes must merge once every element is admissible")
-    if search == "linear":
-        best = next(i for i in range(len(thresholds)) if feasible(thresholds[i]))
-    else:
-        lo, hi = 0, last
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if feasible(thresholds[mid]):
-                hi = mid
-            else:
-                lo = mid + 1
-        best = lo
-    r_star = thresholds[best]
-
-    support = [j for j in odd_order if odd_levels[j] <= r_star]
-    cols = [engine.d_odd[j] for j in support] + null_m + null_p
-    sol = solve(F2Matrix.from_columns(cols, len(engine.even)), target)
-    assert sol.particular is not None
-    x = sol.particular
-    wmask = 0
-    for b in range(len(support)):
-        if (x >> b) & 1:
-            wmask |= 1 << support[b]
-    zm, zp = z0m, z0p
-    off = len(support)
-    for i, v in enumerate(null_m):
-        if (x >> (off + i)) & 1:
-            zm ^= v
-    off += len(null_m)
-    for i, v in enumerate(null_p):
-        if (x >> (off + i)) & 1:
-            zp ^= v
-
-    acc = 0
+    wmask = tag & ((1 << n_odd) - 1)
+    zm = z0m ^ (tag >> n_odd)
+    zp = zm
     for j in _bits(wmask):
-        acc ^= engine.d_odd[j]
-    assert acc == zm ^ zp
-
+        zp ^= engine.d_odd[j]
     witness = MergeWitness(
         z_minus=_elements(engine, zm),
         z_plus=_elements(engine, zp),
@@ -279,40 +204,41 @@ def verify_gamma2_certificate(c: BifilteredComplex, cert: Gamma2Certificate,
 
     Validates both side cycles (support, cycle and class conditions), the
     merging equation dw = z_minus + z_plus, the level bound on w, and
-    minimality by infeasibility at the next lower threshold.
+    minimality by infeasibility at the next lower threshold.  It uses the
+    sector tables only: no class functional and no step of the search.
     """
-    from .upsilon import CertificateError
-
     t0 = cert.t0
     if ups is None:
         ups = upsilon(c)
     gamma0, slope_minus, slope_plus = _slope_data(ups, t0)
     if gamma0 != cert.gamma:
         raise CertificateError("stored gamma does not match upsilon at t0")
-    engine = _SectorEngine(c)
-    even_pos = {e: k for k, e in enumerate(engine.even)}
-    odd_pos = {e: j for j, e in enumerate(engine.odd)}
+    tables = _DirectChecker(c)
+    even_pos = {e: k for k, e in enumerate(tables.even)}
+    odd_pos = {e: j for j, e in enumerate(tables.odd)}
+    jets = [Jet(level(t0, e), level_slope(e)) for e in tables.even]
 
     def check_side(elems, gamma_slope, sign, label):
         gamma_key = (gamma0, sign * gamma_slope)
+        admissible = 0
+        for k, jet in enumerate(jets):
+            if jet.side_key(sign) <= gamma_key:
+                admissible |= 1 << k
         zmask = 0
         for e in elems:
             if e not in even_pos:
                 raise CertificateError(f"{label} leaves the grading-0 sector")
-            if Jet(level(t0, e), level_slope(e)).side_key(sign) > gamma_key:
-                raise CertificateError(f"{label} uses an element above the side bound")
             zmask |= 1 << even_pos[e]
-        acc = 0
-        for k in _bits(zmask):
-            acc ^= engine.d_even[k]
-        if acc:
+        if zmask & ~admissible:
+            raise CertificateError(f"{label} uses an element above the side bound")
+        if tables.boundary_of_even(zmask):
             raise CertificateError(f"{label} is not a cycle")
-        if not in_span(engine.d_odd, zmask ^ engine.h0_mask):
+        if not in_span(tables.d_odd, zmask ^ tables.h0_mask):
             raise CertificateError(f"{label} is not homologous to the h0 class")
-        return zmask
+        return zmask, admissible
 
-    zm = check_side(cert.witness.z_minus, slope_minus, -1, "z_minus")
-    zp = check_side(cert.witness.z_plus, slope_plus, +1, "z_plus")
+    zm, adm_m = check_side(cert.witness.z_minus, slope_minus, -1, "z_minus")
+    zp, adm_p = check_side(cert.witness.z_plus, slope_plus, +1, "z_plus")
 
     acc = 0
     for e in cert.witness.w:
@@ -320,18 +246,14 @@ def verify_gamma2_certificate(c: BifilteredComplex, cert: Gamma2Certificate,
             raise CertificateError("w leaves the grading-1 sector")
         if level(t0, e) > cert.gamma2:
             raise CertificateError("w uses an element above the threshold")
-        acc ^= engine.d_odd[odd_pos[e]]
+        acc ^= tables.d_odd[odd_pos[e]]
     if acc != zm ^ zp:
         raise CertificateError("dw does not equal z_minus + z_plus")
 
-    _, z0m, null_m = _side_masks(engine, t0, gamma0, slope_minus, -1)
-    _, z0p, null_p = _side_masks(engine, t0, gamma0, slope_plus, +1)
-    odd_levels = engine.odd_levels(t0)
+    odd_levels = tables.odd_levels(t0)
     thresholds = sorted({gamma0} | {lv for lv in odd_levels if lv > gamma0})
     if cert.gamma2 not in thresholds:
         raise CertificateError("threshold is not a grading-1 level at or above gamma")
     below = [r for r in thresholds if r < cert.gamma2]
-    if below:
-        cols = [engine.d_odd[j] for j, lv in enumerate(odd_levels) if lv <= below[-1]]
-        if in_span(cols + null_m + null_p, z0m ^ z0p):
-            raise CertificateError("the side classes already merge below the threshold")
+    if below and tables.merges(adm_m, adm_p, odd_levels, below[-1]):
+        raise CertificateError("the side classes already merge below the threshold")

@@ -10,6 +10,8 @@ import time
 from fractions import Fraction as F
 from math import gcd
 
+import pytest
+
 from cfk import (
     alexander_torus,
     direct_sum_with_box,
@@ -21,8 +23,13 @@ from cfk import (
     torus_knot_complex,
 )
 from cfk.cli import recursion_report
-from cfk.upsilon import gamma_at, level, upsilon, verify_gamma_certificate
-from cfk.upsilon2 import gamma2_at, upsilon2_at
+from cfk.upsilon import CertificateError, gamma_at, level, upsilon, verify_gamma_certificate
+from cfk.upsilon2 import (
+    Gamma2Certificate,
+    gamma2_at,
+    upsilon2_at,
+    verify_gamma2_certificate,
+)
 from oracles import brute_gamma, brute_gamma2
 
 
@@ -266,3 +273,54 @@ def test_acceptance_8_known_stable_equivalence():
         if jump > 0:
             assert upsilon2_at(a, t0, ups=ups_a) == upsilon2_at(b, t0, ups=ups_b)
     done("ACCEPTANCE 8 (stably equivalent pair agrees)")
+
+
+def _random_expression_complex(rng):
+    """A staircase or a sum of two, with mirrored factors and box summands."""
+    small = [(p, q) for p in range(2, 6) for q in range(p + 1, 8) if gcd(p, q) == 1]
+    c = _random_staircase(rng)
+    if rng.random() < 0.5:
+        other = torus_knot_complex(*rng.choice(small))
+        if rng.random() < 0.4:
+            other = dual(other)
+        c = tensor(torus_knot_complex(*rng.choice(small)), other)
+    if rng.random() < 0.15:
+        c = dual(c)
+    for _ in range(rng.randrange(0, 3)):
+        g = rng.choice(c.generators)
+        c = direct_sum_with_box(c, g.alg + rng.randrange(-1, 2), g.alex + rng.randrange(-1, 2),
+                                rng.randrange(1, 3), rng.randrange(1, 3),
+                                g.maslov + rng.randrange(0, 2))
+    return c
+
+
+def test_acceptance_9_gamma2_certificates_and_minimality():
+    done = _timed(600)
+    rng = random.Random(909)
+    checked = oracle_checked = raised_checked = 0
+    for _ in range(100):
+        c = _random_expression_complex(rng)
+        ups = upsilon(c)
+        odd = sector(c, 1)
+        for t0, jump in ups.singularities():
+            if jump <= 0:
+                continue
+            cert = gamma2_at(c, t0, ups=ups)
+            verify_gamma2_certificate(c, cert, ups=ups)
+            checked += 1
+            above = sorted({level(t0, e) for e in odd if level(t0, e) > cert.gamma2})
+            if above:
+                raised = Gamma2Certificate(t0=t0, gamma=cert.gamma, gamma2=above[0],
+                                           witness=cert.witness)
+                with pytest.raises(CertificateError, match="already merge"):
+                    verify_gamma2_certificate(c, raised, ups=ups)
+                raised_checked += 1
+            try:
+                expected = brute_gamma2(c, t0, ups)
+            except ValueError:
+                continue  # beyond the oracle's size limits
+            assert cert.gamma2 == expected, (t0, len(c))
+            oracle_checked += 1
+    assert checked > 100 and raised_checked > 50 and oracle_checked > 50
+    done(f"ACCEPTANCE 9 (gamma2 certificates verify and are minimal, 100 cases, "
+         f"{checked} singularities, {oracle_checked} against the oracle)")

@@ -1,4 +1,5 @@
 import json
+import os
 
 from cfk.cli import build_invariant_report, distinguish_report, recursion_report, run
 
@@ -79,6 +80,33 @@ class TestInvariants:
         code, other, _ = run_capture(capsys, argv2)
         assert other == fresh
 
+    def _bad_entry_is_a_miss(self, capsys, tmp_path, content):
+        from cfk.cli import _cache_path
+
+        cache = tmp_path / "cache"
+        cache.mkdir()
+        entry = cache / os.path.basename(_cache_path(str(cache), "T(3,4)"))
+        entry.write_text(content, encoding="utf-8")
+        code, out, err = run_capture(
+            capsys, ["invariants", "T(3,4)", "--no-timing", "--cache", str(cache)]
+        )
+        assert code == 0 and err == ""
+        _, fresh, _ = run_capture(capsys, ["invariants", "T(3,4)", "--no-timing"])
+        assert out == fresh
+        # the bad entry was rewritten with the fresh report
+        assert json.loads(entry.read_text(encoding="utf-8")) == json.loads(fresh)
+
+    def test_cache_truncated_entry_is_a_miss(self, capsys, tmp_path):
+        report = json.dumps(build_invariant_report("T(3,4)"), indent=2)
+        self._bad_entry_is_a_miss(capsys, tmp_path, report[: len(report) // 2])
+
+    def test_cache_empty_object_is_a_miss(self, capsys, tmp_path):
+        self._bad_entry_is_a_miss(capsys, tmp_path, "{}")
+
+    def test_cache_entry_for_another_expression_is_a_miss(self, capsys, tmp_path):
+        other = json.dumps(build_invariant_report("T(2,3)"), indent=2)
+        self._bad_entry_is_a_miss(capsys, tmp_path, other)
+
     def test_cache_env_var(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setenv("CFK_CACHE_DIR", str(tmp_path / "envcache"))
         code, first, _ = run_capture(capsys, ["invariants", "T(2,3)", "--no-timing"])
@@ -91,9 +119,14 @@ class TestInvariants:
         import subprocess
         import sys
 
+        import cfk
+
+        # the child imports the same cfk as this process, installed or not
+        src = os.path.dirname(os.path.dirname(cfk.__file__))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         proc = subprocess.run(
             [sys.executable, "-m", "cfk", "staircase", "3", "4"],
-            capture_output=True, text=True,
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["steps"] == [1, 2, 2, 1]

@@ -1,85 +1,8 @@
 import random
 from fractions import Fraction as F
+from itertools import combinations
 
-import pytest
-
-from cfk.f2linalg import (
-    AffineSolutionSpace,
-    Echelon,
-    F2Matrix,
-    in_span,
-    parity,
-    solve,
-    span_basis,
-    span_intersection,
-    subspace_saturates,
-)
-
-
-class TestF2Matrix:
-    def test_dimension_checks(self):
-        with pytest.raises(ValueError):
-            F2Matrix(2, 2, (0b100, 0b01))  # bit outside column range
-        with pytest.raises(ValueError):
-            F2Matrix(3, 2, (0b10, 0b01))
-
-    def test_columns_and_transpose(self):
-        m = F2Matrix.from_rows((0b011, 0b100), 3)
-        assert m.column_bits() == [0b01, 0b01, 0b10]
-        assert m.transpose().row_bits == (0b01, 0b01, 0b10)
-        assert m.transpose().transpose() == m
-
-    def test_from_columns_validates_row_range(self):
-        with pytest.raises(ValueError):
-            F2Matrix.from_columns([0b100], 2)
-
-    def test_mul_vec(self):
-        m = F2Matrix.from_rows((0b011, 0b110), 3)
-        assert m.mul_vec(0b001) == 0b01
-        assert m.mul_vec(0b010) == 0b11
-
-
-class TestSolve:
-    def test_identity(self):
-        a = F2Matrix.identity(4)
-        for b in (0b0000, 0b1011, 0b1111):
-            space = solve(a, b)
-            assert space.particular == b
-            assert space.kernel_basis == ()
-
-    def test_zero_matrix_homogeneous(self):
-        space = solve(F2Matrix.zeros(3, 3), 0)
-        assert space.particular == 0
-        assert len(space.kernel_basis) == 3
-
-    def test_zero_matrix_inconsistent(self):
-        space = solve(F2Matrix.zeros(3, 3), 0b010)
-        assert space.is_empty
-
-    def test_staircase_corner_block(self):
-        # T(3,4) staircase: vertices v0,v1,v2 and corners c0,c1 with
-        # d(c0)=v0+v1, d(c1)=v1+v2.  Solving for v0+v1 picks out c0 alone.
-        from cfk import torus_knot_complex
-
-        c = torus_knot_complex(3, 4)
-        vertices = [i for i, g in enumerate(c.generators) if g.maslov == 0]
-        corners = [i for i, g in enumerate(c.generators) if g.maslov == 1]
-        vpos = {i: k for k, i in enumerate(vertices)}
-        cols = []
-        for i in corners:
-            m = 0
-            for j in c.boundary[i]:
-                m |= 1 << vpos[j]
-            cols.append(m)
-        a = F2Matrix.from_columns(cols, len(vertices))
-        b = (1 << vpos[vertices[0]]) | (1 << vpos[vertices[1]])
-        space = solve(a, b)
-        assert space.particular == 0b01
-        assert space.kernel_basis == ()
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            solve(F2Matrix.zeros(2, 2), 0b100)
+from cfk.f2linalg import Echelon, by_threshold, first_entry, in_span
 
 
 class TestInSpan:
@@ -119,58 +42,6 @@ class TestInSpan:
         assert not in_span(cols, target)
 
 
-class TestSubspaceSaturates:
-    def test_point_space(self):
-        space = AffineSolutionSpace(0b101, ())
-        assert subspace_saturates(space, [(0b001, 1), (0b010, 0)])
-        assert not subspace_saturates(space, [(0b001, 0)])
-
-    def test_full_space_fails_proper_constraint(self):
-        space = AffineSolutionSpace(0, (0b01, 0b10))
-        assert not subspace_saturates(space, [(0b01, 0)])
-
-    def test_empty_space_saturates_vacuously(self):
-        assert subspace_saturates(AffineSolutionSpace(None, ()), [(0b1, 1)])
-
-    def test_merge_solution_escapes_coordinate_subspace(self):
-        # T(5,7) at t=4/5, threshold 23/5: the merge system dw = z- + z+ has
-        # exactly one solution, and it uses the corner at level 23/5, so the
-        # space does not saturate "that coordinate is zero".
-        from cfk import sector, torus_knot_complex
-        from cfk.upsilon import level
-
-        c = torus_knot_complex(5, 7)
-        even = sector(c, 0)
-        odd = sector(c, 1)
-        even_pos = {e: k for k, e in enumerate(even)}
-        t = F(4, 5)
-        admissible = [j for j, e in enumerate(odd) if level(t, e) <= F(23, 5)]
-        assert len(admissible) == 4
-        cols = []
-        for j in admissible:
-            i = c.name_to_index[odd[j].generator.name]
-            m = 0
-            for tgt in c.boundary[i]:
-                e = next(x for x in even if x.generator.name == c.generators[tgt].name)
-                m |= 1 << even_pos[e]
-            cols.append(m)
-        pivots = [e for e in even if level(t, e) == F(19, 5)]
-        target = (1 << even_pos[pivots[0]]) | (1 << even_pos[pivots[1]])
-        space = solve(F2Matrix.from_columns(cols, len(even)), target)
-        assert not space.is_empty
-        # solutions enumerated exhaustively: exactly one, using both corners
-        # at levels 22/5 and 23/5
-        solutions = list(space.vectors())
-        assert len(solutions) == 1
-        used = [admissible[b] for b in range(4) if (solutions[0] >> b) & 1]
-        used_levels = sorted(level(t, odd[j]) for j in used)
-        assert used_levels == [F(22, 5), F(23, 5)]
-        deep = next(b for b, j in enumerate(admissible)
-                    if level(t, odd[j]) == F(23, 5) and (solutions[0] >> b) & 1)
-        assert subspace_saturates(space, [(1 << deep, 1)])
-        assert not subspace_saturates(space, [(1 << deep, 0)])
-
-
 class TestEchelon:
     def test_rank_and_membership(self):
         ech = Echelon()
@@ -194,46 +65,131 @@ class TestEchelon:
                 acc ^= vecs[i]
         assert acc == 0b001
 
-
-class TestSpanIntersection:
-    def test_disjoint(self):
-        assert span_intersection([0b001], [0b010]) == []
-
-    def test_overlap(self):
-        got = span_intersection([0b001, 0b010], [0b011, 0b100])
-        assert span_basis(got) == span_basis([0b011])
+    def test_kernel_keeps_tags_of_dependent_vectors(self):
+        ech = Echelon(track=True)
+        for i, v in enumerate([0b011, 0b110, 0b101, 0b011]):
+            ech.add(v, 1 << i)
+        assert ech.kernel == [0b0111, 0b1001]
+        assert Echelon().kernel == []
 
 
-def test_randomised_solve_matches_exhaustive_count():
+def _combine(columns, mask):
+    acc = 0
+    for i, v in enumerate(columns):
+        if (mask >> i) & 1:
+            acc ^= v
+    return acc
+
+
+def _span(vectors):
+    out = {0}
+    for v in vectors:
+        out |= {x ^ v for x in out}
+    return out
+
+
+def _even_and_odd_columns(c):
+    """Grading-1 boundaries over the grading-0 sector, with both sectors."""
+    from cfk import sector
+
+    even = sector(c, 0)
+    odd = sector(c, 1)
+    even_pos = {e.generator.name: k for k, e in enumerate(even)}
+    cols = []
+    for e in odd:
+        m = 0
+        for j in c.boundary[c.name_to_index[e.generator.name]]:
+            m |= 1 << even_pos[c.generators[j].name]
+        cols.append(m)
+    return even, odd, cols
+
+
+class TestFirstEntry:
+    def test_staircase_corner_block(self):
+        # T(3,4) staircase: vertices v0,v1,v2 and corners c0,c1 with
+        # d(c0)=v0+v1, d(c1)=v1+v2.  Reaching v0+v1 picks out c0 alone, and
+        # the corner boundaries are independent.
+        from cfk import torus_knot_complex
+
+        c = torus_knot_complex(3, 4)
+        _, odd, cols = _even_and_odd_columns(c)
+        assert len(odd) == 2
+        batch = [(v, 1 << j) for j, v in enumerate(cols)]
+        threshold, witness, kernel = first_entry([("all", batch)], 0b011)
+        assert (threshold, witness, kernel) == ("all", 0b01, [])
+
+    def test_t57_merge_solution_is_unique(self):
+        # T(5,7) at t=4/5, threshold 23/5: of the four admissible grading-1
+        # elements, exactly one subset has boundary z- + z+, and it uses the
+        # corners at levels 22/5 and 23/5.  The filtered span first reaches
+        # the target at 23/5, with that subset as its witness.
+        from cfk import torus_knot_complex
+        from cfk.upsilon import level
+
+        c = torus_knot_complex(5, 7)
+        t = F(4, 5)
+        even, odd, cols = _even_and_odd_columns(c)
+        admissible = [j for j, e in enumerate(odd) if level(t, e) <= F(23, 5)]
+        assert len(admissible) == 4
+        pivots = [k for k, e in enumerate(even) if level(t, e) == F(19, 5)]
+        target = (1 << pivots[0]) | (1 << pivots[1])
+        solutions = [
+            subset
+            for r in range(5)
+            for subset in combinations(admissible, r)
+            if _combine(cols, sum(1 << j for j in subset)) == target
+        ]
+        assert len(solutions) == 1
+        used_levels = sorted(level(t, odd[j]) for j in solutions[0])
+        assert used_levels == [F(22, 5), F(23, 5)]
+        levels = [level(t, e) for e in odd]
+        batches = by_threshold(levels, [(v, 1 << j) for j, v in enumerate(cols)])
+        threshold, witness, _ = first_entry(batches, target)
+        assert threshold == F(23, 5)
+        assert witness == sum(1 << j for j in solutions[0])
+
+    def test_target_that_never_enters(self):
+        batches = by_threshold([2, 1], [(0b01, 0b01), (0b01, 0b10)])
+        assert first_entry(batches, 0b10) == (None, None, [0b11])
+
+    def test_batches_are_fed_whole_in_threshold_order(self):
+        batches = list(by_threshold([3, 1, 3, 1], ["a", "b", "c", "d"]))
+        assert batches == [(1, ["b", "d"]), (3, ["a", "c"])]
+
+
+def test_randomised_kernel_tags_match_exhaustive_solutions():
+    # On random small column sets, the kernel tags span exactly the
+    # combinations that sum to zero, and the first entry is the least
+    # threshold at which some combination of admitted columns hits the
+    # target, with a witness that is one such combination.
     rng = random.Random(20240)
-    for _ in range(120):
+    for _ in range(200):
         rows = rng.randrange(0, 7)
-        cols = rng.randrange(0, 9)
-        a = F2Matrix.from_rows(
-            tuple(rng.randrange(0, 1 << cols) for _ in range(rows)), cols
+        n = rng.randrange(0, 9)
+        cols = [rng.randrange(0, 1 << rows) if rows else 0 for _ in range(n)]
+        thresholds = [rng.randrange(0, 4) for _ in range(n)]
+        target = rng.randrange(0, 1 << rows) if rows else 0
+        batch = [(v, 1 << i) for i, v in enumerate(cols)]
+        _, _, kernel = first_entry([(0, batch)], 1 << rows)
+        zero_sums = {x for x in range(1 << n) if _combine(cols, x) == 0}
+        assert len(_span(kernel)) == 1 << len(kernel)
+        assert _span(kernel) == zero_sums
+
+        hits = [x for x in range(1 << n) if _combine(cols, x) == target]
+        expected = min(
+            (max([thresholds[i] for i in range(n) if (x >> i) & 1], default=None)
+             for x in hits),
+            key=lambda r: -1 if r is None else r,
+            default="never",
         )
-        b = rng.randrange(0, 1 << rows) if rows else 0
-        space = solve(a, b)
-        expected = sum(1 for x in range(1 << cols) if a.mul_vec(x) == b)
-        if space.is_empty:
-            assert expected == 0
-        else:
-            for x in space.vectors():
-                assert a.mul_vec(x) == b
-            assert expected == 1 << len(space.kernel_basis)
-
-
-def test_solve_is_deterministic():
-    rng = random.Random(77)
-    rows = tuple(rng.randrange(0, 1 << 10) for _ in range(8))
-    a = F2Matrix.from_rows(rows, 10)
-    b = 0b1010_1010
-    first = solve(a, b)
-    second = solve(a, b)
-    assert first == second
-
-
-def test_parity():
-    assert parity(0) == 0
-    assert parity(0b1011) == 1
-    assert parity(0b11) == 0
+        threshold, witness, _ = first_entry(by_threshold(thresholds, batch), target)
+        if expected is None and n:
+            # a zero target is reached by the empty combination at the
+            # first threshold there is
+            expected = min(thresholds)
+        if expected in ("never", None):
+            assert threshold is None and witness is None
+            continue
+        assert threshold == expected
+        assert witness in hits
+        assert all(thresholds[i] <= threshold for i in range(n) if (witness >> i) & 1)

@@ -104,19 +104,6 @@ class TestGamma2:
         assert cert.gamma2 == F(5)  # attained by (0,2) tensor the (3,6) corner
         assert points(cert.witness.w) == {(3, 8)}
 
-    def test_linear_and_binary_search_agree(self):
-        for expr, t0 in (
-            ("T(3,4)", F(2, 3)),
-            ("T(5,7)", F(4, 5)),
-            ("T(2,5) # T(5,6)", F(4, 5)),
-            ("T(2,3) # T(2,3)", F(1)),
-        ):
-            c = parse_knot_expression(expr)
-            ups = upsilon(c)
-            lin = gamma2_at(c, t0, ups=ups, search="linear")
-            binry = gamma2_at(c, t0, ups=ups, search="binary")
-            assert lin.gamma2 == binry.gamma2
-
     def test_certificates_verify(self):
         for expr, t0 in (
             ("T(3,4)", F(2, 3)),
@@ -139,13 +126,6 @@ class TestGamma2:
         )
         with pytest.raises(CertificateError):
             verify_gamma2_certificate(c, inflated)
-
-    def test_json_witness_shape(self):
-        cert = gamma2_at(torus_knot_complex(3, 4), F(2, 3))
-        d = cert.to_json_dict()
-        assert d["t0"] == "2/3" and d["gamma2"] == "5/3"
-        assert d["w"] == [{"id": "x1", "u_power": 0, "level": "5/3"}]
-        assert {row["id"] for row in d["z_minus"]} == {"x0"}
 
 
 class TestUpsilon2Values:
