@@ -13,6 +13,7 @@ import hashlib
 import json
 import os
 import sys
+import tempfile
 import time
 from fractions import Fraction
 from math import gcd
@@ -112,6 +113,20 @@ def _read_cache(path: str, canonical: str):
     return report
 
 
+def _write_cache(path: str, report: dict) -> None:
+    """Write an entry whole or not at all: a temp file beside it, then os.replace."""
+    directory = os.path.dirname(path)
+    os.makedirs(directory, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8") as fh:
+            json.dump(report, fh, indent=2, ensure_ascii=False)
+        os.replace(tmp, path)
+    except OSError:
+        os.unlink(tmp)
+        raise
+
+
 def cmd_invariants(args) -> int:
     started = time.perf_counter()
     try:
@@ -121,7 +136,8 @@ def cmd_invariants(args) -> int:
         return EXIT_USAGE
     cache_dir = args.cache or os.environ.get(CACHE_ENV_VAR)
     report = None
-    if cache_dir:
+    # a hit would skip the --grid verification, so --grid only writes
+    if cache_dir and args.grid <= 0:
         report = _read_cache(_cache_path(cache_dir, canonical), canonical)
     if report is None:
         try:
@@ -130,9 +146,11 @@ def cmd_invariants(args) -> int:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_USAGE
         if cache_dir:
-            os.makedirs(cache_dir, exist_ok=True)
-            with open(_cache_path(cache_dir, canonical), "w", encoding="utf-8") as fh:
-                json.dump(report, fh, indent=2, ensure_ascii=False)
+            try:
+                _write_cache(_cache_path(cache_dir, canonical), report)
+            except OSError as exc:
+                print(f"error: cannot write to cache {cache_dir}: {exc}", file=sys.stderr)
+                return EXIT_IO
     timing = None
     if not args.no_timing:
         timing = int((time.perf_counter() - started) * 1000)

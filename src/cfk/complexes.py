@@ -208,7 +208,7 @@ def _h0_from_parts(gens, bnd) -> frozenset[int]:
     zeros = [i for i, g in enumerate(gens) if g.maslov == 0]
     ones = [i for i, g in enumerate(gens) if g.maslov == 1]
     pos = {i: k for k, i in enumerate(zeros)}
-    cycles = Echelon(track=True)
+    cycles = Echelon()
     for b, i in enumerate(zeros):
         cycles.add(_mask(bnd[i]), 1 << b)
     kernel = cycles.kernel
@@ -337,10 +337,15 @@ def parse_knot_expression(text: str) -> BifilteredComplex:
 
 
 def canonical_expression(text: str) -> str:
-    """Canonical form: factors normalised to p <= q and sorted."""
+    """Canonical form: factors normalised to p <= q and sorted.
+
+    Unknot factors T(1,n) and T(n,1) are dropped; 'T(1,1)' stands for the
+    unknot when nothing else remains.
+    """
     factors = sorted(
         (min(p, q), max(p, q), sign) for sign, p, q in parse_knot_factors(text)
+        if min(p, q) != 1
     )
     return " # ".join(
         ("-" if sign < 0 else "") + f"T({p},{q})" for p, q, sign in factors
-    )
+    ) or "T(1,1)"

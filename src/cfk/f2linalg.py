@@ -19,15 +19,14 @@ from typing import Iterable, Optional, Sequence
 class Echelon:
     """Incrementally built row space in echelon form.
 
-    Rows are kept sorted by pivot (lowest set bit).  With ``track=True`` each
-    row carries a tag combined by XOR alongside the row itself, which lets a
-    caller recover which original vectors produced a reduction, and the tags
-    of inserted vectors that reduced to zero are kept in ``kernel``.
+    Rows are kept sorted by pivot (lowest set bit).  Each row carries a tag
+    combined by XOR alongside the row itself, which lets a caller recover
+    which original vectors produced a reduction, and the tags of inserted
+    vectors that reduced to zero are kept in ``kernel``.
     """
 
-    def __init__(self, track: bool = False):
+    def __init__(self):
         self._rows: list[tuple[int, int, int]] = []  # (pivot, vector, tag)
-        self.track = track
         self.kernel: list[int] = []
 
     @property
@@ -45,26 +44,21 @@ class Echelon:
         """Insert vec; returns True if it increased the rank."""
         vec, tag = self._reduce(vec, tag)
         if vec == 0:
-            if self.track:
-                self.kernel.append(tag)
+            self.kernel.append(tag)
             return False
         pivot = vec & -vec
-        entry = (pivot, vec, tag if self.track else 0)
         lo = 0
         while lo < len(self._rows) and self._rows[lo][0] < pivot:
             lo += 1
-        self._rows.insert(lo, entry)
+        self._rows.insert(lo, (pivot, vec, tag))
         return True
 
-    def reduce(self, vec: int) -> int:
-        """Residue of vec after reduction against the current row space."""
-        return self._reduce(vec, 0)[0]
-
     def reduce_with_tag(self, vec: int) -> tuple[int, int]:
+        """Residue of vec against the row space, and the tag of what it absorbed."""
         return self._reduce(vec, 0)
 
     def contains(self, vec: int) -> bool:
-        return self.reduce(vec) == 0
+        return self._reduce(vec, 0)[0] == 0
 
 
 def in_span(vectors: Iterable[int], target: int) -> bool:
@@ -95,14 +89,14 @@ def first_entry(batches: Iterable[tuple[object, list[Column]]], target: int,
     """First threshold at which target enters a filtered GF(2) span.
 
     ``batches`` yields (threshold, columns) in threshold order, each column a
-    (vector, tag) pair.  Every column of a batch goes into one tracked
-    Echelon before target is reduced.  Returns (threshold, witness, kernel):
+    (vector, tag) pair.  Every column of a batch goes into one Echelon before
+    target is reduced.  Returns (threshold, witness, kernel):
     witness is the XOR of the tags of columns that sum to target, and kernel
     holds the tags of the columns fed so far that reduced to zero, a basis of
     their linear relations when the tags are independent.  threshold and
     witness are None when target never enters.
     """
-    ech = Echelon(track=True)
+    ech = Echelon()
     for threshold, columns in batches:
         for vec, tag in columns:
             ech.add(vec, tag)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
-from .complexes import BifilteredComplex, Generator, UnsupportedComplexError
+from .complexes import BifilteredComplex, Generator, UnsupportedComplexError, _mask
 from .exactnum import PiecewiseLinear, check_parameter
 from .f2linalg import Echelon, by_threshold, first_entry, in_span
 
@@ -111,9 +111,9 @@ class _SectorTables:
                 even_pos[i] = len(even_pos)
             else:
                 odd_pos[i] = len(odd_pos)
-        self.d_even = [_mask_of(c.boundary[i], odd_pos) for i in even_pos]
-        self.d_odd = [_mask_of(c.boundary[i], even_pos) for i in odd_pos]
-        self.h0_mask = _mask_of(c.h0_rep, even_pos)
+        self.d_even = [_mask(odd_pos[j] for j in c.boundary[i]) for i in even_pos]
+        self.d_odd = [_mask(even_pos[j] for j in c.boundary[i]) for i in odd_pos]
+        self.h0_mask = _mask(even_pos[j] for j in c.h0_rep)
 
     def even_levels(self, t: Fraction) -> list[Fraction]:
         half = t / 2
@@ -135,15 +135,6 @@ class _SectorEngine(_SectorTables):
 
     def __init__(self, c: BifilteredComplex):
         super().__init__(c)
-        cycles = Echelon()
-        rank_d = sum(cycles.add(v) for v in self.d_even)
-        image = Echelon()
-        rank_b = sum(image.add(v) for v in self.d_odd)
-        if (len(self.even) - rank_d) - rank_b != 1:
-            raise UnsupportedComplexError(
-                "not a knot-like complex in scope: completed grading-0 homology "
-                "must have rank one"
-            )
         # lam solves lam . d_odd[j] = 0 for every j and lam . h0 = 1: reduce
         # e_last against the columns of the rows [d_odd; h0], tagging column k.
         last = 1 << len(self.odd)
@@ -151,35 +142,53 @@ class _SectorEngine(_SectorTables):
         for j, d in enumerate(self.d_odd):
             for k in _bits(d):
                 columns[k] |= 1 << j
-        _, lam, _ = first_entry([(None, [(v, 1 << k) for k, v in enumerate(columns)])], last)
+        _, lam, relations = first_entry(
+            [(None, [(v, 1 << k) for k, v in enumerate(columns)])], last)
         if lam is None:
             raise AssertionError("no functional separates the h0 class from boundaries")
+        # The relations among those columns number #even - rank(d_odd) - 1, as
+        # h0 is not a boundary; homology has rank one when that is rank(d_even).
+        cycles = Echelon()
+        if len(relations) != sum(cycles.add(v) for v in self.d_even):
+            raise UnsupportedComplexError(
+                "not a knot-like complex in scope: completed grading-0 homology "
+                "must have rank one"
+            )
         # columns [d(e); lam(e)] of the even elements, tagged by position
-        self.class_columns = [
+        self._class_columns = [
             (d | (last if (lam >> k) & 1 else 0), 1 << k)
             for k, d in enumerate(self.d_even)
         ]
 
-    def gamma(self, t) -> tuple[Fraction, int]:
-        """Minimal threshold and a witness cycle (bitmask over the even sector).
+    def entry(self, keys: list):
+        """First key at which the class is reachable, a cycle in it, and null cycles.
 
-        Columns [d(e); lam(e)] enter in level order; the class is reachable
-        once the pure-lam target reduces to zero, and the witness tag is the
-        cycle.
+        Columns [d(e); lam(e)] enter in the order of ``keys`` (one per even
+        element) until the pure-lam target reduces to zero.  The witness tag
+        is the cycle and the kernel tags are cycles with lam = 0: boundaries.
+        Cycles are bitmasks over the even sector.
         """
-        t = check_parameter(t)
-        batches = by_threshold(self.even_levels(t), self.class_columns)
-        threshold, combo, _ = first_entry(batches, 1 << len(self.odd))
-        if threshold is None:
+        key, cycle, null_cycles = first_entry(by_threshold(keys, self._class_columns),
+                                              1 << len(self.odd))
+        if key is None:
             raise AssertionError("the distinguished class was not reachable at any level")
-        return threshold, combo
+        return key, cycle, null_cycles
 
+    def gamma(self, t) -> tuple[Fraction, int]:
+        """Minimal threshold and a witness cycle (bitmask over the even sector)."""
+        threshold, cycle, _ = self.entry(self.even_levels(check_parameter(t)))
+        return threshold, cycle
 
-def _mask_of(indices, positions) -> int:
-    out = 0
-    for i in indices:
-        out |= 1 << positions[i]
-    return out
+    def side(self, t0: Fraction, sign: int):
+        """Gamma jet, admissible positions, class cycle and null cycles at t0 + sign*delta.
+
+        Elements enter in (level, sign*slope) order at t0, the order of their
+        levels just beside t0, so the entry key is the side gamma jet.
+        """
+        keys = [(lv, sign * level_slope(e)) for lv, e in zip(self.even_levels(t0), self.even)]
+        key, z0, null_cycles = self.entry(keys)
+        admissible = [k for k, kk in enumerate(keys) if kk <= key]
+        return (key[0], sign * key[1]), admissible, z0, null_cycles
 
 
 def _bits(mask: int) -> list[int]:
@@ -228,16 +237,14 @@ def verify_gamma_certificate(c: BifilteredComplex, cert: GammaCertificate) -> No
         raise CertificateError("threshold is not attained by the support")
 
     engine_free = _DirectChecker(c)
-    zmask = 0
-    for e in cert.cycle:
-        zmask |= 1 << even_pos[e]
+    zmask = _mask(even_pos[e] for e in cert.cycle)
     if engine_free.boundary_of_even(zmask) != 0:
         raise CertificateError("certificate support is not a cycle")
     if not in_span(engine_free.d_odd, zmask ^ engine_free.h0_mask):
         raise CertificateError("certificate cycle is not homologous to the h0 class")
 
-    below = [lv for lv in engine_free.even_levels(cert.t) if lv < cert.s]
-    if below and engine_free.feasible(cert.t, max(below)):
+    below = _mask(k for k, lv in enumerate(engine_free.even_levels(cert.t)) if lv < cert.s)
+    if engine_free.feasible(below):
         raise CertificateError("a cycle in the h0 class exists below the threshold")
 
 
@@ -250,17 +257,14 @@ class _DirectChecker(_SectorTables):
             out ^= self.d_even[k]
         return out
 
-    def feasible(self, t: Fraction, s: Fraction) -> bool:
-        """Does a cycle within level s represent the h0 class?
+    def feasible(self, allowed: int) -> bool:
+        """Does a cycle on the even positions in ``allowed`` represent the h0 class?
 
-        Unknowns z on the admissible even elements and u on the whole odd
-        sector; the equations z + du = h0 (low bits) and dz = 0 (high bits).
+        Unknowns z on those positions and u on the whole odd sector; the
+        equations z + du = h0 (low bits) and dz = 0 (high bits).
         """
         shift = len(self.even)
-        columns = [
-            (1 << k) | (self.d_even[k] << shift)
-            for k, lv in enumerate(self.even_levels(t)) if lv <= s
-        ]
+        columns = [(1 << k) | (self.d_even[k] << shift) for k in _bits(allowed)]
         return in_span(columns + self.d_odd, self.h0_mask)
 
     def merges(self, minus: int, plus: int, odd_levels: list[Fraction],

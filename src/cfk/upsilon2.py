@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 
-from .complexes import BifilteredComplex
+from .complexes import BifilteredComplex, _mask
 from .exactnum import PiecewiseLinear, check_parameter
 from .f2linalg import by_threshold, first_entry, in_span
 from .upsilon import (
@@ -27,7 +27,6 @@ from .upsilon import (
     _bits,
     level,
     level_slope,
-    upsilon,
 )
 
 SIDE_MINUS = "minus"
@@ -86,55 +85,35 @@ class Gamma2Certificate:
         return -2 * (self.gamma2 - self.gamma)
 
 
-def _slope_data(ups: PiecewiseLinear, t0: Fraction):
-    """gamma value and one-sided gamma slopes at a positive-jump singularity."""
+def _check_upsilon(ups: PiecewiseLinear, t0: Fraction, gamma0: Fraction,
+                   slope_minus: Fraction, slope_plus: Fraction) -> None:
+    """ValueError unless ups is -2 * gamma at t0 with the given one-sided slopes."""
     left, right = ups.slopes_at(t0)
-    if left is None or right is None:
+    if (ups.evaluate(t0), left, right) != (-2 * gamma0, -2 * slope_minus, -2 * slope_plus):
+        raise ValueError("the provided upsilon function does not belong to this complex")
+
+
+def _sides(c: BifilteredComplex, t0, ups: PiecewiseLinear | None):
+    """Engine, t0 and both side passes at a singularity where gamma's slope drops.
+
+    The side gamma jets decide whether t0 is such a singularity; ``ups``,
+    when given, is only checked against them.
+    """
+    t0 = check_parameter(t0)
+    if not 0 < t0 < 2:
         raise NotApplicableError("t0 must lie in the open interval (0, 2)")
-    jump = right - left
-    if jump == 0:
+    engine = _SectorEngine(c)
+    minus, plus = engine.side(t0, -1), engine.side(t0, 1)
+    (gamma0, slope_minus), (_, slope_plus) = minus[0], plus[0]
+    if ups is not None:
+        _check_upsilon(ups, t0, gamma0, slope_minus, slope_plus)
+    if slope_minus == slope_plus:
         raise NotApplicableError(f"upsilon has no singularity at t={t0}")
-    if jump < 0:
+    if slope_minus < slope_plus:
         raise NotApplicableError(
             f"slope jump at t={t0} is negative; only positive jumps are supported"
         )
-    gamma0 = -ups.evaluate(t0) / 2
-    return gamma0, -left / 2, -right / 2
-
-
-def _side_pass(engine: _SectorEngine, t0: Fraction, sign: int):
-    """One side of t0: its gamma jet, admissible positions, class cycle, null cycles.
-
-    The columns [d(e); lam(e)] enter in ``Jet.side_key`` order.  The key at
-    which the pure-lam target enters is the side gamma jet, the witness tag
-    is a class cycle z0, and the kernel tags are the cycles with lam = 0 on
-    the admissible elements: boundaries, since grading-0 homology has rank
-    one.
-    """
-    keys = [Jet(lv, level_slope(e)).side_key(sign)
-            for lv, e in zip(engine.even_levels(t0), engine.even)]
-    key, z0, null_cycles = first_entry(by_threshold(keys, engine.class_columns),
-                                       1 << len(engine.odd))
-    if key is None:
-        raise AssertionError("side cycles must attain gamma on each side of a singularity")
-    admissible = [k for k, kk in enumerate(keys) if kk <= key]
-    return Jet(key[0], sign * key[1]), admissible, z0, null_cycles
-
-
-def _sides(c: BifilteredComplex, t0, ups: PiecewiseLinear | None, signs):
-    """Engine, gamma and side passes at t0, each side jet checked against ups."""
-    t0 = check_parameter(t0)
-    if ups is None:
-        ups = upsilon(c)
-    gamma0, slope_minus, slope_plus = _slope_data(ups, t0)
-    engine = _SectorEngine(c)
-    passes = [_side_pass(engine, t0, sign) for sign in signs]
-    for sign, (jet, *_) in zip(signs, passes):
-        if jet != Jet(gamma0, slope_minus if sign < 0 else slope_plus):
-            raise ValueError(
-                "the provided upsilon function does not belong to this complex"
-            )
-    return engine, t0, gamma0, passes
+    return engine, t0, minus, plus
 
 
 def _elements(engine: _SectorEngine, mask: int) -> frozenset[SectorElement]:
@@ -146,11 +125,11 @@ def side_cycles(c: BifilteredComplex, t0, side: str,
     """Admissible pivots and class cycles on one side of the singularity t0."""
     if side not in (SIDE_MINUS, SIDE_PLUS):
         raise ValueError(f"side must be '{SIDE_MINUS}' or '{SIDE_PLUS}'")
-    sign = -1 if side == SIDE_MINUS else 1
-    engine, _, _, [(jet, admissible, z0, null_cycles)] = _sides(c, t0, ups, [sign])
+    engine, _, minus, plus = _sides(c, t0, ups)
+    jet, admissible, z0, null_cycles = minus if side == SIDE_MINUS else plus
     return SideData(
         side=side,
-        gamma_jet=jet,
+        gamma_jet=Jet(*jet),
         admissible=tuple(engine.even[k] for k in admissible),
         cycle_particular=_elements(engine, z0),
         cycle_basis=tuple(_elements(engine, v) for v in null_cycles),
@@ -169,8 +148,7 @@ def gamma2_at(c: BifilteredComplex, t0,
     are tagged with their own mask above the odd bits, so the witness tag
     gives w and z_minus, and z_plus = z_minus + dw.
     """
-    engine, t0, gamma0, passes = _sides(c, t0, ups, [-1, 1])
-    (_, _, z0m, null_m), (_, _, z0p, null_p) = passes
+    engine, t0, ((gamma0, _), _, z0m, null_m), (_, _, z0p, null_p) = _sides(c, t0, ups)
     n_odd = len(engine.odd)
     seed = [(v, v << n_odd) for v in null_m] + [(v, 0) for v in null_p]
     thresholds = [max(lv, gamma0) for lv in engine.odd_levels(t0)]
@@ -202,43 +180,43 @@ def verify_gamma2_certificate(c: BifilteredComplex, cert: Gamma2Certificate,
                               ups: PiecewiseLinear | None = None) -> None:
     """Re-check a merge certificate against the definitions.
 
-    Validates both side cycles (support, cycle and class conditions), the
-    merging equation dw = z_minus + z_plus, the level bound on w, and
-    minimality by infeasibility at the next lower threshold.  It uses the
-    sector tables only: no class functional and no step of the search.
+    Each side's gamma jet is read off z_minus or z_plus as the largest side
+    key in its support; it is that side's jet when its level is gamma, the
+    cycle is in the h0 class and no such cycle lies strictly below it.  The
+    slope must drop at t0, dw = z_minus + z_plus with w within gamma2, and
+    the sides may not merge at the next lower threshold.  Only the sector
+    tables are used: no class functional, no search step and no upsilon.
     """
     t0 = cert.t0
-    if ups is None:
-        ups = upsilon(c)
-    gamma0, slope_minus, slope_plus = _slope_data(ups, t0)
-    if gamma0 != cert.gamma:
-        raise CertificateError("stored gamma does not match upsilon at t0")
+    if not 0 < t0 < 2:
+        raise CertificateError("t0 must lie in the open interval (0, 2)")
     tables = _DirectChecker(c)
     even_pos = {e: k for k, e in enumerate(tables.even)}
     odd_pos = {e: j for j, e in enumerate(tables.odd)}
     jets = [Jet(level(t0, e), level_slope(e)) for e in tables.even]
 
-    def check_side(elems, gamma_slope, sign, label):
-        gamma_key = (gamma0, sign * gamma_slope)
-        admissible = 0
-        for k, jet in enumerate(jets):
-            if jet.side_key(sign) <= gamma_key:
-                admissible |= 1 << k
-        zmask = 0
-        for e in elems:
-            if e not in even_pos:
-                raise CertificateError(f"{label} leaves the grading-0 sector")
-            zmask |= 1 << even_pos[e]
-        if zmask & ~admissible:
-            raise CertificateError(f"{label} uses an element above the side bound")
+    def check_side(elems, sign, label):
+        if not elems or any(e not in even_pos for e in elems):
+            raise CertificateError(f"{label} is empty or leaves the grading-0 sector")
+        zmask = _mask(even_pos[e] for e in elems)
+        keys = [jet.side_key(sign) for jet in jets]
+        key = max(keys[k] for k in _bits(zmask))
+        if key[0] != cert.gamma:
+            raise CertificateError(f"the top level of {label} is not the stored gamma")
         if tables.boundary_of_even(zmask):
             raise CertificateError(f"{label} is not a cycle")
         if not in_span(tables.d_odd, zmask ^ tables.h0_mask):
             raise CertificateError(f"{label} is not homologous to the h0 class")
-        return zmask, admissible
+        if tables.feasible(_mask(k for k, kk in enumerate(keys) if kk < key)):
+            raise CertificateError(f"a cycle in the h0 class lies below {label} on its side")
+        return zmask, _mask(k for k, kk in enumerate(keys) if kk <= key), sign * key[1]
 
-    zm, adm_m = check_side(cert.witness.z_minus, slope_minus, -1, "z_minus")
-    zp, adm_p = check_side(cert.witness.z_plus, slope_plus, +1, "z_plus")
+    zm, adm_m, slope_minus = check_side(cert.witness.z_minus, -1, "z_minus")
+    zp, adm_p, slope_plus = check_side(cert.witness.z_plus, +1, "z_plus")
+    if slope_minus <= slope_plus:
+        raise CertificateError("the slope of gamma does not drop at t0")
+    if ups is not None:
+        _check_upsilon(ups, t0, cert.gamma, slope_minus, slope_plus)
 
     acc = 0
     for e in cert.witness.w:
@@ -251,7 +229,7 @@ def verify_gamma2_certificate(c: BifilteredComplex, cert: Gamma2Certificate,
         raise CertificateError("dw does not equal z_minus + z_plus")
 
     odd_levels = tables.odd_levels(t0)
-    thresholds = sorted({gamma0} | {lv for lv in odd_levels if lv > gamma0})
+    thresholds = sorted({cert.gamma} | {lv for lv in odd_levels if lv > cert.gamma})
     if cert.gamma2 not in thresholds:
         raise CertificateError("threshold is not a grading-1 level at or above gamma")
     below = [r for r in thresholds if r < cert.gamma2]

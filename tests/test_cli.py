@@ -80,6 +80,58 @@ class TestInvariants:
         code, other, _ = run_capture(capsys, argv2)
         assert other == fresh
 
+    def test_cache_hit_across_unknot_spellings(self, capsys, tmp_path):
+        cache = tmp_path / "cache"
+        argv = ["--no-timing", "--cache", str(cache)]
+        code, fresh, _ = run_capture(capsys, ["invariants", "T(2,3)"] + argv)
+        assert code == 0
+        code, other, _ = run_capture(capsys, ["invariants", "T(1,5) # T(2,3)"] + argv)
+        assert code == 0 and other == fresh
+        assert len(list(cache.iterdir())) == 1
+
+    def test_unusable_cache_directory_exits_3(self, capsys, tmp_path):
+        blocker = tmp_path / "file"
+        blocker.write_text("not a directory", encoding="utf-8")
+        for cache in (blocker, blocker / "below"):
+            code, out, err = run_capture(
+                capsys, ["invariants", "T(2,3)", "--no-timing", "--cache", str(cache)]
+            )
+            assert code == 3 and out == ""
+            assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_failed_cache_write_leaves_no_entry(self, capsys, tmp_path, monkeypatch):
+        import cfk.cli
+
+        def dump_then_fail(obj, fh, **kwargs):
+            fh.write("{")
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(cfk.cli.json, "dump", dump_then_fail)
+        cache = tmp_path / "cache"
+        code, out, err = run_capture(
+            capsys, ["invariants", "T(3,4)", "--no-timing", "--cache", str(cache)]
+        )
+        assert code == 3 and out == "" and err.startswith("error: ")
+        # neither a half-written entry nor the temp file is left behind
+        assert list(cache.iterdir()) == []
+
+    def test_grid_skips_the_cache_read(self, capsys, tmp_path):
+        from cfk.cli import _cache_path
+
+        cache = tmp_path / "cache"
+        cache.mkdir()
+        entry = cache / os.path.basename(_cache_path(str(cache), "T(3,4)"))
+        wrong = build_invariant_report("T(3,4)")
+        wrong["upsilon"]["breakpoints"] = [["0", "0"], ["2", "0"]]
+        entry.write_text(json.dumps(wrong, indent=2), encoding="utf-8")
+        argv = ["invariants", "T(3,4)", "--no-timing", "--cache", str(cache)]
+        code, out, _ = run_capture(capsys, argv + ["--grid", "6"])
+        assert code == 0
+        _, fresh, _ = run_capture(capsys, ["invariants", "T(3,4)", "--no-timing"])
+        assert out == fresh
+        # the entry was rewritten, and a plain run now hits it
+        assert json.loads(entry.read_text(encoding="utf-8")) == json.loads(fresh)
+
     def _bad_entry_is_a_miss(self, capsys, tmp_path, content):
         from cfk.cli import _cache_path
 

@@ -281,6 +281,12 @@ class TestCanonicalExpression:
     def test_dual_distributes(self):
         assert canonical_expression("-(T(2,3) # T(2,5))") == "-T(2,3) # -T(2,5)"
 
+    def test_unknot_factors_dropped(self):
+        assert canonical_expression("T(1,5) # T(2,3)") == "T(2,3)"
+        assert canonical_expression("-T(3,4) # T(7,1) # -T(1,2)") == "-T(3,4)"
+        assert canonical_expression("T(1,5) # -T(3,1)") == "T(1,1)"
+        assert canonical_expression("T(1,1)") == "T(1,1)"
+
 
 class TestJson:
     def test_shape_and_determinism(self):

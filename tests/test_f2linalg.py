@@ -53,7 +53,7 @@ class TestEchelon:
         assert not ech.contains(0b100)
 
     def test_tag_tracking_recovers_combination(self):
-        ech = Echelon(track=True)
+        ech = Echelon()
         vecs = [0b011, 0b110, 0b100]
         for i, v in enumerate(vecs):
             ech.add(v, 1 << i)
@@ -66,7 +66,7 @@ class TestEchelon:
         assert acc == 0b001
 
     def test_kernel_keeps_tags_of_dependent_vectors(self):
-        ech = Echelon(track=True)
+        ech = Echelon()
         for i, v in enumerate([0b011, 0b110, 0b101, 0b011]):
             ech.add(v, 1 << i)
         assert ech.kernel == [0b0111, 0b1001]

@@ -5,8 +5,11 @@ from math import gcd
 import pytest
 
 from cfk import (
+    BifilteredComplex,
     DomainError,
+    Generator,
     PiecewiseLinear,
+    UnsupportedComplexError,
     direct_sum_with_box,
     dual,
     parse_knot_expression,
@@ -142,6 +145,14 @@ class TestUpsilon:
 
     def test_unknot_is_zero(self):
         assert upsilon(trivial_complex()) == PiecewiseLinear.zero()
+
+    def test_rank_two_complex_rejected(self):
+        # two grading-0 cycles and no boundary: valid as a complex, but its
+        # grading-0 homology has rank two
+        gens = (Generator("a", 0, 0, 0), Generator("b", 1, 1, 0))
+        c = BifilteredComplex(gens, (frozenset(), frozenset()), frozenset({0}))
+        with pytest.raises(UnsupportedComplexError, match="rank one"):
+            upsilon(c)
 
     def test_starts_at_zero(self):
         for expr in ("T(2,3)", "T(3,5)", "T(2,5) # T(3,4)", "-T(2,7)"):

@@ -1,3 +1,4 @@
+import sys
 from fractions import Fraction as F
 
 import pytest
@@ -126,6 +127,36 @@ class TestGamma2:
         )
         with pytest.raises(CertificateError):
             verify_gamma2_certificate(c, inflated)
+
+    def test_swapped_sides_rejected(self):
+        from cfk.upsilon2 import Gamma2Certificate, MergeWitness
+
+        for expr, t0 in (("T(3,4)", F(2, 3)), ("T(2,5) # T(5,6)", F(4, 5))):
+            c = parse_knot_expression(expr)
+            cert = gamma2_at(c, t0)
+            w = cert.witness
+            swapped = Gamma2Certificate(
+                t0=cert.t0, gamma=cert.gamma, gamma2=cert.gamma2,
+                witness=MergeWitness(z_minus=w.z_plus, z_plus=w.z_minus, w=w.w),
+            )
+            with pytest.raises(CertificateError):
+                verify_gamma2_certificate(c, swapped)
+
+
+def test_secondary_invariant_needs_no_upsilon(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("upsilon was computed")
+
+    # the package attribute cfk.upsilon is the function, so patch the modules
+    monkeypatch.setattr(sys.modules["cfk.upsilon"], "upsilon", forbidden)
+    monkeypatch.setattr(sys.modules["cfk.upsilon2"], "upsilon", forbidden, raising=False)
+    c = parse_knot_expression("T(2,5) # T(5,6)")
+    cert = gamma2_at(c, F(4, 5))
+    verify_gamma2_certificate(c, cert)
+    assert upsilon2_at(c, F(4, 5)) == F(-12, 5)
+    assert side_cycles(c, F(4, 5), SIDE_PLUS).gamma_jet.value == cert.gamma
+    with pytest.raises(NotApplicableError):
+        side_cycles(c, F(1, 2), SIDE_MINUS)
 
 
 class TestUpsilon2Values:
