@@ -22,12 +22,13 @@ from .complexes import (
     InvalidTorusKnotError,
     KnotExpressionError,
     canonical_expression,
+    expression_size,
     parse_knot_expression,
     torus_knot_complex,
 )
 from .exactnum import PiecewiseLinear
 from .semigroup import alexander_torus, step_vector
-from .upsilon import upsilon
+from .upsilon import BreakpointVerificationError, _SectorEngine, upsilon
 from .upsilon2 import upsilon2_at
 
 SCHEMA_VERSION = 1
@@ -39,6 +40,23 @@ EXIT_UNEQUAL = 1
 EXIT_USAGE = 2
 EXIT_IO = 3
 
+# above T(11,13) # T(7,12), 2911 generators and about 3 minutes of search;
+# 8 x T(2,3) has 6561
+DEFAULT_MAX_GENERATORS = 5000
+
+
+class ComplexTooLargeError(ValueError):
+    """The complex of an expression has more generators than the limit."""
+
+
+def _check_size(expression: str, limit: int) -> None:
+    """ComplexTooLargeError if the complex of expression would exceed limit generators."""
+    count = expression_size(expression)
+    if count > limit:
+        raise ComplexTooLargeError(
+            f"{expression} has {count} generators, more than --max-generators {limit}"
+        )
+
 
 def _fmt(x: Fraction) -> str:
     return str(Fraction(x))
@@ -48,18 +66,20 @@ def build_invariant_report(expression: str, grid: int = 0) -> dict:
     """Invariant report for a knot expression, without the timing field."""
     canonical = canonical_expression(expression)
     complex_ = parse_knot_expression(canonical)
-    ups = upsilon(complex_)
+    # one sector engine serves the upsilon search, every gamma2 and the grid
+    engine = _SectorEngine(complex_)
+    ups = upsilon(engine)
     entries = []
     for t0, jump in ups.singularities():
         entry = {"t": _fmt(t0), "slope_jump": _fmt(jump)}
         if jump > 0:
-            entry["upsilon2"] = _fmt(upsilon2_at(complex_, t0, ups=ups))
+            entry["upsilon2"] = _fmt(upsilon2_at(engine, t0, ups=ups))
         else:
             entry["upsilon2"] = None
             entry["reason"] = "slope jump is not positive"
         entries.append(entry)
     if grid > 0:
-        _grid_check(complex_, ups, grid)
+        _grid_check(engine, ups, grid)
     return {
         "schema_version": SCHEMA_VERSION,
         "expression": canonical,
@@ -71,10 +91,7 @@ def build_invariant_report(expression: str, grid: int = 0) -> dict:
     }
 
 
-def _grid_check(complex_, ups: PiecewiseLinear, grid: int) -> None:
-    from .upsilon import BreakpointVerificationError, _SectorEngine
-
-    engine = _SectorEngine(complex_)
+def _grid_check(engine: _SectorEngine, ups: PiecewiseLinear, grid: int) -> None:
     for k in range(1, grid):
         t = Fraction(2 * k, grid)
         if engine.gamma(t)[0] != -ups.evaluate(t) / 2:
@@ -141,8 +158,9 @@ def cmd_invariants(args) -> int:
         report = _read_cache(_cache_path(cache_dir, canonical), canonical)
     if report is None:
         try:
+            _check_size(canonical, args.max_generators)
             report = build_invariant_report(args.expression, grid=args.grid)
-        except (KnotExpressionError, InvalidTorusKnotError) as exc:
+        except (KnotExpressionError, InvalidTorusKnotError, ComplexTooLargeError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_USAGE
         if cache_dir:
@@ -203,10 +221,10 @@ def distinguish_report(expr1: str, expr2: str) -> dict:
     """Compare upsilon and, where defined, secondary upsilon of two expressions."""
     canon1 = canonical_expression(expr1)
     canon2 = canonical_expression(expr2)
-    c1 = parse_knot_expression(canon1)
-    c2 = parse_knot_expression(canon2)
-    ups1 = upsilon(c1)
-    ups2 = upsilon(c2)
+    engine1 = _SectorEngine(parse_knot_expression(canon1))
+    engine2 = _SectorEngine(parse_knot_expression(canon2))
+    ups1 = upsilon(engine1)
+    ups2 = upsilon(engine2)
     report = {
         "schema_version": SCHEMA_VERSION,
         "expression_1": canon1,
@@ -226,8 +244,8 @@ def distinguish_report(expr1: str, expr2: str) -> dict:
     for t0, jump in ups1.singularities():
         if jump <= 0:
             continue
-        v1 = upsilon2_at(c1, t0, ups=ups1)
-        v2 = upsilon2_at(c2, t0, ups=ups2)
+        v1 = upsilon2_at(engine1, t0, ups=ups1)
+        v2 = upsilon2_at(engine2, t0, ups=ups2)
         if v1 != v2:
             separating.append({"t": _fmt(t0), "values": [_fmt(v1), _fmt(v2)]})
     if separating:
@@ -263,8 +281,10 @@ def _print_distinguish(report: dict, as_json: bool) -> int:
 
 def cmd_distinguish(args) -> int:
     try:
+        for expression in (args.expression_1, args.expression_2):
+            _check_size(canonical_expression(expression), args.max_generators)
         report = distinguish_report(args.expression_1, args.expression_2)
-    except (KnotExpressionError, InvalidTorusKnotError) as exc:
+    except (KnotExpressionError, InvalidTorusKnotError, ComplexTooLargeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     return _print_distinguish(report, args.json)
@@ -322,9 +342,10 @@ def _svg_plot(ups: PiecewiseLinear) -> str:
 def cmd_plot(args) -> int:
     try:
         canonical = canonical_expression(args.expression)
+        _check_size(canonical, args.max_generators)
         complex_ = parse_knot_expression(canonical)
         ups = upsilon(complex_)
-    except (KnotExpressionError, InvalidTorusKnotError) as exc:
+    except (KnotExpressionError, InvalidTorusKnotError, ComplexTooLargeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     payload = ups.to_csv() if args.format == "csv" else _svg_plot(ups)
@@ -357,6 +378,13 @@ def cmd_staircase(args) -> int:
     return EXIT_OK
 
 
+def _add_size_option(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument(
+        "--max-generators", type=int, default=DEFAULT_MAX_GENERATORS, metavar="N",
+        help="refuse (exit 2) an expression whose complex has more than N generators "
+             f"(default {DEFAULT_MAX_GENERATORS})")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cfk",
@@ -373,6 +401,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help=f"report cache directory (or ${CACHE_ENV_VAR})")
     p_inv.add_argument("--no-timing", action="store_true",
                        help="omit the timing field for byte-stable output")
+    _add_size_option(p_inv)
     p_inv.set_defaults(func=cmd_invariants)
 
     p_fk = sub.add_parser(
@@ -389,6 +418,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_dis.add_argument("expression_1")
     p_dis.add_argument("expression_2")
     p_dis.add_argument("--json", action="store_true")
+    _add_size_option(p_dis)
     p_dis.set_defaults(func=cmd_distinguish)
 
     p_conj = sub.add_parser(
@@ -404,6 +434,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_plot.add_argument("expression")
     p_plot.add_argument("--out", required=True)
     p_plot.add_argument("--format", choices=("csv", "svg"), default="csv")
+    _add_size_option(p_plot)
     p_plot.set_defaults(func=cmd_plot)
 
     p_st = sub.add_parser("staircase", help="step vector and generators of T(p,q)")

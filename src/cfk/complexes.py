@@ -243,13 +243,19 @@ def direct_sum_with_box(c: BifilteredComplex, corner_alg: int, corner_alex: int,
     return BifilteredComplex(gens, bnd, c.h0_rep)
 
 
-def torus_knot_complex(p: int, q: int) -> BifilteredComplex:
-    """Staircase complex of T(p,q); parameters 1 give the unknot complex."""
+def _torus_pair(p: int, q: int) -> tuple[int, int]:
+    """(min, max) of a valid torus knot pair; InvalidTorusKnotError otherwise."""
     if not (isinstance(p, int) and isinstance(q, int)) or p < 1 or q < 1:
         raise InvalidTorusKnotError(f"torus knot parameters must be positive integers, got ({p}, {q})")
     a, b = min(p, q), max(p, q)
     if gcd(a, b) != 1:
         raise InvalidTorusKnotError(f"({p}, {q}) are not coprime")
+    return a, b
+
+
+def torus_knot_complex(p: int, q: int) -> BifilteredComplex:
+    """Staircase complex of T(p,q); parameters 1 give the unknot complex."""
+    a, b = _torus_pair(p, q)
     if a == 1:
         return trivial_complex()
     return staircase_complex(step_vector(alexander_torus(a, b)))
@@ -334,6 +340,20 @@ def parse_knot_expression(text: str) -> BifilteredComplex:
         c = torus_knot_complex(p, q)
         parts.append(dual(c) if sign < 0 else c)
     return reduce(tensor, parts)
+
+
+def expression_size(text: str) -> int:
+    """Generator count of the complex of a knot expression, without building it.
+
+    A staircase has one generator per term of the Alexander polynomial,
+    tensor products multiply generator counts and mirrors keep them.
+    """
+    size = 1
+    for _, p, q in parse_knot_factors(text):
+        a, b = _torus_pair(p, q)
+        if a > 1:
+            size *= len(alexander_torus(a, b).exponents)
+    return size
 
 
 def canonical_expression(text: str) -> str:

@@ -19,14 +19,15 @@ from typing import Iterable, Optional, Sequence
 class Echelon:
     """Incrementally built row space in echelon form.
 
-    Rows are kept sorted by pivot (lowest set bit).  Each row carries a tag
-    combined by XOR alongside the row itself, which lets a caller recover
-    which original vectors produced a reduction, and the tags of inserted
-    vectors that reduced to zero are kept in ``kernel``.
+    Each row is stored under its pivot, its lowest set bit, and holds no bit
+    below it.  Each row carries a tag combined by XOR alongside the row
+    itself, which lets a caller recover which original vectors produced a
+    reduction, and the tags of inserted vectors that reduced to zero are kept
+    in ``kernel``.
     """
 
     def __init__(self):
-        self._rows: list[tuple[int, int, int]] = []  # (pivot, vector, tag)
+        self._rows: dict[int, tuple[int, int]] = {}  # pivot bit -> (vector, tag)
         self.kernel: list[int] = []
 
     @property
@@ -34,11 +35,21 @@ class Echelon:
         return len(self._rows)
 
     def _reduce(self, vec: int, tag: int) -> tuple[int, int]:
-        for pivot, row, row_tag in self._rows:
-            if vec & pivot:
-                vec ^= row
-                tag ^= row_tag
-        return vec, tag
+        # Walk the set bits upward; a row changes no bit below its pivot, so
+        # the bits still to visit are exactly those of ``pending``.
+        rows = self._rows
+        residue = 0
+        pending = vec
+        while pending:
+            low = pending & -pending
+            row = rows.get(low)
+            if row is None:
+                residue |= low
+                pending ^= low
+            else:
+                pending ^= row[0]
+                tag ^= row[1]
+        return residue, tag
 
     def add(self, vec: int, tag: int = 0) -> bool:
         """Insert vec; returns True if it increased the rank."""
@@ -46,11 +57,7 @@ class Echelon:
         if vec == 0:
             self.kernel.append(tag)
             return False
-        pivot = vec & -vec
-        lo = 0
-        while lo < len(self._rows) and self._rows[lo][0] < pivot:
-            lo += 1
-        self._rows.insert(lo, (pivot, vec, tag))
+        self._rows[vec & -vec] = (vec, tag)
         return True
 
     def reduce_with_tag(self, vec: int) -> tuple[int, int]:

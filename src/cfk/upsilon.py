@@ -119,10 +119,6 @@ class _SectorTables:
         half = t / 2
         return [half * e.alex + (1 - half) * e.alg for e in self.even]
 
-    def odd_levels(self, t: Fraction) -> list[Fraction]:
-        half = t / 2
-        return [half * e.alex + (1 - half) * e.alg for e in self.odd]
-
 
 class _SectorEngine(_SectorTables):
     """Sector tables plus the class-detecting functional of the search.
@@ -159,6 +155,9 @@ class _SectorEngine(_SectorTables):
             (d | (last if (lam >> k) & 1 else 0), 1 << k)
             for k, d in enumerate(self.d_even)
         ]
+        # (Alex, alg) of each element, for the integer levels of the side passes
+        self._even_grades = [(e.alex, e.alg) for e in self.even]
+        self._odd_grades = [(e.alex, e.alg) for e in self.odd]
 
     def entry(self, keys: list):
         """First key at which the class is reachable, a cycle in it, and null cycles.
@@ -183,12 +182,26 @@ class _SectorEngine(_SectorTables):
         """Gamma jet, admissible positions, class cycle and null cycles at t0 + sign*delta.
 
         Elements enter in (level, sign*slope) order at t0, the order of their
-        levels just beside t0, so the entry key is the side gamma jet.
+        levels just beside t0, so the entry key is the side gamma jet.  At
+        t0 = a/b the keys are that pair scaled by (2b, 2), in integers.
         """
-        keys = [(lv, sign * level_slope(e)) for lv, e in zip(self.even_levels(t0), self.even)]
+        grades = self._even_grades
+        keys = [(lv, sign * (x - y)) for lv, (x, y) in zip(_scaled_levels(grades, t0), grades)]
         key, z0, null_cycles = self.entry(keys)
         admissible = [k for k, kk in enumerate(keys) if kk <= key]
-        return (key[0], sign * key[1]), admissible, z0, null_cycles
+        jet = (Fraction(key[0], 2 * t0.denominator), Fraction(sign * key[1], 2))
+        return jet, admissible, z0, null_cycles
+
+    def scaled_odd_levels(self, t0: Fraction) -> list[int]:
+        """2b times the grading-1 levels at t0 = a/b."""
+        return _scaled_levels(self._odd_grades, t0)
+
+
+def _scaled_levels(grades: list[tuple[int, int]], t0: Fraction) -> list[int]:
+    """2b*level = a*Alex + (2b - a)*alg for each (Alex, alg), at t0 = a/b."""
+    a, b = t0.numerator, t0.denominator
+    c = 2 * b - a
+    return [a * x + c * y for x, y in grades]
 
 
 def _bits(mask: int) -> list[int]:
@@ -198,6 +211,11 @@ def _bits(mask: int) -> list[int]:
         out.append(low.bit_length() - 1)
         mask ^= low
     return out
+
+
+def _engine(c) -> _SectorEngine:
+    """The sector engine of c; a caller may pass one it built in place of c."""
+    return c if isinstance(c, _SectorEngine) else _SectorEngine(c)
 
 
 def gamma_at(c: BifilteredComplex, t) -> GammaCertificate:
@@ -251,6 +269,10 @@ def verify_gamma_certificate(c: BifilteredComplex, cert: GammaCertificate) -> No
 class _DirectChecker(_SectorTables):
     """Definition-level feasibility checks used by certificate verification."""
 
+    def odd_levels(self, t: Fraction) -> list[Fraction]:
+        half = t / 2
+        return [half * e.alex + (1 - half) * e.alg for e in self.odd]
+
     def boundary_of_even(self, zmask: int) -> int:
         out = 0
         for k in _bits(zmask):
@@ -294,9 +316,10 @@ def upsilon(c: BifilteredComplex) -> PiecewiseLinear:
 
     Candidate breakpoints are all crossings of pairs of grading-0 level
     lines; between consecutive candidates gamma is verified to be linear by
-    evaluating at the midpoint, so a missed breakpoint aborts loudly.
+    evaluating at the midpoint, so a missed breakpoint aborts loudly.  ``c``
+    may also be the ``_SectorEngine`` of a complex, which is then reused.
     """
-    engine = _SectorEngine(c)
+    engine = _engine(c)
     points = sorted({(e.alg, e.alex) for e in engine.even})
     candidates = {Fraction(0), Fraction(2)}
     for (a1, x1), (a2, x2) in combinations(points, 2):

@@ -25,6 +25,7 @@ from .upsilon import (
     _DirectChecker,
     _SectorEngine,
     _bits,
+    _engine,
     level,
     level_slope,
 )
@@ -97,12 +98,13 @@ def _sides(c: BifilteredComplex, t0, ups: PiecewiseLinear | None):
     """Engine, t0 and both side passes at a singularity where gamma's slope drops.
 
     The side gamma jets decide whether t0 is such a singularity; ``ups``,
-    when given, is only checked against them.
+    when given, is only checked against them.  ``c`` may also be the
+    ``_SectorEngine`` of a complex, which is then reused.
     """
     t0 = check_parameter(t0)
     if not 0 < t0 < 2:
         raise NotApplicableError("t0 must lie in the open interval (0, 2)")
-    engine = _SectorEngine(c)
+    engine = _engine(c)
     minus, plus = engine.side(t0, -1), engine.side(t0, 1)
     (gamma0, slope_minus), (_, slope_plus) = minus[0], plus[0]
     if ups is not None:
@@ -151,9 +153,11 @@ def gamma2_at(c: BifilteredComplex, t0,
     engine, t0, ((gamma0, _), _, z0m, null_m), (_, _, z0p, null_p) = _sides(c, t0, ups)
     n_odd = len(engine.odd)
     seed = [(v, v << n_odd) for v in null_m] + [(v, 0) for v in null_p]
-    thresholds = [max(lv, gamma0) for lv in engine.odd_levels(t0)]
+    scale = 2 * t0.denominator  # thresholds are levels times 2b, in integers
+    floor = int(gamma0 * scale)
+    thresholds = [max(lv, floor) for lv in engine.scaled_odd_levels(t0)]
     columns = [(d, 1 << j) for j, d in enumerate(engine.d_odd)]
-    batches = chain([(gamma0, seed)], by_threshold(thresholds, columns))
+    batches = chain([(floor, seed)], by_threshold(thresholds, columns))
     r_star, tag, _ = first_entry(batches, z0m ^ z0p)
     if r_star is None:
         raise AssertionError("side classes must merge once every element is admissible")
@@ -167,7 +171,8 @@ def gamma2_at(c: BifilteredComplex, t0,
         z_plus=_elements(engine, zp),
         w=frozenset(engine.odd[j] for j in _bits(wmask)),
     )
-    return Gamma2Certificate(t0=t0, gamma=gamma0, gamma2=r_star, witness=witness)
+    return Gamma2Certificate(t0=t0, gamma=gamma0, gamma2=Fraction(r_star, scale),
+                             witness=witness)
 
 
 def upsilon2_at(c: BifilteredComplex, t0,

@@ -3,7 +3,9 @@
 Everything here recomputes results by exhaustive enumeration or by a second
 algebraic route, deliberately avoiding the bit-packed elimination engine and
 the class-functional shortcut used by the package under test.  GF(2) vectors
-are plain 0/1 lists.
+are plain 0/1 lists, except in ``SortedEchelon``, the package's former
+sorted-row echelon on bitmasks, kept as the reference for the pivot-indexed
+one.
 """
 
 from __future__ import annotations
@@ -45,6 +47,47 @@ def list_echelon(vectors):
 
 def list_in_span(vectors, target):
     return not any(list_reduce(list_echelon(vectors), target))
+
+
+class SortedEchelon:
+    """Reference for ``cfk.f2linalg.Echelon``: rows kept in a list sorted by pivot.
+
+    Reduction walks every row in pivot order and XORs in each one whose
+    pivot (lowest set bit) is set; insertion scans for the row's place.
+    """
+
+    def __init__(self):
+        self._rows = []  # (pivot, vector, tag)
+        self.kernel = []
+
+    @property
+    def rank(self):
+        return len(self._rows)
+
+    def _reduce(self, vec, tag):
+        for pivot, row, row_tag in self._rows:
+            if vec & pivot:
+                vec ^= row
+                tag ^= row_tag
+        return vec, tag
+
+    def add(self, vec, tag=0):
+        vec, tag = self._reduce(vec, tag)
+        if vec == 0:
+            self.kernel.append(tag)
+            return False
+        pivot = vec & -vec
+        lo = 0
+        while lo < len(self._rows) and self._rows[lo][0] < pivot:
+            lo += 1
+        self._rows.insert(lo, (pivot, vec, tag))
+        return True
+
+    def reduce_with_tag(self, vec):
+        return self._reduce(vec, 0)
+
+    def contains(self, vec):
+        return self._reduce(vec, 0)[0] == 0
 
 
 # ---------------------------------------------------------------------------

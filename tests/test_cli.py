@@ -328,6 +328,21 @@ class TestStaircase:
         assert code == 2
 
 
+def _count_engines(monkeypatch):
+    """A list that grows by one complex for each _SectorEngine built."""
+    from cfk.upsilon import _SectorEngine
+
+    built = []
+    original = _SectorEngine.__init__
+
+    def counting(self, c):
+        built.append(c)
+        original(self, c)
+
+    monkeypatch.setattr(_SectorEngine, "__init__", counting)
+    return built
+
+
 class TestReportHelpers:
     def test_recursion_report_gap_zero(self):
         report = recursion_report(5, 7)
@@ -346,3 +361,60 @@ class TestReportHelpers:
         assert {"t": "6/5", "values": ["-8/5", "-12/5"]} in report[
             "separating_singularities"
         ]
+
+    def test_one_sector_engine_per_report(self, monkeypatch):
+        # Upsilon, every gamma2 and the --grid check share one engine; a
+        # separate engine for each would make 2 + k for k positive jumps.
+        built = _count_engines(monkeypatch)
+        report = build_invariant_report("T(2,5) # T(5,6)", grid=8)
+        assert sum(s["upsilon2"] is not None for s in report["singularities"]) >= 2
+        assert len(built) == 1
+
+    def test_distinguish_builds_one_engine_per_expression(self, monkeypatch):
+        built = _count_engines(monkeypatch)
+        report = distinguish_report("T(5,7)", "T(2,5) # T(5,6)")
+        assert report["by"] == "upsilon2"
+        assert len(built) == 2
+
+
+TEN_TREFOILS = " # ".join(["T(2,3)"] * 10)
+
+
+class TestSizeGuard:
+    def test_refused_before_anything_is_built(self, capsys, monkeypatch, tmp_path):
+        # 3^10 generators: the guard answers from the factor sizes alone
+        import cfk.cli
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a complex was built")
+
+        monkeypatch.setattr(cfk.cli, "parse_knot_expression", forbidden)
+        for argv in (
+            ["invariants", TEN_TREFOILS],
+            ["distinguish", "T(2,3)", TEN_TREFOILS],
+            ["plot", TEN_TREFOILS, "--out", str(tmp_path / "u.csv")],
+        ):
+            code, out, err = run_capture(capsys, argv)
+            assert code == 2
+            assert out == ""
+            assert err.count("\n") == 1 and err.startswith("error: ")
+            assert "59049" in err
+        assert not (tmp_path / "u.csv").exists()
+
+    def test_limit_is_inclusive(self, capsys):
+        # T(2,5) # T(5,6) has 45 generators
+        code, _, _ = run_capture(
+            capsys, ["invariants", "T(2,5) # T(5,6)", "--no-timing", "--max-generators", "45"]
+        )
+        assert code == 0
+        code, _, err = run_capture(
+            capsys, ["invariants", "T(2,5) # T(5,6)", "--max-generators", "44"]
+        )
+        assert code == 2 and "45" in err
+
+    def test_refused_expression_is_not_cached(self, capsys, tmp_path):
+        code, _, _ = run_capture(
+            capsys, ["invariants", "T(3,4)", "--cache", str(tmp_path), "--max-generators", "4"]
+        )
+        assert code == 2
+        assert list(tmp_path.iterdir()) == []

@@ -20,7 +20,7 @@ from cfk import (
     torus_knot_complex,
     trivial_complex,
 )
-from cfk.complexes import parse_knot_factors
+from cfk.complexes import expression_size, parse_knot_factors
 from cfk.semigroup import StepVector
 
 
@@ -321,3 +321,17 @@ def test_random_constructions_validate():
             rng.randrange(-2, 4),
         )
         assert len(c.generators) >= 3
+
+
+def test_expression_size_counts_generators_without_building():
+    rng = random.Random(4242)
+    pairs = [(1, 4), (2, 3), (3, 2), (2, 5), (3, 4), (3, 5), (4, 5), (2, 7)]
+    for _ in range(25):
+        expr = " # ".join(
+            ("-" if rng.random() < 0.3 else "") + "T(%d,%d)" % rng.choice(pairs)
+            for _ in range(rng.randrange(1, 4))
+        )
+        assert expression_size(expr) == len(parse_knot_expression(expr).generators)
+    assert expression_size(" # ".join(["T(2,3)"] * 10)) == 3 ** 10
+    with pytest.raises(InvalidTorusKnotError, match="coprime"):
+        expression_size("T(2,3) # T(4,6)")

@@ -193,3 +193,56 @@ def test_randomised_kernel_tags_match_exhaustive_solutions():
         assert threshold == expected
         assert witness in hits
         assert all(thresholds[i] <= threshold for i in range(n) if (witness >> i) & 1)
+
+
+def _random_vectors(rng, width, n):
+    """Sparse, dense, zero and dependent vectors of the given bit width."""
+    out = []
+    for _ in range(n):
+        kind = rng.random()
+        if kind < 0.4:
+            v = 0
+            for _ in range(rng.randrange(1, 4)):
+                v |= 1 << rng.randrange(width)
+        elif kind < 0.7:
+            v = rng.getrandbits(width)
+        elif kind < 0.95 and out:
+            v = 0
+            for w in rng.sample(out, min(len(out), rng.randrange(1, 4))):
+                v ^= w
+        else:
+            v = 0
+        out.append(v)
+    return out
+
+
+def test_pivot_indexed_echelon_matches_sorted_rows(monkeypatch):
+    # The pivot-indexed store must make the same rows, residues, tags and
+    # kernel as the sorted-row echelon it replaced, kept in tests/oracles.py.
+    import cfk.f2linalg
+    from oracles import SortedEchelon
+
+    rng = random.Random(5150)
+    for trial in range(60):
+        width = rng.choice([1, 2, 63, 64, 65, 300, 700]) if trial % 2 else rng.randrange(1, 701)
+        n = rng.randrange(0, min(width, 160) + 20)
+        vectors = _random_vectors(rng, width, n)
+        tags = [rng.getrandbits(n + 1) if trial % 3 else 1 << i for i in range(n)]
+        fast, ref = Echelon(), SortedEchelon()
+        for v, tag in zip(vectors, tags):
+            assert fast.add(v, tag) == ref.add(v, tag)
+            assert fast.rank == ref.rank
+        assert fast.kernel == ref.kernel
+        assert fast._rows == {p: (v, tag) for p, v, tag in ref._rows}
+        for probe in _random_vectors(rng, width, 20) + vectors[:5]:
+            assert fast.reduce_with_tag(probe) == ref.reduce_with_tag(probe)
+            assert fast.contains(probe) == ref.contains(probe)
+
+        thresholds = [rng.randrange(0, 6) for _ in range(n)]
+        columns = list(zip(vectors, tags))
+        target = rng.choice(vectors + [rng.getrandbits(width)]) if vectors else 0
+        got = first_entry(by_threshold(thresholds, columns), target)
+        with monkeypatch.context() as m:
+            m.setattr(cfk.f2linalg, "Echelon", SortedEchelon)
+            expected = first_entry(by_threshold(thresholds, columns), target)
+        assert got == expected

@@ -224,3 +224,40 @@ class TestStability:
                 assert ub == ups
                 for t0, expected in values.items():
                     assert upsilon2_at(boxed, t0, ups=ub) == expected
+
+
+def test_integer_side_keys_match_fraction_levels():
+    # _SectorEngine.side orders the even sector on integer keys scaled by
+    # (2b, 2) at t0 = a/b.  The Fraction definition (level, level_slope and
+    # Jet.side_key) must give the same jet, admissible positions, class
+    # cycle and null cycles, at every breakpoint of upsilon and at points
+    # with large denominators.
+    import random
+
+    from cfk.upsilon import _SectorEngine, level, level_slope
+    from cfk.upsilon2 import Jet
+
+    rng = random.Random(9731)
+    pairs = [(2, 3), (2, 5), (3, 4), (3, 5), (2, 7), (4, 5), (3, 7), (5, 6)]
+    for _ in range(14):
+        expr = " # ".join(
+            ("-" if rng.random() < 0.3 else "") + "T(%d,%d)" % rng.choice(pairs)
+            for _ in range(rng.randrange(1, 4))
+        )
+        c = parse_knot_expression(expr)
+        for _ in range(rng.randrange(0, 3)):
+            c = direct_sum_with_box(c, rng.randrange(-5, 8), rng.randrange(-5, 8),
+                                    rng.randrange(1, 3), rng.randrange(1, 3),
+                                    rng.randrange(-1, 3))
+        engine = _SectorEngine(c)
+        t0s = [t for t, _ in upsilon(c).breakpoints if 0 < t < 2]
+        t0s += [F(97, 113), F(1, 977), F(1999, 1000), F(355, 226)]
+        for t0 in t0s:
+            for sign in (-1, 1):
+                keys = [Jet(level(t0, e), level_slope(e)).side_key(sign) for e in engine.even]
+                key, z0, null_cycles = engine.entry(keys)
+                admissible = [k for k, kk in enumerate(keys) if kk <= key]
+                expected = ((key[0], sign * key[1]), admissible, z0, null_cycles)
+                got = engine.side(t0, sign)
+                assert got == expected, (expr, t0, sign)
+                assert all(type(x) is F for x in got[0])
