@@ -7,13 +7,12 @@ singularities.  All arithmetic is exact rational; homology decisions run on
 bit-packed GF(2) elimination.
 """
 
-from .exactnum import DomainError, PiecewiseLinear, Rational
+from .exactnum import DomainError, PiecewiseLinear
 from .semigroup import (
     AlexanderPolynomial,
     InvalidTorusKnotError,
     StepVector,
     alexander_torus,
-    semigroup_elements,
     step_vector,
 )
 from .complexes import (
@@ -22,7 +21,6 @@ from .complexes import (
     KnotExpressionError,
     UnsupportedComplexError,
     canonical_expression,
-    compute_h0_representative,
     direct_sum_with_box,
     dual,
     parse_knot_expression,
@@ -72,14 +70,12 @@ __all__ = [
     "MergeWitness",
     "NotApplicableError",
     "PiecewiseLinear",
-    "Rational",
     "SectorElement",
     "SideData",
     "StepVector",
     "UnsupportedComplexError",
     "alexander_torus",
     "canonical_expression",
-    "compute_h0_representative",
     "direct_sum_with_box",
     "dual",
     "gamma2_at",
@@ -88,7 +84,6 @@ __all__ = [
     "level_slope",
     "parse_knot_expression",
     "sector",
-    "semigroup_elements",
     "side_cycles",
     "staircase_complex",
     "step_vector",

@@ -51,11 +51,14 @@ class ComplexTooLargeError(ValueError):
 
 def _check_size(expression: str, limit: int) -> None:
     """ComplexTooLargeError if the complex of expression would exceed limit generators."""
-    count = expression_size(expression)
-    if count > limit:
-        raise ComplexTooLargeError(
-            f"{expression} has {count} generators, more than --max-generators {limit}"
-        )
+    # the free lower bound first, so no factor above the limit is enumerated
+    for at_least in (True, False):
+        count = expression_size(expression, at_least)
+        if count > limit:
+            raise ComplexTooLargeError(
+                f"{expression} has {'at least ' if at_least else ''}{count} generators, "
+                f"more than --max-generators {limit}"
+            )
 
 
 def _fmt(x: Fraction) -> str:
@@ -146,23 +149,15 @@ def _write_cache(path: str, report: dict) -> None:
 
 def cmd_invariants(args) -> int:
     started = time.perf_counter()
-    try:
-        canonical = canonical_expression(args.expression)
-    except KnotExpressionError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    canonical = canonical_expression(args.expression)
     cache_dir = args.cache or os.environ.get(CACHE_ENV_VAR)
     report = None
     # a hit would skip the --grid verification, so --grid only writes
     if cache_dir and args.grid <= 0:
         report = _read_cache(_cache_path(cache_dir, canonical), canonical)
     if report is None:
-        try:
-            _check_size(canonical, args.max_generators)
-            report = build_invariant_report(args.expression, grid=args.grid)
-        except (KnotExpressionError, InvalidTorusKnotError, ComplexTooLargeError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_USAGE
+        _check_size(canonical, args.max_generators)
+        report = build_invariant_report(args.expression, grid=args.grid)
         if cache_dir:
             try:
                 _write_cache(_cache_path(cache_dir, canonical), report)
@@ -200,11 +195,7 @@ def recursion_report(p: int, q: int) -> dict:
 
 
 def cmd_verify_recursion(args) -> int:
-    try:
-        report = recursion_report(args.p, args.q)
-    except InvalidTorusKnotError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    report = recursion_report(args.p, args.q)
     if args.json:
         _emit_json(report)
     else:
@@ -280,13 +271,9 @@ def _print_distinguish(report: dict, as_json: bool) -> int:
 
 
 def cmd_distinguish(args) -> int:
-    try:
-        for expression in (args.expression_1, args.expression_2):
-            _check_size(canonical_expression(expression), args.max_generators)
-        report = distinguish_report(args.expression_1, args.expression_2)
-    except (KnotExpressionError, InvalidTorusKnotError, ComplexTooLargeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    for expression in (args.expression_1, args.expression_2):
+        _check_size(canonical_expression(expression), args.max_generators)
+    report = distinguish_report(args.expression_1, args.expression_2)
     return _print_distinguish(report, args.json)
 
 
@@ -298,11 +285,7 @@ def cmd_conjecture(args) -> int:
             file=sys.stderr,
         )
         return EXIT_USAGE
-    try:
-        report = distinguish_report(f"T({p},{p + k})", f"T({k},{p}) # T({p},{p + 1})")
-    except (KnotExpressionError, InvalidTorusKnotError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    report = distinguish_report(f"T({p},{p + k})", f"T({k},{p}) # T({p},{p + 1})")
     return _print_distinguish(report, args.json)
 
 
@@ -340,14 +323,10 @@ def _svg_plot(ups: PiecewiseLinear) -> str:
 
 
 def cmd_plot(args) -> int:
-    try:
-        canonical = canonical_expression(args.expression)
-        _check_size(canonical, args.max_generators)
-        complex_ = parse_knot_expression(canonical)
-        ups = upsilon(complex_)
-    except (KnotExpressionError, InvalidTorusKnotError, ComplexTooLargeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    canonical = canonical_expression(args.expression)
+    _check_size(canonical, args.max_generators)
+    complex_ = parse_knot_expression(canonical)
+    ups = upsilon(complex_)
     payload = ups.to_csv() if args.format == "csv" else _svg_plot(ups)
     try:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -359,11 +338,7 @@ def cmd_plot(args) -> int:
 
 
 def cmd_staircase(args) -> int:
-    try:
-        complex_ = torus_knot_complex(args.p, args.q)
-    except InvalidTorusKnotError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    complex_ = torus_knot_complex(args.p, args.q)
     a, b = min(args.p, args.q), max(args.p, args.q)
     steps = [] if a == 1 else list(step_vector(alexander_torus(a, b)).steps)
     _emit_json(
@@ -455,7 +430,12 @@ def run(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     args = build_parser().parse_args(_pad_dash_expressions(list(argv)))
-    return args.func(args)
+    # the one boundary for bad input; anything else is a bug and propagates
+    try:
+        return args.func(args)
+    except (KnotExpressionError, InvalidTorusKnotError, ComplexTooLargeError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 def main() -> None:

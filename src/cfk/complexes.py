@@ -14,7 +14,7 @@ and the distinguished representative is a cycle that is not a boundary.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, reduce
+from functools import reduce
 from math import gcd
 
 from .f2linalg import Echelon, in_span
@@ -107,13 +107,6 @@ class BifilteredComplex:
         image = [_mask(bnd[i]) for i in range(n) if gens[i].maslov == 1]
         if in_span(image, _mask(rep)):
             raise ValueError("h0 representative is a boundary")
-
-    @cached_property
-    def name_to_index(self) -> dict[str, int]:
-        return {g.name: i for i, g in enumerate(self.generators)}
-
-    def __len__(self) -> int:
-        return len(self.generators)
 
     def to_json_dict(self) -> dict:
         gens = self.generators
@@ -222,11 +215,6 @@ def _h0_from_parts(gens, bnd) -> frozenset[int]:
         )
     k = residues[0]
     return frozenset(zeros[b] for b in range(len(zeros)) if (k >> b) & 1)
-
-
-def compute_h0_representative(c: BifilteredComplex) -> frozenset[int]:
-    """A grading-0 cycle generating homology; errors unless the rank is one."""
-    return _h0_from_parts(c.generators, c.boundary)
 
 
 def direct_sum_with_box(c: BifilteredComplex, corner_alg: int, corner_alex: int,
@@ -342,17 +330,19 @@ def parse_knot_expression(text: str) -> BifilteredComplex:
     return reduce(tensor, parts)
 
 
-def expression_size(text: str) -> int:
+def expression_size(text: str, at_least: bool = False) -> int:
     """Generator count of the complex of a knot expression, without building it.
 
-    A staircase has one generator per term of the Alexander polynomial,
-    tensor products multiply generator counts and mirrors keep them.
+    A staircase has one generator per term of the Alexander polynomial (O(ab)
+    time for T(a,b)); tensor products multiply counts and mirrors keep them.
+    ``at_least`` gives a free lower bound instead: T(a,b) with a < b has at
+    least b generators, as its steps are at most a - 1 and sum to (a-1)(b-1).
     """
     size = 1
     for _, p, q in parse_knot_factors(text):
         a, b = _torus_pair(p, q)
         if a > 1:
-            size *= len(alexander_torus(a, b).exponents)
+            size *= b if at_least else len(alexander_torus(a, b).exponents)
     return size
 
 

@@ -15,9 +15,6 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Optional
 
-# Alias used throughout the package for exact rational values.
-Rational = Fraction
-
 _LO = Fraction(0)
 _HI = Fraction(2)
 
@@ -76,10 +73,6 @@ class PiecewiseLinear:
                 merged.append(p)
         object.__setattr__(self, "breakpoints", tuple(merged))
 
-    @classmethod
-    def zero(cls) -> "PiecewiseLinear":
-        return cls(((_LO, Fraction(0)), (_HI, Fraction(0))))
-
     @cached_property
     def _ts(self) -> list[Fraction]:
         return [t for t, _ in self.breakpoints]
@@ -103,13 +96,6 @@ class PiecewiseLinear:
 
     def __neg__(self) -> "PiecewiseLinear":
         return PiecewiseLinear(tuple((t, -v) for t, v in self.breakpoints))
-
-    def __sub__(self, other: "PiecewiseLinear") -> "PiecewiseLinear":
-        return self + (-other)
-
-    def scale(self, c) -> "PiecewiseLinear":
-        c = as_fraction(c)
-        return PiecewiseLinear(tuple((t, c * v) for t, v in self.breakpoints))
 
     def segment_slopes(self) -> tuple[Fraction, ...]:
         """Slope of each segment, in order."""
@@ -146,14 +132,3 @@ class PiecewiseLinear:
         for t, v in self.breakpoints:
             lines.append(f"{t.numerator},{t.denominator},{v.numerator},{v.denominator}")
         return "\n".join(lines) + "\n"
-
-    @classmethod
-    def from_csv(cls, text: str) -> "PiecewiseLinear":
-        lines = [line for line in text.strip().splitlines() if line]
-        if not lines or lines[0] != CSV_HEADER:
-            raise ValueError(f"expected CSV header {CSV_HEADER!r}")
-        pts = []
-        for line in lines[1:]:
-            tn, td, vn, vd = (int(x) for x in line.split(","))
-            pts.append((Fraction(tn, td), Fraction(vn, vd)))
-        return cls(tuple(pts))

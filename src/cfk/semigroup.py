@@ -69,10 +69,6 @@ class AlexanderPolynomial:
             if e + exps[d - i] != top:
                 raise ValueError("exponents are not symmetric about half the degree")
 
-    @property
-    def degree(self) -> int:
-        return self.exponents[-1]
-
 
 @dataclass(frozen=True)
 class StepVector:

@@ -239,45 +239,45 @@ def verify_gamma_certificate(c: BifilteredComplex, cert: GammaCertificate) -> No
     grading-1 sector, the level bound, and minimality over thresholds; none
     of it reuses the class functional that guided the original search.
     """
-    even = sector(c, 0)
-    even_pos = {e: k for k, e in enumerate(even)}
-    if not cert.cycle:
-        raise CertificateError("certificate cycle is empty")
     if len(set(cert.cycle)) != len(cert.cycle):
         raise CertificateError("certificate cycle repeats an element")
-    for e in cert.cycle:
-        if e not in even_pos:
-            raise CertificateError("certificate cycle leaves the grading-0 sector")
+    tables = _DirectChecker(c)
+    tables.class_cycle(cert.cycle, "certificate cycle")
     levels = tuple(level(cert.t, e) for e in cert.cycle)
     if levels != cert.levels:
         raise CertificateError("stored levels do not match recomputation")
     if max(levels) != cert.s:
         raise CertificateError("threshold is not attained by the support")
-
-    engine_free = _DirectChecker(c)
-    zmask = _mask(even_pos[e] for e in cert.cycle)
-    if engine_free.boundary_of_even(zmask) != 0:
-        raise CertificateError("certificate support is not a cycle")
-    if not in_span(engine_free.d_odd, zmask ^ engine_free.h0_mask):
-        raise CertificateError("certificate cycle is not homologous to the h0 class")
-
-    below = _mask(k for k, lv in enumerate(engine_free.even_levels(cert.t)) if lv < cert.s)
-    if engine_free.feasible(below):
+    below = _mask(k for k, lv in enumerate(tables.even_levels(cert.t)) if lv < cert.s)
+    if tables.feasible(below):
         raise CertificateError("a cycle in the h0 class exists below the threshold")
 
 
 class _DirectChecker(_SectorTables):
     """Definition-level feasibility checks used by certificate verification."""
 
+    def __init__(self, c: BifilteredComplex):
+        super().__init__(c)
+        self.even_pos = {e: k for k, e in enumerate(self.even)}
+        self.odd_pos = {e: j for j, e in enumerate(self.odd)}
+
     def odd_levels(self, t: Fraction) -> list[Fraction]:
         half = t / 2
         return [half * e.alex + (1 - half) * e.alg for e in self.odd]
 
-    def boundary_of_even(self, zmask: int) -> int:
-        out = 0
+    def class_cycle(self, elems, label: str) -> int:
+        """Even-sector mask of ``elems``; CertificateError unless a cycle in the h0 class."""
+        if not elems or any(e not in self.even_pos for e in elems):
+            raise CertificateError(f"{label} is empty or leaves the grading-0 sector")
+        zmask = _mask(self.even_pos[e] for e in elems)
+        boundary = 0
         for k in _bits(zmask):
-            out ^= self.d_even[k]
-        return out
+            boundary ^= self.d_even[k]
+        if boundary:
+            raise CertificateError(f"{label} is not a cycle")
+        if not in_span(self.d_odd, zmask ^ self.h0_mask):
+            raise CertificateError(f"{label} is not homologous to the h0 class")
+        return zmask
 
     def feasible(self, allowed: int) -> bool:
         """Does a cycle on the even positions in ``allowed`` represent the h0 class?

@@ -18,7 +18,7 @@ from itertools import chain
 
 from .complexes import BifilteredComplex, _mask
 from .exactnum import PiecewiseLinear, check_parameter
-from .f2linalg import by_threshold, first_entry, in_span
+from .f2linalg import by_threshold, first_entry
 from .upsilon import (
     CertificateError,
     SectorElement,
@@ -196,22 +196,14 @@ def verify_gamma2_certificate(c: BifilteredComplex, cert: Gamma2Certificate,
     if not 0 < t0 < 2:
         raise CertificateError("t0 must lie in the open interval (0, 2)")
     tables = _DirectChecker(c)
-    even_pos = {e: k for k, e in enumerate(tables.even)}
-    odd_pos = {e: j for j, e in enumerate(tables.odd)}
     jets = [Jet(level(t0, e), level_slope(e)) for e in tables.even]
 
     def check_side(elems, sign, label):
-        if not elems or any(e not in even_pos for e in elems):
-            raise CertificateError(f"{label} is empty or leaves the grading-0 sector")
-        zmask = _mask(even_pos[e] for e in elems)
+        zmask = tables.class_cycle(elems, label)
         keys = [jet.side_key(sign) for jet in jets]
         key = max(keys[k] for k in _bits(zmask))
         if key[0] != cert.gamma:
             raise CertificateError(f"the top level of {label} is not the stored gamma")
-        if tables.boundary_of_even(zmask):
-            raise CertificateError(f"{label} is not a cycle")
-        if not in_span(tables.d_odd, zmask ^ tables.h0_mask):
-            raise CertificateError(f"{label} is not homologous to the h0 class")
         if tables.feasible(_mask(k for k, kk in enumerate(keys) if kk < key)):
             raise CertificateError(f"a cycle in the h0 class lies below {label} on its side")
         return zmask, _mask(k for k, kk in enumerate(keys) if kk <= key), sign * key[1]
@@ -225,11 +217,11 @@ def verify_gamma2_certificate(c: BifilteredComplex, cert: Gamma2Certificate,
 
     acc = 0
     for e in cert.witness.w:
-        if e not in odd_pos:
+        if e not in tables.odd_pos:
             raise CertificateError("w leaves the grading-1 sector")
         if level(t0, e) > cert.gamma2:
             raise CertificateError("w uses an element above the threshold")
-        acc ^= tables.d_odd[odd_pos[e]]
+        acc ^= tables.d_odd[tables.odd_pos[e]]
     if acc != zm ^ zp:
         raise CertificateError("dw does not equal z_minus + z_plus")
 

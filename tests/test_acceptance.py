@@ -319,7 +319,7 @@ def test_acceptance_9_gamma2_certificates_and_minimality():
                 expected = brute_gamma2(c, t0, ups)
             except ValueError:
                 continue  # beyond the oracle's size limits
-            assert cert.gamma2 == expected, (t0, len(c))
+            assert cert.gamma2 == expected, (t0, len(c.generators))
             oracle_checked += 1
     assert checked > 100 and raised_checked > 50 and oracle_checked > 50
     done(f"ACCEPTANCE 9 (gamma2 certificates verify and are minimal, 100 cases, "

@@ -1,5 +1,8 @@
 import json
 import os
+import time
+
+import pytest
 
 from cfk.cli import build_invariant_report, distinguish_report, recursion_report, run
 
@@ -418,3 +421,45 @@ class TestSizeGuard:
         )
         assert code == 2
         assert list(tmp_path.iterdir()) == []
+
+    def test_lower_bound_refuses_before_counting(self, capsys):
+        # counting the staircase of T(1001,200000) would enumerate a semigroup
+        # of about 2e8 elements; it has at least 200000 generators
+        started = time.perf_counter()
+        code, out, err = run_capture(capsys, ["invariants", "T(1001,200000)"])
+        assert time.perf_counter() - started < 1
+        assert code == 2 and out == ""
+        assert err == ("error: T(1001,200000) has at least 200000 generators, "
+                       "more than --max-generators 5000\n")
+
+
+# (subcommand, bad input, good input, the cfk.cli name the good input calls)
+BOUNDARY_CASES = [
+    ("invariants", ["T(2,3) @ T(2,5)"], ["T(3,4)", "--no-timing"], "upsilon"),
+    ("verify-recursion", ["4", "6"], ["5", "7"], "upsilon"),
+    ("distinguish", ["T(2,3)", "nope"], ["T(3,4)", "T(2,5)"], "upsilon"),
+    ("conjecture", ["4", "2"], ["5", "2"], "upsilon"),
+    ("plot", ["T(6,9)", "--out", "{tmp}/x.csv"], ["T(2,3)", "--out", "{tmp}/y.csv"], "upsilon"),
+    ("staircase", ["4", "6"], ["3", "4"], "torus_knot_complex"),
+]
+
+
+@pytest.mark.parametrize("command, bad, good, callee", BOUNDARY_CASES,
+                         ids=[case[0] for case in BOUNDARY_CASES])
+def test_error_boundary(capsys, tmp_path, monkeypatch, command, bad, good, callee):
+    import cfk.cli
+
+    def argv(args):
+        return [command] + [a.format(tmp=tmp_path) for a in args]
+
+    code, out, err = run_capture(capsys, argv(bad))
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+    # a fault that is not bad input is a bug: it propagates, it is not exit 2
+    def broken(*args, **kwargs):
+        raise RuntimeError("bug")
+
+    monkeypatch.setattr(cfk.cli, callee, broken)
+    with pytest.raises(RuntimeError, match="bug"):
+        run(argv(good))

@@ -11,7 +11,6 @@ from cfk import (
     KnotExpressionError,
     UnsupportedComplexError,
     canonical_expression,
-    compute_h0_representative,
     direct_sum_with_box,
     dual,
     parse_knot_expression,
@@ -20,7 +19,7 @@ from cfk import (
     torus_knot_complex,
     trivial_complex,
 )
-from cfk.complexes import expression_size, parse_knot_factors
+from cfk.complexes import _h0_from_parts, expression_size, parse_knot_factors
 from cfk.semigroup import StepVector
 
 
@@ -110,7 +109,7 @@ class TestTensor:
     def test_boundary_of_mixed_product(self):
         # d((1,2) tensor (1,6)) = (0,2) tensor (1,6) + (1,1) tensor (1,6)
         c = parse_knot_expression("T(2,5) # T(5,6)")
-        i = c.name_to_index["(x1|x2)"]
+        i = {g.name: i for i, g in enumerate(c.generators)}["(x1|x2)"]
         targets = {c.generators[j].name for j in c.boundary[i]}
         assert targets == {"(x0|x2)", "(x2|x2)"}
 
@@ -179,15 +178,16 @@ class TestDual:
 class TestH0Representative:
     def test_staircase_single_vertex_is_valid(self):
         c = torus_knot_complex(3, 4)
-        rep = compute_h0_representative(c)
+        rep = _h0_from_parts(c.generators, c.boundary)
         assert all(c.generators[i].maslov == 0 for i in rep)
         # replacing h0_rep with the computed one yields a valid complex
         BifilteredComplex(c.generators, c.boundary, rep)
 
     def test_adjacent_vertices_are_homologous(self):
         c = torus_knot_complex(3, 4)
-        v03 = c.name_to_index["x0"]
-        v11 = c.name_to_index["x2"]
+        name_to_index = {g.name: i for i, g in enumerate(c.generators)}
+        v03 = name_to_index["x0"]
+        v11 = name_to_index["x2"]
         # both singleton cycles are accepted as the distinguished class
         BifilteredComplex(c.generators, c.boundary, frozenset({v03}))
         BifilteredComplex(c.generators, c.boundary, frozenset({v11}))
@@ -195,15 +195,13 @@ class TestH0Representative:
     def test_box_does_not_change_class(self):
         c = torus_knot_complex(3, 4)
         boxed = direct_sum_with_box(c, 5, 5, 1, 1, 1)
-        rep = compute_h0_representative(boxed)
-        plain = compute_h0_representative(c)
+        rep = _h0_from_parts(boxed.generators, boxed.boundary)
+        plain = _h0_from_parts(c.generators, c.boundary)
         # the computed class representative never uses box generators
         names = {boxed.generators[i].name for i in rep}
         assert names == {c.generators[i].name for i in plain}
 
     def test_rank_two_rejected(self):
-        from cfk.complexes import _h0_from_parts
-
         gens = (Generator("a", 0, 0, 0), Generator("b", 5, 5, 0))
         with pytest.raises(UnsupportedComplexError):
             _h0_from_parts(gens, (frozenset(), frozenset()))
@@ -335,3 +333,18 @@ def test_expression_size_counts_generators_without_building():
     assert expression_size(" # ".join(["T(2,3)"] * 10)) == 3 ** 10
     with pytest.raises(InvalidTorusKnotError, match="coprime"):
         expression_size("T(2,3) # T(4,6)")
+
+
+def test_size_lower_bound_is_sound():
+    # T(p,q) with p < q has at least q generators, and a sum at least the product
+    for q in range(3, 60):
+        for p in range(1, q):
+            if gcd(p, q) == 1:
+                expr = f"T({q},{p})"
+                assert expression_size(expr, at_least=True) == (q if p > 1 else 1)
+                assert expression_size(expr, at_least=True) <= expression_size(expr)
+    expr = "T(3,4) # -T(2,5) # T(1,7)"
+    assert expression_size(expr, at_least=True) == 20
+    assert expression_size(expr) == 25
+    with pytest.raises(InvalidTorusKnotError, match="coprime"):
+        expression_size("T(2,3) # T(4,6)", at_least=True)

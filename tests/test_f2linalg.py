@@ -28,7 +28,7 @@ class TestInSpan:
         t = F(4, 5)
         admissible = [e for e in odd if level(t, e) <= F(23, 5)]
         assert len(admissible) == 4
-        name_to_index = c.name_to_index
+        name_to_index = {g.name: i for i, g in enumerate(c.generators)}
         cols = []
         for e in admissible:
             m = 0
@@ -95,10 +95,11 @@ def _even_and_odd_columns(c):
     even = sector(c, 0)
     odd = sector(c, 1)
     even_pos = {e.generator.name: k for k, e in enumerate(even)}
+    name_to_index = {g.name: i for i, g in enumerate(c.generators)}
     cols = []
     for e in odd:
         m = 0
-        for j in c.boundary[c.name_to_index[e.generator.name]]:
+        for j in c.boundary[name_to_index[e.generator.name]]:
             m |= 1 << even_pos[c.generators[j].name]
         cols.append(m)
     return even, odd, cols

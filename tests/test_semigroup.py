@@ -58,7 +58,7 @@ class TestAlexander:
 
     def test_degree_is_conductor(self):
         for p, q in ((2, 5), (3, 7), (5, 6)):
-            assert alexander_torus(p, q).degree == (p - 1) * (q - 1)
+            assert alexander_torus(p, q).exponents[-1] == (p - 1) * (q - 1)
 
     def test_invalid(self):
         with pytest.raises(InvalidTorusKnotError):

@@ -144,7 +144,7 @@ class TestUpsilon:
         assert upsilon(dual(c)) == -upsilon(c)
 
     def test_unknot_is_zero(self):
-        assert upsilon(trivial_complex()) == PiecewiseLinear.zero()
+        assert upsilon(trivial_complex()) == PiecewiseLinear(((0, 0), (2, 0)))
 
     def test_rank_two_complex_rejected(self):
         # two grading-0 cycles and no boundary: valid as a complex, but its
