@@ -21,6 +21,7 @@ from math import gcd
 from .complexes import (
     InvalidTorusKnotError,
     KnotExpressionError,
+    _torus_pair,
     canonical_expression,
     expression_size,
     parse_knot_expression,
@@ -51,14 +52,11 @@ class ComplexTooLargeError(ValueError):
 
 def _check_size(expression: str, limit: int) -> None:
     """ComplexTooLargeError if the complex of expression would exceed limit generators."""
-    # the free lower bound first, so no factor above the limit is enumerated
-    for at_least in (True, False):
-        count = expression_size(expression, at_least)
-        if count > limit:
-            raise ComplexTooLargeError(
-                f"{expression} has {'at least ' if at_least else ''}{count} generators, "
-                f"more than --max-generators {limit}"
-            )
+    count = expression_size(expression)
+    if count > limit:
+        raise ComplexTooLargeError(
+            f"{expression} has {count} generators, more than --max-generators {limit}"
+        )
 
 
 def _fmt(x: Fraction) -> str:
@@ -171,7 +169,7 @@ def cmd_invariants(args) -> int:
     return EXIT_OK
 
 
-def recursion_report(p: int, q: int) -> dict:
+def recursion_report(p: int, q: int, max_generators: int = DEFAULT_MAX_GENERATORS) -> dict:
     """Compare upsilon of T(p,q) against T(p,q-p) plus T(p,p+1).
 
     Parameters equal to 1 denote the unknot complex, which makes the
@@ -179,6 +177,8 @@ def recursion_report(p: int, q: int) -> dict:
     """
     if not (1 <= p < q) or gcd(p, q) != 1:
         raise InvalidTorusKnotError(f"need coprime 1 <= p < q, got ({p}, {q})")
+    for expression in (f"T({p},{q})", f"T({p},{q - p})", f"T({p},{p + 1})"):
+        _check_size(expression, max_generators)
     lhs = upsilon(torus_knot_complex(p, q))
     rhs = upsilon(torus_knot_complex(p, q - p)) + upsilon(torus_knot_complex(p, p + 1))
     ts = sorted({t for t, _ in lhs.breakpoints} | {t for t, _ in rhs.breakpoints})
@@ -195,7 +195,7 @@ def recursion_report(p: int, q: int) -> dict:
 
 
 def cmd_verify_recursion(args) -> int:
-    report = recursion_report(args.p, args.q)
+    report = recursion_report(args.p, args.q, args.max_generators)
     if args.json:
         _emit_json(report)
     else:
@@ -256,8 +256,11 @@ def distinguish_report(expr1: str, expr2: str) -> dict:
     return report
 
 
-def _print_distinguish(report: dict, as_json: bool) -> int:
-    if as_json:
+def _distinguish(expr1: str, expr2: str, args) -> int:
+    for expression in (expr1, expr2):
+        _check_size(canonical_expression(expression), args.max_generators)
+    report = distinguish_report(expr1, expr2)
+    if args.json:
         _emit_json(report)
     elif report["distinguished"]:
         print(
@@ -271,22 +274,14 @@ def _print_distinguish(report: dict, as_json: bool) -> int:
 
 
 def cmd_distinguish(args) -> int:
-    for expression in (args.expression_1, args.expression_2):
-        _check_size(canonical_expression(expression), args.max_generators)
-    report = distinguish_report(args.expression_1, args.expression_2)
-    return _print_distinguish(report, args.json)
+    return _distinguish(args.expression_1, args.expression_2, args)
 
 
 def cmd_conjecture(args) -> int:
     p, k = args.p, args.k
     if p < 5 or not 2 <= k <= p - 2 or gcd(p, k) != 1:
-        print(
-            "error: conjecture test needs p >= 5 and coprime 2 <= k <= p-2",
-            file=sys.stderr,
-        )
-        return EXIT_USAGE
-    report = distinguish_report(f"T({p},{p + k})", f"T({k},{p}) # T({p},{p + 1})")
-    return _print_distinguish(report, args.json)
+        raise InvalidTorusKnotError("conjecture test needs p >= 5 and coprime 2 <= k <= p-2")
+    return _distinguish(f"T({p},{p + k})", f"T({k},{p}) # T({p},{p + 1})", args)
 
 
 def _svg_plot(ups: PiecewiseLinear) -> str:
@@ -338,8 +333,9 @@ def cmd_plot(args) -> int:
 
 
 def cmd_staircase(args) -> int:
+    a, b = _torus_pair(args.p, args.q)
+    _check_size(f"T({args.p},{args.q})", args.max_generators)
     complex_ = torus_knot_complex(args.p, args.q)
-    a, b = min(args.p, args.q), max(args.p, args.q)
     steps = [] if a == 1 else list(step_vector(alexander_torus(a, b)).steps)
     _emit_json(
         {
@@ -386,6 +382,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_fk.add_argument("p", type=int)
     p_fk.add_argument("q", type=int)
     p_fk.add_argument("--json", action="store_true")
+    _add_size_option(p_fk)
     p_fk.set_defaults(func=cmd_verify_recursion)
 
     p_dis = sub.add_parser("distinguish",
@@ -403,6 +400,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_conj.add_argument("p", type=int)
     p_conj.add_argument("k", type=int)
     p_conj.add_argument("--json", action="store_true")
+    _add_size_option(p_conj)
     p_conj.set_defaults(func=cmd_conjecture)
 
     p_plot = sub.add_parser("plot", help="write upsilon as CSV breakpoints or SVG")
@@ -415,6 +413,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_st = sub.add_parser("staircase", help="step vector and generators of T(p,q)")
     p_st.add_argument("p", type=int)
     p_st.add_argument("q", type=int)
+    _add_size_option(p_st)
     p_st.set_defaults(func=cmd_staircase)
 
     return parser

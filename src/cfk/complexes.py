@@ -21,6 +21,7 @@ from .f2linalg import Echelon, in_span
 from .semigroup import (
     InvalidTorusKnotError,
     StepVector,
+    _exponent_runs,
     alexander_torus,
     step_vector,
 )
@@ -330,19 +331,18 @@ def parse_knot_expression(text: str) -> BifilteredComplex:
     return reduce(tensor, parts)
 
 
-def expression_size(text: str, at_least: bool = False) -> int:
+def expression_size(text: str) -> int:
     """Generator count of the complex of a knot expression, without building it.
 
-    A staircase has one generator per term of the Alexander polynomial (O(ab)
-    time for T(a,b)); tensor products multiply counts and mirrors keep them.
-    ``at_least`` gives a free lower bound instead: T(a,b) with a < b has at
-    least b generators, as its steps are at most a - 1 and sum to (a-1)(b-1).
+    A staircase has one generator per term of the Alexander polynomial, counted
+    in O(min(p,q)) from its exponent runs; tensor products multiply counts and
+    mirrors keep them.
     """
     size = 1
     for _, p, q in parse_knot_factors(text):
         a, b = _torus_pair(p, q)
         if a > 1:
-            size *= b if at_least else len(alexander_torus(a, b).exponents)
+            size *= sum(len(run) for run in _exponent_runs(a, b))
     return size
 
 

@@ -1,15 +1,16 @@
 """Numerical semigroups of torus knots and their staircase step data.
 
-The Alexander polynomial of T(p,q) is recovered from the semigroup generated
-by p and q: summing t^s - t^(s+1) over semigroup elements telescopes to the
-alternating-sign polynomial once truncated at the conductor (p-1)(q-1), above
-which every integer belongs to the semigroup.  Polynomials are stored by
-their exponent lists; the coefficient of t^(a_i) is (-1)^i.
+The Alexander polynomial of T(p,q) is (1 - t) times the sum of t^s over the
+semigroup S generated by p and q, so its exponents are the integers n where
+membership in S flips between n - 1 and n.  They are read off the Apery set
+of S with respect to p, without listing S.  Polynomials are stored by their
+exponent lists; the coefficient of t^(a_i) is (-1)^i.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from math import gcd
 
 
@@ -24,28 +25,6 @@ def _validate_pq(p: int, q: int) -> None:
         raise InvalidTorusKnotError(f"need 2 <= p < q, got ({p}, {q})")
     if gcd(p, q) != 1:
         raise InvalidTorusKnotError(f"({p}, {q}) are not coprime")
-
-
-def conductor(p: int, q: int) -> int:
-    """Least integer above which every integer lies in the semigroup."""
-    return (p - 1) * (q - 1)
-
-
-def semigroup_elements(p: int, q: int, bound: int) -> list[int]:
-    """All elements np + mq <= bound with n, m >= 0, sorted and deduplicated."""
-    _validate_pq(p, q)
-    if bound < 0:
-        raise ValueError("bound must be non-negative")
-    elements = set()
-    n = 0
-    while n * p <= bound:
-        base = n * p
-        m = 0
-        while base + m * q <= bound:
-            elements.add(base + m * q)
-            m += 1
-        n += 1
-    return sorted(elements)
 
 
 @dataclass(frozen=True)
@@ -89,29 +68,31 @@ class StepVector:
             raise ValueError("horizontal and vertical steps must balance")
 
     @property
-    def horizontal(self) -> tuple[int, ...]:
-        return self.steps[0::2]
-
-    @property
     def vertical(self) -> tuple[int, ...]:
         return self.steps[1::2]
 
 
+def _exponent_runs(p: int, q: int):
+    """The Alexander exponents of T(p,q), one range per residue r mod p.
+
+    The least element of S congruent to r is m_r = j*q for the j in [0, p)
+    with j*q = r (mod p), and n is in S exactly when n >= m_(n mod p).  So
+    the exponents congruent to r lie between m_(r-1) and m_r: [m_r, m_(r-1)]
+    with coefficient +1 when m_r <= m_(r-1), else [m_(r-1) + 1, m_r - 1]
+    with coefficient -1, where m_(-1) is m_(p-1).  O(p) work and memory.
+    """
+    least = [0] * p
+    for j in range(p):
+        least[j * q % p] = j * q
+    for r in range(p):
+        here, before = least[r], least[r - 1]
+        yield range(here, before + 1, p) if here <= before else range(before + 1, here, p)
+
+
 def alexander_torus(p: int, q: int) -> AlexanderPolynomial:
-    """Alexander polynomial of T(p,q) via semigroup telescoping."""
+    """Alexander polynomial of T(p,q) from the Apery set of the semigroup."""
     _validate_pq(p, q)
-    c = conductor(p, q)
-    coeffs: dict[int, int] = {}
-    for s in semigroup_elements(p, q, c):
-        if s < c:
-            coeffs[s] = coeffs.get(s, 0) + 1
-            coeffs[s + 1] = coeffs.get(s + 1, 0) - 1
-    coeffs[c] = coeffs.get(c, 0) + 1
-    exps = sorted(k for k, v in coeffs.items() if v != 0)
-    for i, e in enumerate(exps):
-        if coeffs[e] != (1 if i % 2 == 0 else -1):
-            raise AssertionError("telescoped coefficients failed to alternate")
-    return AlexanderPolynomial(tuple(exps))
+    return AlexanderPolynomial(tuple(sorted(chain.from_iterable(_exponent_runs(p, q)))))
 
 
 def step_vector(poly: AlexanderPolynomial) -> StepVector:

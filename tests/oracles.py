@@ -14,6 +14,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from cfk import sector
+from cfk.semigroup import _validate_pq
 from cfk.upsilon import level, level_slope
 
 
@@ -88,6 +89,48 @@ class SortedEchelon:
 
     def contains(self, vec):
         return self._reduce(vec, 0)[0] == 0
+
+
+# ---------------------------------------------------------------------------
+# the semigroup <p, q> listed element by element, and the Alexander
+# polynomial telescoped from it: sum of t^s - t^(s+1) over the elements below
+# the conductor (p-1)(q-1), above which every integer is in the semigroup
+
+
+def conductor(p: int, q: int) -> int:
+    """Least integer above which every integer lies in the semigroup."""
+    return (p - 1) * (q - 1)
+
+
+def semigroup_elements(p: int, q: int, bound: int) -> list[int]:
+    """All elements np + mq <= bound with n, m >= 0, sorted and deduplicated."""
+    _validate_pq(p, q)
+    if bound < 0:
+        raise ValueError("bound must be non-negative")
+    elements = set()
+    n = 0
+    while n * p <= bound:
+        base = n * p
+        m = 0
+        while base + m * q <= bound:
+            elements.add(base + m * q)
+            m += 1
+        n += 1
+    return sorted(elements)
+
+
+def alexander_by_telescoping(p: int, q: int) -> tuple[int, ...]:
+    """Exponents of the torus-knot Alexander polynomial; its signs alternate."""
+    c = conductor(p, q)
+    coeffs: dict[int, int] = {}
+    for s in semigroup_elements(p, q, c):
+        if s < c:
+            coeffs[s] = coeffs.get(s, 0) + 1
+            coeffs[s + 1] = coeffs.get(s + 1, 0) - 1
+    coeffs[c] = coeffs.get(c, 0) + 1
+    exps = sorted(k for k, v in coeffs.items() if v != 0)
+    assert [coeffs[e] for e in exps] == [(-1) ** i for i in range(len(exps))]
+    return tuple(exps)
 
 
 # ---------------------------------------------------------------------------

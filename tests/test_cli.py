@@ -385,23 +385,29 @@ TEN_TREFOILS = " # ".join(["T(2,3)"] * 10)
 
 class TestSizeGuard:
     def test_refused_before_anything_is_built(self, capsys, monkeypatch, tmp_path):
-        # 3^10 generators: the guard answers from the factor sizes alone
+        # every command that builds a complex answers from the factor sizes alone
         import cfk.cli
 
         def forbidden(*args, **kwargs):
             raise AssertionError("a complex was built")
 
         monkeypatch.setattr(cfk.cli, "parse_knot_expression", forbidden)
-        for argv in (
-            ["invariants", TEN_TREFOILS],
-            ["distinguish", "T(2,3)", TEN_TREFOILS],
-            ["plot", TEN_TREFOILS, "--out", str(tmp_path / "u.csv")],
+        monkeypatch.setattr(cfk.cli, "torus_knot_complex", forbidden)
+        for argv, count in (
+            (["invariants", TEN_TREFOILS], "59049"),
+            (["distinguish", "T(2,3)", TEN_TREFOILS], "59049"),
+            (["plot", TEN_TREFOILS, "--out", str(tmp_path / "u.csv")], "59049"),
+            (["conjecture", "101", "2"], "5201"),
+            (["verify-recursion", "2", "5003"], "5003"),
+            (["staircase", "1001", "200000"], "1990009"),
         ):
+            started = time.perf_counter()
             code, out, err = run_capture(capsys, argv)
+            assert time.perf_counter() - started < 1
             assert code == 2
             assert out == ""
             assert err.count("\n") == 1 and err.startswith("error: ")
-            assert "59049" in err
+            assert count in err
         assert not (tmp_path / "u.csv").exists()
 
     def test_limit_is_inclusive(self, capsys):
@@ -423,14 +429,22 @@ class TestSizeGuard:
         assert list(tmp_path.iterdir()) == []
 
     def test_lower_bound_refuses_before_counting(self, capsys):
-        # counting the staircase of T(1001,200000) would enumerate a semigroup
-        # of about 2e8 elements; it has at least 200000 generators
+        # the semigroup of T(1001,200000) has about 2e8 elements below its
+        # conductor; the exact count needs only 1001 exponent runs
         started = time.perf_counter()
         code, out, err = run_capture(capsys, ["invariants", "T(1001,200000)"])
         assert time.perf_counter() - started < 1
         assert code == 2 and out == ""
-        assert err == ("error: T(1001,200000) has at least 200000 generators, "
+        assert err == ("error: T(1001,200000) has 1990009 generators, "
                        "more than --max-generators 5000\n")
+
+    def test_exact_count_near_the_limit_is_quick(self, capsys):
+        # about twice the limit, from a semigroup of 2.5e7 elements below its conductor
+        started = time.perf_counter()
+        code, out, err = run_capture(capsys, ["invariants", "T(4999,5000)"])
+        assert time.perf_counter() - started < 1
+        assert code == 2 and out == ""
+        assert "9997" in err
 
 
 # (subcommand, bad input, good input, the cfk.cli name the good input calls)

@@ -1,5 +1,6 @@
 import json
 import random
+import time
 from math import gcd
 
 import pytest
@@ -335,16 +336,8 @@ def test_expression_size_counts_generators_without_building():
         expression_size("T(2,3) # T(4,6)")
 
 
-def test_size_lower_bound_is_sound():
-    # T(p,q) with p < q has at least q generators, and a sum at least the product
-    for q in range(3, 60):
-        for p in range(1, q):
-            if gcd(p, q) == 1:
-                expr = f"T({q},{p})"
-                assert expression_size(expr, at_least=True) == (q if p > 1 else 1)
-                assert expression_size(expr, at_least=True) <= expression_size(expr)
-    expr = "T(3,4) # -T(2,5) # T(1,7)"
-    assert expression_size(expr, at_least=True) == 20
-    assert expression_size(expr) == 25
-    with pytest.raises(InvalidTorusKnotError, match="coprime"):
-        expression_size("T(2,3) # T(4,6)", at_least=True)
+def test_expression_size_does_not_enumerate_the_semigroup():
+    # p exponent runs, not the (p-1)(q-1) semigroup elements below the conductor
+    started = time.perf_counter()
+    assert expression_size("T(2999,3000)") == 5997
+    assert time.perf_counter() - started < 1

@@ -7,14 +7,13 @@ from cfk.semigroup import (
     InvalidTorusKnotError,
     StepVector,
     alexander_torus,
-    conductor,
-    semigroup_elements,
     step_vector,
 )
-from oracles import alexander_by_division
+from oracles import alexander_by_division, alexander_by_telescoping, conductor, semigroup_elements
 
 
 class TestSemigroupElements:
+    # the slow oracle that the Apery-set construction is checked against
     def test_small(self):
         assert semigroup_elements(2, 3, 7) == [0, 2, 3, 4, 5, 6, 7]
 
@@ -63,6 +62,12 @@ class TestAlexander:
     def test_invalid(self):
         with pytest.raises(InvalidTorusKnotError):
             alexander_torus(4, 6)
+
+    def test_agrees_with_telescoping(self):
+        pairs = [(p, q) for q in range(3, 80) for p in range(2, q) if gcd(p, q) == 1]
+        assert len(pairs) == 1855
+        for p, q in pairs:
+            assert alexander_torus(p, q).exponents == alexander_by_telescoping(p, q), (p, q)
 
     def test_agrees_with_polynomial_division(self):
         # second, independent route: (t^{pq}-1)(t-1) / ((t^p-1)(t^q-1))
@@ -123,7 +128,7 @@ class TestStepVector:
                     continue
                 sv = step_vector(alexander_torus(p, q))
                 assert sv.steps == sv.steps[::-1]
-                assert sum(sv.horizontal) == sum(sv.vertical)
+                assert sum(sv.steps[0::2]) == sum(sv.vertical)
 
     def test_type_rejects_non_palindrome(self):
         with pytest.raises(ValueError):
