@@ -97,17 +97,19 @@ class PiecewiseLinear:
     def __neg__(self) -> "PiecewiseLinear":
         return PiecewiseLinear(tuple((t, -v) for t, v in self.breakpoints))
 
+    @cached_property
+    def _slopes(self) -> tuple[Fraction, ...]:
+        pts = self.breakpoints
+        return tuple((v1 - v0) / (t1 - t0) for (t0, v0), (t1, v1) in zip(pts, pts[1:]))
+
     def segment_slopes(self) -> tuple[Fraction, ...]:
         """Slope of each segment, in order."""
-        out = []
-        for (t0, v0), (t1, v1) in zip(self.breakpoints, self.breakpoints[1:]):
-            out.append((v1 - v0) / (t1 - t0))
-        return tuple(out)
+        return self._slopes
 
     def slopes_at(self, t) -> tuple[Optional[Fraction], Optional[Fraction]]:
         """One-sided derivatives at t; None on the closed side at an endpoint."""
         t = check_parameter(t)
-        slopes = self.segment_slopes()
+        slopes = self._slopes
         if t == _LO:
             return None, slopes[0]
         if t == _HI:
@@ -119,7 +121,7 @@ class PiecewiseLinear:
 
     def singularities(self) -> list[tuple[Fraction, Fraction]]:
         """Interior breakpoints where the slope jumps, as (t, right - left)."""
-        slopes = self.segment_slopes()
+        slopes = self._slopes
         out = []
         for i in range(1, len(self.breakpoints) - 1):
             jump = slopes[i] - slopes[i - 1]

@@ -92,32 +92,58 @@ class GammaCertificate:
 
 
 class _SectorTables:
-    """Graded sectors and the boundary blocks between them.
+    """Graded sectors and the boundary blocks between them, as integers.
 
     The boundary of the U-completed complex restricted to the grading-0 and
     grading-1 sectors equals the fundamental boundary restricted to even and
     odd generators, so all homology questions reduce to two bit matrices:
     ``d_even[k]`` is the boundary of even element k over the odd sector and
-    ``d_odd[j]`` that of odd element j over the even sector.
+    ``d_odd[j]`` that of odd element j over the even sector.  Element k is
+    generator ``even_ids[k]`` (``odd_ids[j]``) shifted by U^(maslov // 2),
+    and ``even_grades`` (``odd_grades``) hold its (Alex, alg).
     """
 
     def __init__(self, c: BifilteredComplex):
-        self.even = sector(c, 0)
-        self.odd = sector(c, 1)
-        even_pos = {}
-        odd_pos = {}
+        self.generators = c.generators
+        ids, grades = ([], []), ([], [])  # by parity of the grading
+        bit = []  # 1 << (position of each generator within its sector)
         for i, g in enumerate(c.generators):
-            if g.maslov % 2 == 0:
-                even_pos[i] = len(even_pos)
-            else:
-                odd_pos[i] = len(odd_pos)
-        self.d_even = [_mask(odd_pos[j] for j in c.boundary[i]) for i in even_pos]
-        self.d_odd = [_mask(even_pos[j] for j in c.boundary[i]) for i in odd_pos]
-        self.h0_mask = _mask(even_pos[j] for j in c.h0_rep)
+            parity, shift = g.maslov & 1, g.maslov >> 1
+            bit.append(1 << len(ids[parity]))
+            ids[parity].append(i)
+            grades[parity].append((g.alex - shift, g.alg - shift))
+        (self.even_ids, self.odd_ids), (self.even_grades, self.odd_grades) = ids, grades
+        # a boundary holds distinct generators, so summing their bits ORs them
+        get = bit.__getitem__
+        self.d_even = [sum(map(get, c.boundary[i])) for i in self.even_ids]
+        self.d_odd = [sum(map(get, c.boundary[i])) for i in self.odd_ids]
+        self.h0_mask = sum(map(get, c.h0_rep))
 
-    def even_levels(self, t: Fraction) -> list[Fraction]:
-        half = t / 2
-        return [half * e.alex + (1 - half) * e.alg for e in self.even]
+
+_LAM = "_class_functional"  # key of the memoised lam in a complex's __dict__
+
+
+def _class_functional(tables: _SectorTables) -> int:
+    """lam with lam . d_odd[j] = 0 for every j and lam . h0 = 1, after the rank check."""
+    # reduce e_last against the columns of the rows [d_odd; h0], tagging column k
+    last = 1 << len(tables.d_odd)
+    columns = [last if (tables.h0_mask >> k) & 1 else 0 for k in range(len(tables.d_even))]
+    for j, d in enumerate(tables.d_odd):
+        for k in _bits(d):
+            columns[k] |= 1 << j
+    _, lam, relations = first_entry(
+        [(None, [(v, 1 << k) for k, v in enumerate(columns)])], last)
+    if lam is None:
+        raise AssertionError("no functional separates the h0 class from boundaries")
+    # The relations among those columns number #even - rank(d_odd) - 1, as
+    # h0 is not a boundary; homology has rank one when that is rank(d_even).
+    cycles = Echelon()
+    if len(relations) != sum(cycles.add(v) for v in tables.d_even):
+        raise UnsupportedComplexError(
+            "not a knot-like complex in scope: completed grading-0 homology "
+            "must have rank one"
+        )
+    return lam
 
 
 class _SectorEngine(_SectorTables):
@@ -125,39 +151,27 @@ class _SectorEngine(_SectorTables):
 
     The functional lam vanishes on boundaries and takes value 1 on the
     distinguished representative; because the completed grading-0 homology
-    has rank one (checked here), a cycle z represents that class exactly
-    when lam(z) = 1, and a cycle with lam(z) = 0 is a boundary.
+    has rank one (checked once), a cycle z represents that class exactly
+    when lam(z) = 1, and a cycle with lam(z) = 0 is a boundary.  lam depends
+    only on the complex, so it is solved once per complex and kept, as one
+    int, in the complex's instance ``__dict__``.
     """
 
     def __init__(self, c: BifilteredComplex):
         super().__init__(c)
-        # lam solves lam . d_odd[j] = 0 for every j and lam . h0 = 1: reduce
-        # e_last against the columns of the rows [d_odd; h0], tagging column k.
-        last = 1 << len(self.odd)
-        columns = [last if (self.h0_mask >> k) & 1 else 0 for k in range(len(self.even))]
-        for j, d in enumerate(self.d_odd):
-            for k in _bits(d):
-                columns[k] |= 1 << j
-        _, lam, relations = first_entry(
-            [(None, [(v, 1 << k) for k, v in enumerate(columns)])], last)
+        lam = vars(c).get(_LAM)
         if lam is None:
-            raise AssertionError("no functional separates the h0 class from boundaries")
-        # The relations among those columns number #even - rank(d_odd) - 1, as
-        # h0 is not a boundary; homology has rank one when that is rank(d_even).
-        cycles = Echelon()
-        if len(relations) != sum(cycles.add(v) for v in self.d_even):
-            raise UnsupportedComplexError(
-                "not a knot-like complex in scope: completed grading-0 homology "
-                "must have rank one"
-            )
+            lam = vars(c)[_LAM] = _class_functional(self)
         # columns [d(e); lam(e)] of the even elements, tagged by position
+        last = 1 << len(self.d_odd)
         self._class_columns = [
-            (d | (last if (lam >> k) & 1 else 0), 1 << k)
-            for k, d in enumerate(self.d_even)
+            (d | last if lam >> k & 1 else d, 1 << k) for k, d in enumerate(self.d_even)
         ]
-        # (Alex, alg) of each element, for the integer levels of the side passes
-        self._even_grades = [(e.alex, e.alg) for e in self.even]
-        self._odd_grades = [(e.alex, e.alg) for e in self.odd]
+
+    def elements(self, ids: list[int], positions) -> list[SectorElement]:
+        """The elements at ``positions`` of the sector of ``ids``, built on demand."""
+        gens = self.generators
+        return [SectorElement(g, g.maslov >> 1) for g in (gens[ids[k]] for k in positions)]
 
     def entry(self, keys: list):
         """First key at which the class is reachable, a cycle in it, and null cycles.
@@ -168,15 +182,15 @@ class _SectorEngine(_SectorTables):
         Cycles are bitmasks over the even sector.
         """
         key, cycle, null_cycles = first_entry(by_threshold(keys, self._class_columns),
-                                              1 << len(self.odd))
+                                              1 << len(self.d_odd))
         if key is None:
             raise AssertionError("the distinguished class was not reachable at any level")
         return key, cycle, null_cycles
 
     def gamma(self, t) -> tuple[Fraction, int]:
         """Minimal threshold and a witness cycle (bitmask over the even sector)."""
-        threshold, cycle, _ = self.entry(self.even_levels(check_parameter(t)))
-        return threshold, cycle
+        half = check_parameter(t) / 2
+        return self.entry([half * x + (1 - half) * y for x, y in self.even_grades])[:2]
 
     def side(self, t0: Fraction, sign: int):
         """Gamma jet, admissible positions, class cycle and null cycles at t0 + sign*delta.
@@ -185,7 +199,7 @@ class _SectorEngine(_SectorTables):
         levels just beside t0, so the entry key is the side gamma jet.  At
         t0 = a/b the keys are that pair scaled by (2b, 2), in integers.
         """
-        grades = self._even_grades
+        grades = self.even_grades
         keys = [(lv, sign * (x - y)) for lv, (x, y) in zip(_scaled_levels(grades, t0), grades)]
         key, z0, null_cycles = self.entry(keys)
         admissible = [k for k, kk in enumerate(keys) if kk <= key]
@@ -194,7 +208,7 @@ class _SectorEngine(_SectorTables):
 
     def scaled_odd_levels(self, t0: Fraction) -> list[int]:
         """2b times the grading-1 levels at t0 = a/b."""
-        return _scaled_levels(self._odd_grades, t0)
+        return _scaled_levels(self.odd_grades, t0)
 
 
 def _scaled_levels(grades: list[tuple[int, int]], t0: Fraction) -> list[int]:
@@ -226,7 +240,7 @@ def gamma_at(c: BifilteredComplex, t) -> GammaCertificate:
 
 def _package_certificate(engine: _SectorEngine, t: Fraction) -> GammaCertificate:
     s, combo = engine.gamma(t)
-    elems = tuple(engine.even[k] for k in _bits(combo))
+    elems = tuple(engine.elements(engine.even_ids, _bits(combo)))
     levels = tuple(level(t, e) for e in elems)
     assert max(levels) == s
     return GammaCertificate(t=t, s=s, cycle=elems, levels=levels)
@@ -248,7 +262,7 @@ def verify_gamma_certificate(c: BifilteredComplex, cert: GammaCertificate) -> No
         raise CertificateError("stored levels do not match recomputation")
     if max(levels) != cert.s:
         raise CertificateError("threshold is not attained by the support")
-    below = _mask(k for k, lv in enumerate(tables.even_levels(cert.t)) if lv < cert.s)
+    below = _mask(k for k, lv in enumerate(tables.levels(cert.t, tables.even)) if lv < cert.s)
     if tables.feasible(below):
         raise CertificateError("a cycle in the h0 class exists below the threshold")
 
@@ -258,12 +272,15 @@ class _DirectChecker(_SectorTables):
 
     def __init__(self, c: BifilteredComplex):
         super().__init__(c)
+        self.even = sector(c, 0)
+        self.odd = sector(c, 1)
         self.even_pos = {e: k for k, e in enumerate(self.even)}
         self.odd_pos = {e: j for j, e in enumerate(self.odd)}
 
-    def odd_levels(self, t: Fraction) -> list[Fraction]:
+    @staticmethod
+    def levels(t: Fraction, elems) -> list[Fraction]:
         half = t / 2
-        return [half * e.alex + (1 - half) * e.alg for e in self.odd]
+        return [half * e.alex + (1 - half) * e.alg for e in elems]
 
     def class_cycle(self, elems, label: str) -> int:
         """Even-sector mask of ``elems``; CertificateError unless a cycle in the h0 class."""
@@ -320,7 +337,7 @@ def upsilon(c: BifilteredComplex) -> PiecewiseLinear:
     may also be the ``_SectorEngine`` of a complex, which is then reused.
     """
     engine = _engine(c)
-    points = sorted({(e.alg, e.alex) for e in engine.even})
+    points = sorted({(y, x) for x, y in engine.even_grades})
     candidates = {Fraction(0), Fraction(2)}
     for (a1, x1), (a2, x2) in combinations(points, 2):
         denom = (x1 - a1) - (x2 - a2)

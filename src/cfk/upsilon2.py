@@ -119,7 +119,7 @@ def _sides(c: BifilteredComplex, t0, ups: PiecewiseLinear | None):
 
 
 def _elements(engine: _SectorEngine, mask: int) -> frozenset[SectorElement]:
-    return frozenset(engine.even[k] for k in _bits(mask))
+    return frozenset(engine.elements(engine.even_ids, _bits(mask)))
 
 
 def side_cycles(c: BifilteredComplex, t0, side: str,
@@ -132,7 +132,7 @@ def side_cycles(c: BifilteredComplex, t0, side: str,
     return SideData(
         side=side,
         gamma_jet=Jet(*jet),
-        admissible=tuple(engine.even[k] for k in admissible),
+        admissible=tuple(engine.elements(engine.even_ids, admissible)),
         cycle_particular=_elements(engine, z0),
         cycle_basis=tuple(_elements(engine, v) for v in null_cycles),
     )
@@ -151,7 +151,7 @@ def gamma2_at(c: BifilteredComplex, t0,
     gives w and z_minus, and z_plus = z_minus + dw.
     """
     engine, t0, ((gamma0, _), _, z0m, null_m), (_, _, z0p, null_p) = _sides(c, t0, ups)
-    n_odd = len(engine.odd)
+    n_odd = len(engine.d_odd)
     seed = [(v, v << n_odd) for v in null_m] + [(v, 0) for v in null_p]
     scale = 2 * t0.denominator  # thresholds are levels times 2b, in integers
     floor = int(gamma0 * scale)
@@ -169,7 +169,7 @@ def gamma2_at(c: BifilteredComplex, t0,
     witness = MergeWitness(
         z_minus=_elements(engine, zm),
         z_plus=_elements(engine, zp),
-        w=frozenset(engine.odd[j] for j in _bits(wmask)),
+        w=frozenset(engine.elements(engine.odd_ids, _bits(wmask))),
     )
     return Gamma2Certificate(t0=t0, gamma=gamma0, gamma2=Fraction(r_star, scale),
                              witness=witness)
@@ -225,7 +225,7 @@ def verify_gamma2_certificate(c: BifilteredComplex, cert: Gamma2Certificate,
     if acc != zm ^ zp:
         raise CertificateError("dw does not equal z_minus + z_plus")
 
-    odd_levels = tables.odd_levels(t0)
+    odd_levels = tables.levels(t0, tables.odd)
     thresholds = sorted({cert.gamma} | {lv for lv in odd_levels if lv > cert.gamma})
     if cert.gamma2 not in thresholds:
         raise CertificateError("threshold is not a grading-1 level at or above gamma")

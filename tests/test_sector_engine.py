@@ -1,0 +1,199 @@
+"""The sector engine: lam solved once per complex, integer tables, verifiers apart.
+
+The class functional lam depends only on the complex, so the engine solves it
+once and keeps the int in the complex's instance ``__dict__``.  The engine's
+tables are built from integers; here they are compared with the tables the
+oracle derives from ``sector(c, m)``.  The verifiers must never read lam.
+"""
+
+import random
+import sys
+from dataclasses import replace
+from fractions import Fraction as F
+
+import pytest
+
+from cfk import (
+    BifilteredComplex,
+    Generator,
+    UnsupportedComplexError,
+    direct_sum_with_box,
+    parse_knot_expression,
+)
+from cfk.upsilon import (
+    CertificateError,
+    _LAM,
+    _SectorEngine,
+    gamma_at,
+    sector,
+    upsilon,
+    verify_gamma_certificate,
+)
+from cfk.upsilon2 import (
+    MergeWitness,
+    NotApplicableError,
+    gamma2_at,
+    upsilon2_at,
+    verify_gamma2_certificate,
+)
+from oracles import SectorTables, brute_gamma2
+
+# the package attribute cfk.upsilon is the function, so reach the module here
+UPSILON = sys.modules["cfk.upsilon"]
+
+
+def random_complexes(seed, count, pairs):
+    """Seeded sums of 1-3 torus knots, some mirrored, some with box summands."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        expr = " # ".join(
+            ("-" if rng.random() < 0.3 else "") + "T(%d,%d)" % rng.choice(pairs)
+            for _ in range(rng.randrange(1, 4))
+        )
+        c = parse_knot_expression(expr)
+        for _ in range(rng.randrange(0, 3)):
+            c = direct_sum_with_box(c, rng.randrange(-5, 8), rng.randrange(-5, 8),
+                                    rng.randrange(1, 3), rng.randrange(1, 3),
+                                    rng.randrange(-1, 3))
+        out.append((expr, c))
+    return out
+
+
+def positive_singularities(ups):
+    return [t0 for t0, jump in ups.singularities() if jump > 0]
+
+
+def count_functionals(monkeypatch):
+    """A list that grows by one entry each time lam is solved."""
+    solved = []
+    original = UPSILON._class_functional
+
+    def counting(tables):
+        solved.append(tables)
+        return original(tables)
+
+    monkeypatch.setattr(UPSILON, "_class_functional", counting)
+    return solved
+
+
+class TestFunctionalOncePerComplex:
+    def test_two_singularities_of_k_and_of_k_with_boxes(self, monkeypatch):
+        solved = count_functionals(monkeypatch)
+        knot = parse_knot_expression("T(2,5) # T(5,6)")
+        boxed = direct_sum_with_box(direct_sum_with_box(knot, 3, 4, 1, 2, 1), 2, 6, 2, 1, 0)
+        ups = upsilon(knot)
+        assert len(solved) == 1
+        t0s = positive_singularities(ups)[:2]
+        assert len(t0s) == 2
+        for t0 in t0s:
+            assert upsilon2_at(knot, t0, ups=ups) == upsilon2_at(boxed, t0, ups=ups)
+        # K was solved by the upsilon search; K with boxes once, on its first query
+        assert len(solved) == 2
+        assert _LAM in vars(knot) and _LAM in vars(boxed)
+        gamma_at(knot, F(1))
+        gamma2_at(boxed, t0s[0])
+        assert len(solved) == 2
+
+    def test_memo_holds_only_an_int_and_leaves_equality_alone(self):
+        c = parse_knot_expression("T(3,4)")
+        fresh = parse_knot_expression("T(3,4)")
+        upsilon(c)
+        assert type(vars(c)[_LAM]) is int
+        assert set(vars(c)) - set(vars(fresh)) == {_LAM}
+        assert c == fresh and hash(c) == hash(fresh)
+
+    def test_rank_two_complex_is_refused_on_every_call(self, monkeypatch):
+        solved = count_functionals(monkeypatch)
+        gens = (Generator("a", 0, 0, 0), Generator("b", 1, 1, 0))
+        c = BifilteredComplex(gens, (frozenset(), frozenset()), frozenset({0}))
+        for call in (lambda: gamma_at(c, F(1)), lambda: upsilon(c)):
+            with pytest.raises(UnsupportedComplexError, match="rank one"):
+                call()
+        assert len(solved) == 2
+        assert _LAM not in vars(c)
+
+
+def verdict(check):
+    try:
+        check()
+    except CertificateError as exc:
+        return str(exc)
+    return "accepted"
+
+
+def search_outcomes(c, t0s):
+    out = []
+    for t0 in t0s:
+        try:
+            out.append(gamma2_at(c, t0))
+        except (NotApplicableError, AssertionError) as exc:
+            out.append(type(exc).__name__)
+    return out
+
+
+def test_verifiers_never_read_the_memoised_functional():
+    c = parse_knot_expression("T(2,5) # T(5,6)")
+    ups = upsilon(c)
+    t0s = positive_singularities(ups)
+    genuine = search_outcomes(c, t0s)
+    even = sector(c, 0)
+    checks = []
+    for t in (F(1, 3), F(1), F(8, 5)):
+        cert = gamma_at(c, t)
+        checks.append(lambda cert=cert: verify_gamma_certificate(c, cert))
+        lowered = replace(cert, s=cert.s - F(1, 5))
+        checks.append(lambda cert=lowered: verify_gamma_certificate(c, cert))
+    for cert in genuine:
+        w = cert.witness
+        extra = next(e for e in even if e not in w.z_minus)
+        for tampered in (
+            cert,
+            replace(cert, gamma2=cert.gamma2 + F(1, 5)),
+            replace(cert, gamma2=cert.gamma2 - F(1, 5)),
+            replace(cert, witness=MergeWitness(z_minus=w.z_plus, z_plus=w.z_minus, w=w.w)),
+            replace(cert, witness=replace(w, z_minus=w.z_minus | {extra})),
+        ):
+            checks.append(lambda cert=tampered: verify_gamma2_certificate(c, cert, ups=ups))
+    before = [verdict(check) for check in checks]
+    assert before.count("accepted") == 3 + len(genuine)
+
+    # a functional wrong on one element: the search reads it, the verifiers not
+    vars(c)[_LAM] ^= 1
+    assert search_outcomes(c, t0s) != genuine
+    assert [verdict(check) for check in checks] == before
+
+
+def oracle_mask(row):
+    return sum(bit << k for k, bit in enumerate(row))
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_integer_tables_match_the_sectors(seed):
+    pairs = [(2, 3), (2, 5), (3, 4), (3, 5), (2, 7), (4, 5), (3, 7)]
+    for expr, c in random_complexes(seed, 6, pairs):
+        engine = _SectorEngine(c)
+        oracle = SectorTables(c)
+        even, odd = oracle.even, oracle.odd
+        assert engine.even_grades == [(e.alex, e.alg) for e in even], expr
+        assert engine.odd_grades == [(e.alex, e.alg) for e in odd], expr
+        assert engine.elements(engine.even_ids, range(len(even))) == list(even), expr
+        assert engine.elements(engine.odd_ids, range(len(odd))) == list(odd), expr
+        assert engine.elements(engine.even_ids, [2, 0]) == [even[2], even[0]], expr
+        assert engine.d_even == [oracle_mask(row) for row in oracle.d_even], expr
+        assert engine.d_odd == [oracle_mask(row) for row in oracle.d_odd], expr
+        assert engine.h0_mask == oracle_mask(oracle.h0), expr
+
+
+def test_gamma2_matches_exhaustive_triples_on_random_complexes():
+    compared = 0
+    for expr, c in random_complexes(17, 12, [(2, 3), (2, 5), (3, 4)]):
+        ups = upsilon(c)
+        for t0 in positive_singularities(ups):
+            try:
+                expected = brute_gamma2(c, t0, ups)
+            except ValueError:  # beyond the oracle's size limits
+                continue
+            assert gamma2_at(c, t0, ups=ups).gamma2 == expected, (expr, t0)
+            compared += 1
+    assert compared >= 10

@@ -234,7 +234,7 @@ def test_integer_side_keys_match_fraction_levels():
     # with large denominators.
     import random
 
-    from cfk.upsilon import _SectorEngine, level, level_slope
+    from cfk.upsilon import _SectorEngine, level, level_slope, sector
     from cfk.upsilon2 import Jet
 
     rng = random.Random(9731)
@@ -254,7 +254,7 @@ def test_integer_side_keys_match_fraction_levels():
         t0s += [F(97, 113), F(1, 977), F(1999, 1000), F(355, 226)]
         for t0 in t0s:
             for sign in (-1, 1):
-                keys = [Jet(level(t0, e), level_slope(e)).side_key(sign) for e in engine.even]
+                keys = [Jet(level(t0, e), level_slope(e)).side_key(sign) for e in sector(c, 0)]
                 key, z0, null_cycles = engine.entry(keys)
                 admissible = [k for k, kk in enumerate(keys) if kk <= key]
                 expected = ((key[0], sign * key[1]), admissible, z0, null_cycles)
