@@ -19,17 +19,19 @@ from fractions import Fraction
 from math import gcd
 
 from .complexes import (
+    BifilteredComplex,
     InvalidTorusKnotError,
     KnotExpressionError,
     _torus_pair,
     canonical_expression,
     expression_size,
     parse_knot_expression,
+    parse_knot_factors,
     torus_knot_complex,
 )
 from .exactnum import PiecewiseLinear
 from .semigroup import alexander_torus, step_vector
-from .upsilon import BreakpointVerificationError, _SectorEngine, upsilon
+from .upsilon import BreakpointVerificationError, gamma_at, upsilon
 from .upsilon2 import upsilon2_at
 
 SCHEMA_VERSION = 1
@@ -52,8 +54,11 @@ class ComplexTooLargeError(ValueError):
 
 def _check_size(expression: str, limit: int) -> None:
     """ComplexTooLargeError if the complex of expression would exceed limit generators."""
-    count = expression_size(expression)
-    if count > limit:
+    # T(p,q) with 2 <= p < q has at least q generators: refuse it before counting
+    pairs = [_torus_pair(p, q) for _, p, q in parse_knot_factors(expression)]
+    at_least = [b for a, b in pairs if a > max(limit, 1)]
+    count = f"at least {at_least[0]}" if at_least else expression_size(expression)
+    if at_least or count > limit:
         raise ComplexTooLargeError(
             f"{expression} has {count} generators, more than --max-generators {limit}"
         )
@@ -67,20 +72,18 @@ def build_invariant_report(expression: str, grid: int = 0) -> dict:
     """Invariant report for a knot expression, without the timing field."""
     canonical = canonical_expression(expression)
     complex_ = parse_knot_expression(canonical)
-    # one sector engine serves the upsilon search, every gamma2 and the grid
-    engine = _SectorEngine(complex_)
-    ups = upsilon(engine)
+    ups = upsilon(complex_)
     entries = []
     for t0, jump in ups.singularities():
         entry = {"t": _fmt(t0), "slope_jump": _fmt(jump)}
         if jump > 0:
-            entry["upsilon2"] = _fmt(upsilon2_at(engine, t0, ups=ups))
+            entry["upsilon2"] = _fmt(upsilon2_at(complex_, t0, ups=ups))
         else:
             entry["upsilon2"] = None
             entry["reason"] = "slope jump is not positive"
         entries.append(entry)
     if grid > 0:
-        _grid_check(engine, ups, grid)
+        _grid_check(complex_, ups, grid)
     return {
         "schema_version": SCHEMA_VERSION,
         "expression": canonical,
@@ -92,10 +95,10 @@ def build_invariant_report(expression: str, grid: int = 0) -> dict:
     }
 
 
-def _grid_check(engine: _SectorEngine, ups: PiecewiseLinear, grid: int) -> None:
+def _grid_check(complex_: BifilteredComplex, ups: PiecewiseLinear, grid: int) -> None:
     for k in range(1, grid):
         t = Fraction(2 * k, grid)
-        if engine.gamma(t)[0] != -ups.evaluate(t) / 2:
+        if gamma_at(complex_, t).s != -ups.evaluate(t) / 2:
             raise BreakpointVerificationError(
                 f"dense-grid verification failed at t={t}"
             )
@@ -155,7 +158,7 @@ def cmd_invariants(args) -> int:
         report = _read_cache(_cache_path(cache_dir, canonical), canonical)
     if report is None:
         _check_size(canonical, args.max_generators)
-        report = build_invariant_report(args.expression, grid=args.grid)
+        report = build_invariant_report(canonical, grid=args.grid)
         if cache_dir:
             try:
                 _write_cache(_cache_path(cache_dir, canonical), report)
@@ -212,10 +215,10 @@ def distinguish_report(expr1: str, expr2: str) -> dict:
     """Compare upsilon and, where defined, secondary upsilon of two expressions."""
     canon1 = canonical_expression(expr1)
     canon2 = canonical_expression(expr2)
-    engine1 = _SectorEngine(parse_knot_expression(canon1))
-    engine2 = _SectorEngine(parse_knot_expression(canon2))
-    ups1 = upsilon(engine1)
-    ups2 = upsilon(engine2)
+    complex1 = parse_knot_expression(canon1)
+    complex2 = parse_knot_expression(canon2)
+    ups1 = upsilon(complex1)
+    ups2 = upsilon(complex2)
     report = {
         "schema_version": SCHEMA_VERSION,
         "expression_1": canon1,
@@ -235,8 +238,8 @@ def distinguish_report(expr1: str, expr2: str) -> dict:
     for t0, jump in ups1.singularities():
         if jump <= 0:
             continue
-        v1 = upsilon2_at(engine1, t0, ups=ups1)
-        v2 = upsilon2_at(engine2, t0, ups=ups2)
+        v1 = upsilon2_at(complex1, t0, ups=ups1)
+        v2 = upsilon2_at(complex2, t0, ups=ups2)
         if v1 != v2:
             separating.append({"t": _fmt(t0), "values": [_fmt(v1), _fmt(v2)]})
     if separating:

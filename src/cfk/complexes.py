@@ -335,14 +335,14 @@ def expression_size(text: str) -> int:
     """Generator count of the complex of a knot expression, without building it.
 
     A staircase has one generator per term of the Alexander polynomial, counted
-    in O(min(p,q)) from its exponent runs; tensor products multiply counts and
-    mirrors keep them.
+    in O(min(p,q)) by dividing each exponent run's span by its step (len() of a
+    range overflows past sys.maxsize); tensor products multiply, mirrors keep.
     """
     size = 1
     for _, p, q in parse_knot_factors(text):
         a, b = _torus_pair(p, q)
         if a > 1:
-            size *= sum(len(run) for run in _exponent_runs(a, b))
+            size *= sum((run.stop - run.start) // a for run in _exponent_runs(a, b))
     return size
 
 

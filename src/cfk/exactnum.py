@@ -102,10 +102,6 @@ class PiecewiseLinear:
         pts = self.breakpoints
         return tuple((v1 - v0) / (t1 - t0) for (t0, v0), (t1, v1) in zip(pts, pts[1:]))
 
-    def segment_slopes(self) -> tuple[Fraction, ...]:
-        """Slope of each segment, in order."""
-        return self._slopes
-
     def slopes_at(self, t) -> tuple[Optional[Fraction], Optional[Fraction]]:
         """One-sided derivatives at t; None on the closed side at an endpoint."""
         t = check_parameter(t)

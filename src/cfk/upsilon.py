@@ -227,18 +227,10 @@ def _bits(mask: int) -> list[int]:
     return out
 
 
-def _engine(c) -> _SectorEngine:
-    """The sector engine of c; a caller may pass one it built in place of c."""
-    return c if isinstance(c, _SectorEngine) else _SectorEngine(c)
-
-
 def gamma_at(c: BifilteredComplex, t) -> GammaCertificate:
     """gamma(t) with a re-checkable witness cycle."""
     engine = _SectorEngine(c)
-    return _package_certificate(engine, check_parameter(t))
-
-
-def _package_certificate(engine: _SectorEngine, t: Fraction) -> GammaCertificate:
+    t = check_parameter(t)
     s, combo = engine.gamma(t)
     elems = tuple(engine.elements(engine.even_ids, _bits(combo)))
     levels = tuple(level(t, e) for e in elems)
@@ -262,7 +254,7 @@ def verify_gamma_certificate(c: BifilteredComplex, cert: GammaCertificate) -> No
         raise CertificateError("stored levels do not match recomputation")
     if max(levels) != cert.s:
         raise CertificateError("threshold is not attained by the support")
-    below = _mask(k for k, lv in enumerate(tables.levels(cert.t, tables.even)) if lv < cert.s)
+    below = _mask(k for k, e in enumerate(tables.even) if level(cert.t, e) < cert.s)
     if tables.feasible(below):
         raise CertificateError("a cycle in the h0 class exists below the threshold")
 
@@ -276,11 +268,6 @@ class _DirectChecker(_SectorTables):
         self.odd = sector(c, 1)
         self.even_pos = {e: k for k, e in enumerate(self.even)}
         self.odd_pos = {e: j for j, e in enumerate(self.odd)}
-
-    @staticmethod
-    def levels(t: Fraction, elems) -> list[Fraction]:
-        half = t / 2
-        return [half * e.alex + (1 - half) * e.alg for e in elems]
 
     def class_cycle(self, elems, label: str) -> int:
         """Even-sector mask of ``elems``; CertificateError unless a cycle in the h0 class."""
@@ -333,10 +320,9 @@ def upsilon(c: BifilteredComplex) -> PiecewiseLinear:
 
     Candidate breakpoints are all crossings of pairs of grading-0 level
     lines; between consecutive candidates gamma is verified to be linear by
-    evaluating at the midpoint, so a missed breakpoint aborts loudly.  ``c``
-    may also be the ``_SectorEngine`` of a complex, which is then reused.
+    evaluating at the midpoint, so a missed breakpoint aborts loudly.
     """
-    engine = _engine(c)
+    engine = _SectorEngine(c)
     points = sorted({(y, x) for x, y in engine.even_grades})
     candidates = {Fraction(0), Fraction(2)}
     for (a1, x1), (a2, x2) in combinations(points, 2):

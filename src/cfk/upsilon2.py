@@ -25,7 +25,6 @@ from .upsilon import (
     _DirectChecker,
     _SectorEngine,
     _bits,
-    _engine,
     level,
     level_slope,
 )
@@ -98,13 +97,12 @@ def _sides(c: BifilteredComplex, t0, ups: PiecewiseLinear | None):
     """Engine, t0 and both side passes at a singularity where gamma's slope drops.
 
     The side gamma jets decide whether t0 is such a singularity; ``ups``,
-    when given, is only checked against them.  ``c`` may also be the
-    ``_SectorEngine`` of a complex, which is then reused.
+    when given, is only checked against them.
     """
     t0 = check_parameter(t0)
     if not 0 < t0 < 2:
         raise NotApplicableError("t0 must lie in the open interval (0, 2)")
-    engine = _engine(c)
+    engine = _SectorEngine(c)
     minus, plus = engine.side(t0, -1), engine.side(t0, 1)
     (gamma0, slope_minus), (_, slope_plus) = minus[0], plus[0]
     if ups is not None:
@@ -225,7 +223,7 @@ def verify_gamma2_certificate(c: BifilteredComplex, cert: Gamma2Certificate,
     if acc != zm ^ zp:
         raise CertificateError("dw does not equal z_minus + z_plus")
 
-    odd_levels = tables.levels(t0, tables.odd)
+    odd_levels = [level(t0, e) for e in tables.odd]
     thresholds = sorted({cert.gamma} | {lv for lv in odd_levels if lv > cert.gamma})
     if cert.gamma2 not in thresholds:
         raise CertificateError("threshold is not a grading-1 level at or above gamma")

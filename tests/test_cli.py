@@ -1,5 +1,6 @@
 import json
 import os
+import sys
 import time
 
 import pytest
@@ -331,19 +332,19 @@ class TestStaircase:
         assert code == 2
 
 
-def _count_engines(monkeypatch):
-    """A list that grows by one complex for each _SectorEngine built."""
-    from cfk.upsilon import _SectorEngine
+def _count_functionals(monkeypatch):
+    """A list that grows by one entry each time the class functional is solved."""
+    # the package re-exports the function upsilon under the module's name
+    upsilon_module = sys.modules["cfk.upsilon"]
+    solved = []
+    original = upsilon_module._class_functional
 
-    built = []
-    original = _SectorEngine.__init__
+    def counting(tables):
+        solved.append(tables)
+        return original(tables)
 
-    def counting(self, c):
-        built.append(c)
-        original(self, c)
-
-    monkeypatch.setattr(_SectorEngine, "__init__", counting)
-    return built
+    monkeypatch.setattr(upsilon_module, "_class_functional", counting)
+    return solved
 
 
 class TestReportHelpers:
@@ -365,19 +366,19 @@ class TestReportHelpers:
             "separating_singularities"
         ]
 
-    def test_one_sector_engine_per_report(self, monkeypatch):
-        # Upsilon, every gamma2 and the --grid check share one engine; a
-        # separate engine for each would make 2 + k for k positive jumps.
-        built = _count_engines(monkeypatch)
+    def test_report_solves_the_class_functional_once(self, monkeypatch):
+        # upsilon, every gamma2 and each --grid point build their own tables,
+        # and all of them reuse the one functional memoised on the complex
+        solved = _count_functionals(monkeypatch)
         report = build_invariant_report("T(2,5) # T(5,6)", grid=8)
         assert sum(s["upsilon2"] is not None for s in report["singularities"]) >= 2
-        assert len(built) == 1
+        assert len(solved) == 1
 
-    def test_distinguish_builds_one_engine_per_expression(self, monkeypatch):
-        built = _count_engines(monkeypatch)
+    def test_distinguish_solves_the_class_functional_once_per_expression(self, monkeypatch):
+        solved = _count_functionals(monkeypatch)
         report = distinguish_report("T(5,7)", "T(2,5) # T(5,6)")
         assert report["by"] == "upsilon2"
-        assert len(built) == 2
+        assert len(solved) == 2
 
 
 TEN_TREFOILS = " # ".join(["T(2,3)"] * 10)
@@ -436,6 +437,33 @@ class TestSizeGuard:
         assert time.perf_counter() - started < 1
         assert code == 2 and out == ""
         assert err == ("error: T(1001,200000) has 1990009 generators, "
+                       "more than --max-generators 5000\n")
+
+    @pytest.mark.parametrize("argv", [
+        ["invariants", "T(2,100000000000000000001)"],
+        ["staircase", "2", "100000000000000000001"],
+        ["verify-recursion", "3", "100000000000000000000"],
+        ["conjecture", "100000000000000000001", "2"],
+    ])
+    def test_huge_parameters_are_refused_quickly(self, capsys, argv):
+        started = time.perf_counter()
+        code, out, err = run_capture(capsys, argv)
+        assert time.perf_counter() - started < 1
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1 and err.startswith("error: ")
+        assert "more than --max-generators 5000" in err
+
+    def test_factor_above_the_limit_is_refused_without_counting(self, capsys, monkeypatch):
+        # T(p,q) with 2 <= p < q has at least q generators
+        import cfk.complexes
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("exponent runs were counted")
+
+        monkeypatch.setattr(cfk.complexes, "_exponent_runs", forbidden)
+        code, out, err = run_capture(capsys, ["invariants", "T(2,3) # T(5001,5002)"])
+        assert code == 2 and out == ""
+        assert err == ("error: T(2,3) # T(5001,5002) has at least 5002 generators, "
                        "more than --max-generators 5000\n")
 
     def test_exact_count_near_the_limit_is_quick(self, capsys):
