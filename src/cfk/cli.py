@@ -352,9 +352,17 @@ def cmd_staircase(args) -> int:
     return EXIT_OK
 
 
+class _AtLeastOne(argparse.Action):
+    def __call__(self, parser, namespace, value, option_string=None):
+        if value < 1:
+            raise argparse.ArgumentError(self, f"must be at least 1, got {value}")
+        setattr(namespace, self.dest, value)
+
+
 def _add_size_option(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
-        "--max-generators", type=int, default=DEFAULT_MAX_GENERATORS, metavar="N",
+        "--max-generators", type=int, action=_AtLeastOne, default=DEFAULT_MAX_GENERATORS,
+        metavar="N",
         help="refuse (exit 2) an expression whose complex has more than N generators "
              f"(default {DEFAULT_MAX_GENERATORS})")
 

@@ -39,7 +39,7 @@ class KnotExpressionError(ValueError):
         self.position = position
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Generator:
     """One bifiltered basis element."""
 
@@ -53,25 +53,32 @@ class Generator:
 class BifilteredComplex:
     """Finite generator set, GF(2) boundary, and a distinguished H_0 cycle.
 
-    ``boundary[i]`` is the set of generator indices appearing in the boundary
-    of ``generators[i]``; ``h0_rep`` is the index set of a degree-0 cycle
+    ``boundary[i]`` is the strictly increasing tuple of generator indices
+    appearing in the boundary of ``generators[i]``; any iterable of indices
+    is accepted and normalised to that form, and a row already in it is kept
+    as the same object.  ``h0_rep`` is the index set of a degree-0 cycle
     generating the homology of the fundamental copy.
     """
 
     generators: tuple[Generator, ...]
-    boundary: tuple[frozenset[int], ...]
+    boundary: tuple[tuple[int, ...], ...]
     h0_rep: frozenset[int]
 
     def __post_init__(self):
-        gens = tuple(self.generators)
-        bnd = tuple(frozenset(s) for s in self.boundary)
-        rep = frozenset(self.h0_rep)
-        object.__setattr__(self, "generators", gens)
-        object.__setattr__(self, "boundary", bnd)
-        object.__setattr__(self, "h0_rep", rep)
-        self._validate()
+        object.__setattr__(self, "generators", tuple(self.generators))
+        object.__setattr__(self, "boundary", tuple(self.boundary))
+        object.__setattr__(self, "h0_rep", frozenset(self.h0_rep))
+        if not self._validate():
+            object.__setattr__(self, "boundary", tuple(
+                tuple(sorted(set(targets))) for targets in self.boundary))
+            self._validate()
 
-    def _validate(self) -> None:
+    def _validate(self) -> bool:
+        """Raise ValueError on a broken axiom; False if a boundary row is not canonical.
+
+        A canonical row is a strictly increasing tuple of indices.  The checks
+        stop at the first row that is not, before the rows are read as masks.
+        """
         gens, bnd, rep = self.generators, self.boundary, self.h0_rep
         n = len(gens)
         if len(bnd) != n:
@@ -79,35 +86,43 @@ class BifilteredComplex:
         if len({g.name for g in gens}) != n:
             raise ValueError("generator names must be unique")
         for i, targets in enumerate(bnd):
+            if type(targets) is not tuple:
+                return False
             g = gens[i]
+            prev = -1
             for j in targets:
-                if not 0 <= j < n:
+                if not prev < j < n:
+                    if 0 <= j < n:
+                        return False
                     raise ValueError(f"boundary of {g.name} references a missing generator")
+                prev = j
                 h = gens[j]
                 if h.maslov != g.maslov - 1:
                     raise ValueError("boundary must drop the grading by exactly 1")
                 if h.alg > g.alg or h.alex > g.alex:
                     raise ValueError("boundary must not increase either filtration")
+        masks = [_mask(targets) for targets in bnd]
         for i in range(n):
-            acc: frozenset[int] = frozenset()
+            acc = 0
             for j in bnd[i]:
-                acc ^= bnd[j]
+                acc ^= masks[j]
             if acc:
                 raise ValueError(f"boundary does not square to zero at {gens[i].name}")
         if not rep:
             raise ValueError("the distinguished homology representative is empty")
-        acc = frozenset()
+        acc = 0
         for i in rep:
             if not 0 <= i < n:
                 raise ValueError("h0 representative references a missing generator")
             if gens[i].maslov != 0:
                 raise ValueError("h0 representative must be supported in grading 0")
-            acc ^= bnd[i]
+            acc ^= masks[i]
         if acc:
             raise ValueError("h0 representative is not a cycle")
-        image = [_mask(bnd[i]) for i in range(n) if gens[i].maslov == 1]
+        image = [masks[i] for i in range(n) if gens[i].maslov == 1]
         if in_span(image, _mask(rep)):
             raise ValueError("h0 representative is a boundary")
+        return True
 
     def to_json_dict(self) -> dict:
         gens = self.generators
@@ -117,7 +132,7 @@ class BifilteredComplex:
                 for g in gens
             ],
             "boundary": {
-                gens[i].name: [gens[j].name for j in sorted(self.boundary[i])]
+                gens[i].name: [gens[j].name for j in self.boundary[i]]
                 for i in range(len(gens))
             },
             "h0_rep": [gens[i].name for i in sorted(self.h0_rep)],
@@ -134,7 +149,7 @@ def _mask(indices) -> int:
 def trivial_complex() -> BifilteredComplex:
     """One generator at (0, 0), grading 0: the unknot complex."""
     return BifilteredComplex(
-        (Generator("u0", 0, 0, 0),), (frozenset(),), frozenset({0})
+        (Generator("u0", 0, 0, 0),), ((),), frozenset({0})
     )
 
 
@@ -157,31 +172,25 @@ def staircase_complex(steps: StepVector) -> BifilteredComplex:
     gens = tuple(
         Generator(f"x{i}", px, py, i % 2) for i, (px, py) in enumerate(pts)
     )
-    bnd = tuple(
-        frozenset({i - 1, i + 1}) if i % 2 else frozenset() for i in range(len(pts))
-    )
+    bnd = tuple((i - 1, i + 1) if i % 2 else () for i in range(len(pts)))
     return BifilteredComplex(gens, bnd, frozenset({0}))
 
 
 def tensor(c: BifilteredComplex, d: BifilteredComplex) -> BifilteredComplex:
     """Tensor product over GF(2); filtrations and gradings add."""
     nd = len(d.generators)
-
-    def idx(i: int, j: int) -> int:
-        return i * nd + j
-
     gens = []
     bnd = []
-    for i, a in enumerate(c.generators):
-        for j, b in enumerate(d.generators):
+    for i, (a, crow) in enumerate(zip(c.generators, c.boundary)):
+        # generator (i, j) has index i * nd + j
+        scaled, base = [i2 * nd for i2 in crow], i * nd
+        for j, (b, drow) in enumerate(zip(d.generators, d.boundary)):
             gens.append(
                 Generator(f"({a.name}|{b.name})", a.alg + b.alg, a.alex + b.alex,
                           a.maslov + b.maslov)
             )
-            targets = {idx(i2, j) for i2 in c.boundary[i]}
-            targets |= {idx(i, j2) for j2 in d.boundary[j]}
-            bnd.append(frozenset(targets))
-    rep = frozenset(idx(i, j) for i in c.h0_rep for j in d.h0_rep)
+            bnd.append(tuple(sorted([x + j for x in scaled] + [base + y for y in drow])))
+    rep = frozenset(i * nd + j for i in c.h0_rep for j in d.h0_rep)
     return BifilteredComplex(tuple(gens), tuple(bnd), rep)
 
 
@@ -190,11 +199,11 @@ def dual(c: BifilteredComplex) -> BifilteredComplex:
     gens = tuple(
         Generator(g.name + "'", -g.alg, -g.alex, -g.maslov) for g in c.generators
     )
-    rev: list[set[int]] = [set() for _ in gens]
+    rev: list[list[int]] = [[] for _ in gens]
     for i, targets in enumerate(c.boundary):
         for j in targets:
-            rev[j].add(i)
-    bnd = tuple(frozenset(s) for s in rev)
+            rev[j].append(i)  # i increases, so each list stays sorted
+    bnd = tuple(map(tuple, rev))
     return BifilteredComplex(gens, bnd, _h0_from_parts(gens, bnd))
 
 
@@ -228,7 +237,7 @@ def direct_sum_with_box(c: BifilteredComplex, corner_alg: int, corner_alex: int,
     bot = Generator(f"box{k}b", corner_alg - width, corner_alex - height,
                     top_maslov - 1)
     gens = c.generators + (top, bot)
-    bnd = c.boundary + (frozenset({k + 1}), frozenset())
+    bnd = c.boundary + ((k + 1,), ())
     return BifilteredComplex(gens, bnd, c.h0_rep)
 
 
@@ -274,11 +283,15 @@ class _ExpressionScanner:
     def integer(self) -> int:
         self.skip_ws()
         start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
+        while self.pos < len(self.text) and self.text[self.pos].isdecimal():
             self.pos += 1
         if self.pos == start:
             self.fail("expected an integer")
-        return int(self.text[start:self.pos])
+        try:
+            return int(self.text[start:self.pos])
+        except ValueError:  # more digits than sys.get_int_max_str_digits()
+            digits, self.pos = self.pos - start, start
+            self.fail(f"integer of {digits} digits is too long")
 
     def expr(self, sign: int) -> list[tuple[int, int, int]]:
         factors = self.term(sign)

@@ -214,7 +214,7 @@ def test_acceptance_6e_boundary_squares_to_zero():
         for i in range(len(c.generators)):
             acc = frozenset()
             for j in c.boundary[i]:
-                acc ^= c.boundary[j]
+                acc ^= frozenset(c.boundary[j])
             assert not acc
     done("ACCEPTANCE 6e (boundary squares to zero, 100 cases)")
 

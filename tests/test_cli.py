@@ -474,6 +474,41 @@ class TestSizeGuard:
         assert code == 2 and out == ""
         assert "9997" in err
 
+    @pytest.mark.parametrize("argv", [
+        ["invariants", "T(2,{nines})"],
+        ["distinguish", "T(2,3)", "-T(2,{nines})"],
+        ["plot", "T(2,{nines})", "--out", "{tmp}/p.csv"],
+    ], ids=lambda argv: argv[0])
+    def test_overlong_integer_is_bad_input(self, capsys, tmp_path, argv):
+        # more digits than int() converts by default (sys.int_info.default_max_str_digits)
+        argv = [a.format(nines="9" * 4400, tmp=tmp_path) for a in argv]
+        started = time.perf_counter()
+        code, out, err = run_capture(capsys, argv)
+        assert time.perf_counter() - started < 1
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1 and err.startswith("error: ")
+        assert "4400 digits" in err
+        assert not (tmp_path / "p.csv").exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["invariants", "T(2,3)"],
+        ["distinguish", "T(2,3)", "T(2,5)"],
+        ["plot", "T(2,3)", "--out", "{tmp}/p.csv"],
+        ["conjecture", "5", "2"],
+        ["verify-recursion", "2", "5"],
+        ["staircase", "2", "3"],
+    ], ids=lambda argv: argv[0])
+    def test_limit_below_one_is_a_usage_error(self, capsys, tmp_path, argv):
+        for limit in ("0", "-5"):
+            with pytest.raises(SystemExit) as info:
+                run([a.format(tmp=tmp_path) for a in argv] + ["--max-generators", limit])
+            assert info.value.code == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith("usage: ")
+            assert f"argument --max-generators: must be at least 1, got {limit}" in captured.err
+        assert not (tmp_path / "p.csv").exists()
+
 
 # (subcommand, bad input, good input, the cfk.cli name the good input calls)
 BOUNDARY_CASES = [

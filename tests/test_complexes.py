@@ -1,6 +1,7 @@
 import json
 import random
 import time
+import tracemalloc
 from math import gcd
 
 import pytest
@@ -35,7 +36,7 @@ class TestStaircase:
             (0, 3, 0), (1, 3, 1), (1, 1, 0), (3, 1, 1), (3, 0, 0)
         ]
         # d(1,3) = (0,3) + (1,1)
-        assert c.boundary[1] == frozenset({0, 2})
+        assert c.boundary[1] == (0, 2)
         assert c.h0_rep == frozenset({0})
 
     def test_t57_contains_pivot_vertices(self):
@@ -222,6 +223,64 @@ class TestBox:
         assert boxed.h0_rep == c.h0_rep
 
 
+def _canonical_rows(c):
+    return all(type(row) is tuple and list(row) == sorted(set(row)) for row in c.boundary)
+
+
+class TestRepresentation:
+    def test_generator_has_no_instance_dict(self):
+        g = Generator("a", 0, 0, 0)
+        assert not hasattr(g, "__dict__")
+        with pytest.raises(AttributeError):
+            g.alg = 1
+
+    def test_every_constructor_gives_strictly_increasing_tuples(self):
+        a, b = torus_knot_complex(3, 4), torus_knot_complex(2, 5)
+        for c in (
+            trivial_complex(),
+            staircase_complex(StepVector((1, 2, 2, 1))),
+            a,
+            dual(a),
+            tensor(a, b),
+            tensor(dual(b), a),
+            direct_sum_with_box(tensor(a, b), 1, 2, 2, 1, 1),
+            parse_knot_expression("T(2,3) # -T(3,4) # T(2,5)"),
+        ):
+            assert type(c.boundary) is tuple
+            assert _canonical_rows(c)
+
+    def test_any_iterable_of_indices_gives_the_canonical_complex(self):
+        c = parse_knot_expression("T(2,3) # -T(3,4)")
+        rows = c.boundary
+        assert any(len(row) > 1 for row in rows)
+        for spell in (set, frozenset, list, lambda row: tuple(reversed(row)),
+                      lambda row: row + row[:1]):
+            other = BifilteredComplex(c.generators, [spell(row) for row in rows], c.h0_rep)
+            assert other == c and hash(other) == hash(c)
+            assert other.boundary == tuple(tuple(sorted(row)) for row in rows)
+            assert _canonical_rows(other)
+
+    def test_box_shares_the_rows_and_generators_of_its_base(self):
+        c = parse_knot_expression("T(2,5) # T(5,6)")
+        boxed = direct_sum_with_box(direct_sum_with_box(c, 3, 3, 1, 1, 1), 0, 0, 2, 1, 0)
+        for i in range(len(c.generators)):
+            assert boxed.boundary[i] is c.boundary[i]
+            assert boxed.generators[i] is c.generators[i]
+
+    def test_memory_per_complex(self):
+        # about 292 KB with frozenset rows and instance dicts on the generators
+        parse_knot_expression("T(2,3)")
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            c = parse_knot_expression("T(3,5) # T(4,5) # T(7,8)")
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(c.generators) == 637
+        assert held <= 200 * 1024
+
+
 class TestParser:
     def test_single_torus_knot(self):
         assert len(parse_knot_expression("T(3,4)").generators) == 5
@@ -258,6 +317,18 @@ class TestParser:
     def test_missing_integer(self):
         with pytest.raises(KnotExpressionError):
             parse_knot_expression("T(,3)")
+
+    def test_integer_too_long_to_convert(self):
+        # int() refuses more than sys.int_info.default_max_str_digits (4300) digits
+        with pytest.raises(KnotExpressionError, match="4400 digits") as info:
+            parse_knot_factors("T(3,4) # T(2," + "9" * 4400 + ")")
+        assert info.value.position == 13
+
+    def test_non_decimal_digit_is_a_syntax_error(self):
+        # '\u00b2' (superscript two) is a digit to str.isdigit but not to int()
+        with pytest.raises(KnotExpressionError) as info:
+            parse_knot_factors("T(2,3\u00b2)")
+        assert info.value.position == 5
 
     def test_unknot_variants(self):
         assert len(parse_knot_expression("T(1,5)").generators) == 1
