@@ -16,7 +16,7 @@ import sys
 import tempfile
 import time
 from fractions import Fraction
-from math import gcd
+from math import gcd, log10
 
 from .complexes import (
     BifilteredComplex,
@@ -60,8 +60,19 @@ def _check_size(expression: str, limit: int) -> None:
     count = f"at least {at_least[0]}" if at_least else expression_size(expression)
     if at_least or count > limit:
         raise ComplexTooLargeError(
-            f"{expression} has {count} generators, more than --max-generators {limit}"
+            f"{expression} has {_count_text(count)} generators, "
+            f"more than --max-generators {limit}"
         )
+
+
+def _count_text(count) -> str:
+    """count in decimal, or its number of digits where str() refuses an int that long."""
+    try:
+        return str(count)
+    except ValueError:  # past sys.get_int_max_str_digits()
+        # count has `digits` or `digits + 1` digits, as log10(2) < 1
+        digits = int(count.bit_length() * log10(2))
+        return f"a {digits + (count >= 10 ** digits)}-digit number of"
 
 
 def _fmt(x: Fraction) -> str:

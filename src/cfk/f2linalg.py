@@ -79,14 +79,14 @@ def in_span(vectors: Iterable[int], target: int) -> bool:
 Column = tuple[int, int]  # (vector, tag)
 
 
-def by_threshold(thresholds: Sequence, columns: Sequence[Column]):
+def by_threshold(thresholds: Sequence, columns):
     """Batches (threshold, columns) in increasing threshold order.
 
-    Column k sits at ``thresholds[k]``; ties keep index order.  Batches are
-    produced lazily, so a caller that stops early sorts but never groups the
-    rest.
+    Column k is ``columns[k]`` and sits at ``thresholds[k]``; ties keep index
+    order.  Batches are produced lazily, so a caller that stops early sorts
+    but never groups the rest, and never reads the columns it did not reach.
     """
-    order = sorted(range(len(columns)), key=thresholds.__getitem__)
+    order = sorted(range(len(thresholds)), key=thresholds.__getitem__)
     for value, group in groupby(order, key=thresholds.__getitem__):
         yield value, [columns[k] for k in group]
 

@@ -15,7 +15,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, starmap
+from operator import sub
 
 from .complexes import BifilteredComplex, Generator, UnsupportedComplexError, _mask
 from .exactnum import PiecewiseLinear, check_parameter
@@ -91,33 +92,56 @@ class GammaCertificate:
     levels: tuple[Fraction, ...]
 
 
+def _sector_layout(c: BifilteredComplex):
+    """Sector positions, (Alex, alg) grades and position bits, in one pass.
+
+    Returns ``(even_ids, odd_ids)``, ``(even_grades, odd_grades)`` and
+    ``bit``: element k of the grading-0 sector is generator ``even_ids[k]``
+    shifted by U^(maslov // 2), with (Alex, alg) ``even_grades[k]`` (likewise
+    for grading 1), and ``bit[i]`` is 1 << (position of generator i within
+    its sector).
+    """
+    ids, grades = ([], []), ([], [])  # by parity of the grading
+    bit = []
+    for i, g in enumerate(c.generators):
+        parity, shift = g.maslov & 1, g.maslov >> 1
+        bit.append(1 << len(ids[parity]))
+        ids[parity].append(i)
+        grades[parity].append((g.alex - shift, g.alg - shift))
+    return ids, grades, bit
+
+
 class _SectorTables:
-    """Graded sectors and the boundary blocks between them, as integers.
+    """Graded sectors and every boundary block between them, as integers.
 
     The boundary of the U-completed complex restricted to the grading-0 and
     grading-1 sectors equals the fundamental boundary restricted to even and
     odd generators, so all homology questions reduce to two bit matrices:
     ``d_even[k]`` is the boundary of even element k over the odd sector and
-    ``d_odd[j]`` that of odd element j over the even sector.  Element k is
-    generator ``even_ids[k]`` (``odd_ids[j]``) shifted by U^(maslov // 2),
-    and ``even_grades`` (``odd_grades``) hold its (Alex, alg).
+    ``d_odd[j]`` that of odd element j over the even sector.  Every row is
+    built up front, for the verifiers and the class functional, which read
+    them all; the search engine builds its rows on demand instead.
     """
 
     def __init__(self, c: BifilteredComplex):
-        self.generators = c.generators
-        ids, grades = ([], []), ([], [])  # by parity of the grading
-        bit = []  # 1 << (position of each generator within its sector)
-        for i, g in enumerate(c.generators):
-            parity, shift = g.maslov & 1, g.maslov >> 1
-            bit.append(1 << len(ids[parity]))
-            ids[parity].append(i)
-            grades[parity].append((g.alex - shift, g.alg - shift))
-        (self.even_ids, self.odd_ids), (self.even_grades, self.odd_grades) = ids, grades
+        (even_ids, odd_ids), _, bit = _sector_layout(c)
         # a boundary holds distinct generators, so summing their bits ORs them
         get = bit.__getitem__
-        self.d_even = [sum(map(get, c.boundary[i])) for i in self.even_ids]
-        self.d_odd = [sum(map(get, c.boundary[i])) for i in self.odd_ids]
+        self.d_even = [sum(map(get, c.boundary[i])) for i in even_ids]
+        self.d_odd = [sum(map(get, c.boundary[i])) for i in odd_ids]
         self.h0_mask = sum(map(get, c.h0_rep))
+
+
+class _Memo(dict):
+    """``memo[k]`` is ``build(k)``, computed on the first lookup and kept."""
+
+    def __init__(self, build):
+        super().__init__()
+        self._build = build
+
+    def __missing__(self, k):
+        value = self[k] = self._build(k)
+        return value
 
 
 _LAM = "_class_functional"  # key of the memoised lam in a complex's __dict__
@@ -146,27 +170,40 @@ def _class_functional(tables: _SectorTables) -> int:
     return lam
 
 
-class _SectorEngine(_SectorTables):
-    """Sector tables plus the class-detecting functional of the search.
+class _SectorEngine:
+    """The graded sectors, built lazily, and the class-detecting functional.
+
+    The sectors are laid out in one pass over the generators.  Boundary
+    rows (``d_even[k]``, ``d_odd[j]``, as in :class:`_SectorTables`) and the
+    columns the searches feed, ``class_columns[k]`` = ([d(e); lam(e)], 1 << k)
+    for even element k and ``odd_columns[j]`` = (d_odd[j], 1 << j), are
+    built on first lookup and kept on this engine, so a query pays only for
+    the elements that enter its filtrations.
 
     The functional lam vanishes on boundaries and takes value 1 on the
     distinguished representative; because the completed grading-0 homology
     has rank one (checked once), a cycle z represents that class exactly
     when lam(z) = 1, and a cycle with lam(z) = 0 is a boundary.  lam depends
-    only on the complex, so it is solved once per complex and kept, as one
-    int, in the complex's instance ``__dict__``.
+    only on the complex, so it is solved once per complex, from eager
+    tables, and kept, as one int, in the complex's instance ``__dict__``.
     """
 
     def __init__(self, c: BifilteredComplex):
-        super().__init__(c)
+        self.generators = c.generators
+        (even_ids, odd_ids), (self.even_grades, self.odd_grades), bit = _sector_layout(c)
+        self.even_ids, self.odd_ids = even_ids, odd_ids
+        get, rows = bit.__getitem__, c.boundary
+        self.d_even = d_even = _Memo(lambda k: sum(map(get, rows[even_ids[k]])))
+        self.d_odd = d_odd = _Memo(lambda j: sum(map(get, rows[odd_ids[j]])))
         lam = vars(c).get(_LAM)
         if lam is None:
-            lam = vars(c)[_LAM] = _class_functional(self)
-        # columns [d(e); lam(e)] of the even elements, tagged by position
-        last = 1 << len(self.d_odd)
-        self._class_columns = [
-            (d | last if lam >> k & 1 else d, 1 << k) for k, d in enumerate(self.d_even)
-        ]
+            lam = vars(c)[_LAM] = _class_functional(_SectorTables(c))
+        last = 1 << len(odd_ids)
+        self.class_columns = _Memo(
+            lambda k: (d_even[k] | last if lam >> k & 1 else d_even[k], 1 << k))
+        self.odd_columns = _Memo(lambda j: (d_odd[j], 1 << j))
+        # bounds the slope part of the packed side keys
+        self._spread = max(map(abs, starmap(sub, self.even_grades)))
 
     def elements(self, ids: list[int], positions) -> list[SectorElement]:
         """The elements at ``positions`` of the sector of ``ids``, built on demand."""
@@ -181,8 +218,8 @@ class _SectorEngine(_SectorTables):
         is the cycle and the kernel tags are cycles with lam = 0: boundaries.
         Cycles are bitmasks over the even sector.
         """
-        key, cycle, null_cycles = first_entry(by_threshold(keys, self._class_columns),
-                                              1 << len(self.d_odd))
+        key, cycle, null_cycles = first_entry(by_threshold(keys, self.class_columns),
+                                              1 << len(self.odd_ids))
         if key is None:
             raise AssertionError("the distinguished class was not reachable at any level")
         return key, cycle, null_cycles
@@ -197,25 +234,25 @@ class _SectorEngine(_SectorTables):
 
         Elements enter in (level, sign*slope) order at t0, the order of their
         levels just beside t0, so the entry key is the side gamma jet.  At
-        t0 = a/b the keys are that pair scaled by (2b, 2), in integers.
+        t0 = a/b that pair, scaled by (2b, 2), is (a*Alex + (2b - a)*alg,
+        sign*(Alex - alg)); it is packed into the one int level*W + slope,
+        which orders the same way because |slope| < W/2.
         """
-        grades = self.even_grades
-        keys = [(lv, sign * (x - y)) for lv, (x, y) in zip(_scaled_levels(grades, t0), grades)]
+        spread = self._spread  # max |Alex - alg| over the sector
+        width = 2 * spread + 1
+        a, b = t0.numerator, t0.denominator
+        u, v = a * width + sign, (2 * b - a) * width - sign
+        keys = [u * x + v * y for x, y in self.even_grades]
         key, z0, null_cycles = self.entry(keys)
         admissible = [k for k, kk in enumerate(keys) if kk <= key]
-        jet = (Fraction(key[0], 2 * t0.denominator), Fraction(sign * key[1], 2))
+        scaled, slope = divmod(key + spread, width)
+        jet = (Fraction(scaled, 2 * b), Fraction(sign * (slope - spread), 2))
         return jet, admissible, z0, null_cycles
 
     def scaled_odd_levels(self, t0: Fraction) -> list[int]:
-        """2b times the grading-1 levels at t0 = a/b."""
-        return _scaled_levels(self.odd_grades, t0)
-
-
-def _scaled_levels(grades: list[tuple[int, int]], t0: Fraction) -> list[int]:
-    """2b*level = a*Alex + (2b - a)*alg for each (Alex, alg), at t0 = a/b."""
-    a, b = t0.numerator, t0.denominator
-    c = 2 * b - a
-    return [a * x + c * y for x, y in grades]
+        """2b times the grading-1 levels at t0 = a/b: a*Alex + (2b - a)*alg."""
+        a, c = t0.numerator, 2 * t0.denominator - t0.numerator
+        return [a * x + c * y for x, y in self.odd_grades]
 
 
 def _bits(mask: int) -> list[int]:

@@ -149,13 +149,12 @@ def gamma2_at(c: BifilteredComplex, t0,
     gives w and z_minus, and z_plus = z_minus + dw.
     """
     engine, t0, ((gamma0, _), _, z0m, null_m), (_, _, z0p, null_p) = _sides(c, t0, ups)
-    n_odd = len(engine.d_odd)
+    n_odd = len(engine.odd_ids)
     seed = [(v, v << n_odd) for v in null_m] + [(v, 0) for v in null_p]
     scale = 2 * t0.denominator  # thresholds are levels times 2b, in integers
     floor = int(gamma0 * scale)
-    thresholds = [max(lv, floor) for lv in engine.scaled_odd_levels(t0)]
-    columns = [(d, 1 << j) for j, d in enumerate(engine.d_odd)]
-    batches = chain([(floor, seed)], by_threshold(thresholds, columns))
+    thresholds = [lv if lv > floor else floor for lv in engine.scaled_odd_levels(t0)]
+    batches = chain([(floor, seed)], by_threshold(thresholds, engine.odd_columns))
     r_star, tag, _ = first_entry(batches, z0m ^ z0p)
     if r_star is None:
         raise AssertionError("side classes must merge once every element is admissible")

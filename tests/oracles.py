@@ -11,11 +11,13 @@ one.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, groupby
 
 from cfk import sector
+from cfk.f2linalg import first_entry
 from cfk.semigroup import _validate_pq
-from cfk.upsilon import level, level_slope
+from cfk.upsilon import _SectorTables, _class_functional, level, level_slope
+from cfk.upsilon2 import Gamma2Certificate, MergeWitness
 
 
 # ---------------------------------------------------------------------------
@@ -295,3 +297,65 @@ def brute_gamma2(c, t0, ups) -> Fraction:
                 if tuple(tables.boundary_of_odd_subset(subset)) in sums:
                     return r
     raise AssertionError("the sides never merged; this cannot happen")
+
+
+# ---------------------------------------------------------------------------
+# the eager side and gamma2 passes that the lazy sector engine replaced:
+# whole integer tables, tuple keys, every batch built by one full sort, and a
+# full admissible scan.  Same elimination order, so same pivots and tags.
+
+
+def _eager_batches(thresholds, columns):
+    order = sorted(range(len(columns)), key=thresholds.__getitem__)
+    return [(value, [columns[k] for k in group])
+            for value, group in groupby(order, key=thresholds.__getitem__)]
+
+
+def _positions(mask):
+    return [k for k in range(mask.bit_length()) if mask >> k & 1]
+
+
+def eager_side(c, t0, sign):
+    """(jet, admissible positions, class cycle, null cycles) at t0 + sign*delta.
+
+    Keys are (2b*level, 2*sign*slope) tuples at t0 = a/b; the columns
+    [d(e); lam(e)] of every even element are built before the search.
+    """
+    tables = _SectorTables(c)
+    lam = _class_functional(tables)
+    last = 1 << len(tables.d_odd)
+    columns = [(d | last if lam >> k & 1 else d, 1 << k) for k, d in enumerate(tables.d_even)]
+    a, b = t0.numerator, t0.denominator
+    keys = [(a * e.alex + (2 * b - a) * e.alg, sign * (e.alex - e.alg)) for e in sector(c, 0)]
+    key, z0, null_cycles = first_entry(_eager_batches(keys, columns), last)
+    admissible = [k for k, kk in enumerate(keys) if kk <= key]
+    jet = (Fraction(key[0], 2 * b), Fraction(sign * key[1], 2))
+    return jet, admissible, z0, null_cycles
+
+
+def eager_gamma2(c, t0) -> Gamma2Certificate:
+    """gamma2 at a positive singularity t0, every grading-1 column built first."""
+    (gamma0, _), _, z0m, null_m = eager_side(c, t0, -1)
+    _, _, z0p, null_p = eager_side(c, t0, 1)
+    tables = _SectorTables(c)
+    even, odd = sector(c, 0), sector(c, 1)
+    n_odd = len(odd)
+    seed = [(v, v << n_odd) for v in null_m] + [(v, 0) for v in null_p]
+    scale = 2 * t0.denominator
+    floor = int(gamma0 * scale)
+    thresholds = [max(level(t0, e) * scale, floor) for e in odd]
+    columns = [(d, 1 << j) for j, d in enumerate(tables.d_odd)]
+    r_star, tag, _ = first_entry([(floor, seed)] + _eager_batches(thresholds, columns),
+                                 z0m ^ z0p)
+    wmask = tag & ((1 << n_odd) - 1)
+    zm = z0m ^ (tag >> n_odd)
+    zp = zm
+    for j in _positions(wmask):
+        zp ^= tables.d_odd[j]
+    witness = MergeWitness(
+        z_minus=frozenset(even[k] for k in _positions(zm)),
+        z_plus=frozenset(even[k] for k in _positions(zp)),
+        w=frozenset(odd[j] for j in _positions(wmask)),
+    )
+    return Gamma2Certificate(t0=t0, gamma=gamma0, gamma2=Fraction(r_star, scale),
+                             witness=witness)

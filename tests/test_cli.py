@@ -491,6 +491,23 @@ class TestSizeGuard:
         assert not (tmp_path / "p.csv").exists()
 
     @pytest.mark.parametrize("argv", [
+        ["invariants", "T(2,{nines}) # T(2,{nines})"],
+        ["distinguish", "T(2,3)", "T(2,{nines}) # -T(2,{nines})"],
+        ["plot", "T(2,{nines}) # T(2,{nines})", "--out", "{tmp}/p.csv"],
+    ], ids=lambda argv: argv[0])
+    def test_count_with_more_digits_than_str_converts(self, capsys, tmp_path, argv):
+        # each parameter parses, but their product has 6000 digits
+        argv = [a.format(nines="9" * 3000, tmp=tmp_path) for a in argv]
+        started = time.perf_counter()
+        code, out, err = run_capture(capsys, argv)
+        assert time.perf_counter() - started < 1
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1 and err.startswith("error: ")
+        assert err.endswith(" has a 6000-digit number of generators, "
+                           "more than --max-generators 5000\n")
+        assert not (tmp_path / "p.csv").exists()
+
+    @pytest.mark.parametrize("argv", [
         ["invariants", "T(2,3)"],
         ["distinguish", "T(2,3)", "T(2,5)"],
         ["plot", "T(2,3)", "--out", "{tmp}/p.csv"],

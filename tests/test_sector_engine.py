@@ -24,6 +24,7 @@ from cfk.upsilon import (
     CertificateError,
     _LAM,
     _SectorEngine,
+    _SectorTables,
     gamma_at,
     sector,
     upsilon,
@@ -36,14 +37,15 @@ from cfk.upsilon2 import (
     upsilon2_at,
     verify_gamma2_certificate,
 )
-from oracles import SectorTables, brute_gamma2
+from oracles import SectorTables, brute_gamma2, eager_gamma2, eager_side
 
-# the package attribute cfk.upsilon is the function, so reach the module here
+# the package attributes cfk.upsilon and cfk.upsilon2 are not the modules
 UPSILON = sys.modules["cfk.upsilon"]
+UPSILON2 = sys.modules["cfk.upsilon2"]
 
 
-def random_complexes(seed, count, pairs):
-    """Seeded sums of 1-3 torus knots, some mirrored, some with box summands."""
+def random_complexes(seed, count, pairs, max_boxes=2):
+    """Seeded sums of 1-3 torus knots, some mirrored, with 0 to max_boxes boxes."""
     rng = random.Random(seed)
     out = []
     for _ in range(count):
@@ -52,7 +54,7 @@ def random_complexes(seed, count, pairs):
             for _ in range(rng.randrange(1, 4))
         )
         c = parse_knot_expression(expr)
-        for _ in range(rng.randrange(0, 3)):
+        for _ in range(rng.randrange(0, max_boxes + 1)):
             c = direct_sum_with_box(c, rng.randrange(-5, 8), rng.randrange(-5, 8),
                                     rng.randrange(1, 3), rng.randrange(1, 3),
                                     rng.randrange(-1, 3))
@@ -180,9 +182,14 @@ def test_integer_tables_match_the_sectors(seed):
         assert engine.elements(engine.even_ids, range(len(even))) == list(even), expr
         assert engine.elements(engine.odd_ids, range(len(odd))) == list(odd), expr
         assert engine.elements(engine.even_ids, [2, 0]) == [even[2], even[0]], expr
-        assert engine.d_even == [oracle_mask(row) for row in oracle.d_even], expr
-        assert engine.d_odd == [oracle_mask(row) for row in oracle.d_odd], expr
-        assert engine.h0_mask == oracle_mask(oracle.h0), expr
+        d_even = [oracle_mask(row) for row in oracle.d_even]
+        d_odd = [oracle_mask(row) for row in oracle.d_odd]
+        # the engine builds a row on first lookup: materialise every position
+        assert [engine.d_even[k] for k in range(len(even))] == d_even, expr
+        assert [engine.d_odd[j] for j in range(len(odd))] == d_odd, expr
+        tables = _SectorTables(c)
+        assert (tables.d_even, tables.d_odd) == (d_even, d_odd), expr
+        assert tables.h0_mask == oracle_mask(oracle.h0), expr
 
 
 def test_gamma2_matches_exhaustive_triples_on_random_complexes():
@@ -197,3 +204,46 @@ def test_gamma2_matches_exhaustive_triples_on_random_complexes():
             assert gamma2_at(c, t0, ups=ups).gamma2 == expected, (expr, t0)
             compared += 1
     assert compared >= 10
+
+
+@pytest.mark.parametrize("seed", [5, 6])
+def test_lazy_engine_matches_the_eager_passes(seed):
+    # the engine builds rows and columns on first use and packs its side
+    # keys into ints; the eager passes build everything and sort tuples
+    pairs = [(2, 3), (2, 5), (3, 4), (3, 5), (2, 7), (4, 5), (3, 7), (5, 6)]
+    singular = 0
+    for expr, c in random_complexes(seed, 10, pairs, max_boxes=3):
+        ups = upsilon(c)
+        t0s = positive_singularities(ups)
+        for t0 in t0s + [F(97, 113), F(1, 977), F(1999, 1000), F(355, 226), F(7919, 7920)]:
+            engine = _SectorEngine(c)
+            for sign in (-1, 1):
+                assert engine.side(t0, sign) == eager_side(c, t0, sign), (expr, t0, sign)
+        for t0 in t0s:
+            assert gamma2_at(c, t0, ups=ups) == eager_gamma2(c, t0), (expr, t0)
+            singular += 1
+    assert singular >= 10
+
+
+def test_a_query_builds_at_most_half_of_each_sector(monkeypatch):
+    # counts rows built, never time: the search feeds few of the 319 grading-0
+    # and 318 grading-1 elements before the class enters and the sides merge
+    engines = []
+
+    class Recording(_SectorEngine):
+        def __init__(self, c):
+            super().__init__(c)
+            engines.append(self)
+
+    monkeypatch.setattr(UPSILON2, "_SectorEngine", Recording)
+    c = parse_knot_expression("T(3,5) # T(4,5) # T(7,8)")
+    assert len(c.generators) == 637
+    ups = sum((upsilon(parse_knot_expression(f"T({p},{q})")) for p, q in ((4, 5), (7, 8))),
+              upsilon(parse_knot_expression("T(3,5)")))
+    t0s = positive_singularities(ups)
+    assert len(t0s) == 11
+    for t0 in t0s:
+        upsilon2_at(c, t0, ups=ups)
+        engine = engines.pop()
+        assert 2 * len(engine.d_even) <= len(engine.even_ids), t0
+        assert 2 * len(engine.d_odd) <= len(engine.odd_ids), t0
