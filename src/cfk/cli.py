@@ -36,6 +36,7 @@ from .upsilon2 import upsilon2_at
 
 SCHEMA_VERSION = 1
 CACHE_ENV_VAR = "CFK_CACHE_DIR"
+_REPORT_KEYS = {"schema_version", "expression", "generator_count", "upsilon", "singularities"}
 
 EXIT_OK = 0
 EXIT_NOT_DISTINGUISHED = 1
@@ -130,15 +131,16 @@ def _cache_path(cache_dir: str, canonical: str) -> str:
 def _read_cache(path: str, canonical: str):
     """The cached report for canonical, or None for a miss.
 
-    An entry that cannot be read or parsed, is not a JSON object, or has
-    another schema version or expression is a miss, and gets rewritten.
+    An entry that cannot be read or parsed, is not a JSON object, has other
+    keys than a report, or another schema version or expression is a miss,
+    and gets rewritten.
     """
     try:
         with open(path, encoding="utf-8") as fh:
             report = json.load(fh)
     except (OSError, ValueError):
         return None
-    if (not isinstance(report, dict)
+    if (not isinstance(report, dict) or report.keys() != _REPORT_KEYS
             or report.get("schema_version") != SCHEMA_VERSION
             or report.get("expression") != canonical):
         return None

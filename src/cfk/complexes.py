@@ -1,23 +1,26 @@
 """Bifiltered GF(2) chain complexes generated by torus-knot staircases.
 
 A complex stores one fundamental copy of its generators together with the
-boundary map and a distinguished degree-0 homology representative.  The
-U-action shifting filtration by (-1,-1) and grading by -2 is kept implicit;
-whole graded sectors of the U-completed complex are enumerated on demand in
-:mod:`cfk.upsilon`.
+boundary map, a distinguished degree-0 homology representative h0 and the
+class functional lam.  The U-action shifting filtration by (-1,-1) and
+grading by -2 is kept implicit; whole graded sectors of the U-completed
+complex are enumerated on demand in :mod:`cfk.upsilon`.
 
-Every constructor validates the chain-complex axioms: the boundary drops the
+Every complex validates the chain-complex axioms: the boundary drops the
 grading by exactly one, never increases either filtration, squares to zero,
-and the distinguished representative is a cycle that is not a boundary.
+h0 is a cycle, and lam, supported in grading 0, vanishes on boundaries and
+is 1 on h0, so h0 is not a boundary.  The public constructor finds lam by
+elimination and refuses a complex whose completed grading-0 homology does
+not have rank one; the builders derive it from their inputs in linear time.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import reduce
 from math import gcd
 
-from .f2linalg import Echelon, in_span
+from .f2linalg import Echelon, first_entry
 from .semigroup import (
     InvalidTorusKnotError,
     StepVector,
@@ -58,26 +61,44 @@ class BifilteredComplex:
     is accepted and normalised to that form, and a row already in it is kept
     as the same object.  ``h0_rep`` is the index set of a degree-0 cycle
     generating the homology of the fundamental copy.
+
+    ``lam`` is the class functional, a mask over the indices of grading-0
+    generators: a cycle z of the completed grading-0 sector represents the
+    h0 class exactly when lam(z) = 1.  It is fixed when the complex is built
+    and takes no part in equality, hashing or repr.
     """
 
     generators: tuple[Generator, ...]
     boundary: tuple[tuple[int, ...], ...]
     h0_rep: frozenset[int]
+    lam: int = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):
+    @classmethod
+    def _derived(cls, generators, boundary, h0_rep, lam: int) -> BifilteredComplex:
+        """A builder's complex, with the class functional derived from its inputs."""
+        c = cls.__new__(cls)
+        object.__setattr__(c, "generators", generators)
+        object.__setattr__(c, "boundary", boundary)
+        object.__setattr__(c, "h0_rep", h0_rep)
+        c.__post_init__(lam)
+        return c
+
+    def __post_init__(self, lam: int | None = None):
         object.__setattr__(self, "generators", tuple(self.generators))
         object.__setattr__(self, "boundary", tuple(self.boundary))
         object.__setattr__(self, "h0_rep", frozenset(self.h0_rep))
-        if not self._validate():
+        if not self._validate(lam):
             object.__setattr__(self, "boundary", tuple(
                 tuple(sorted(set(targets))) for targets in self.boundary))
-            self._validate()
+            self._validate(lam)
 
-    def _validate(self) -> bool:
+    def _validate(self, lam: int | None) -> bool:
         """Raise ValueError on a broken axiom; False if a boundary row is not canonical.
 
         A canonical row is a strictly increasing tuple of indices.  The checks
         stop at the first row that is not, before the rows are read as masks.
+        A lam of None is solved by elimination; any lam is then checked in
+        O(nnz) and kept.
         """
         gens, bnd, rep = self.generators, self.boundary, self.h0_rep
         n = len(gens)
@@ -119,9 +140,16 @@ class BifilteredComplex:
             acc ^= masks[i]
         if acc:
             raise ValueError("h0 representative is not a cycle")
-        image = [masks[i] for i in range(n) if gens[i].maslov == 1]
-        if in_span(image, _mask(rep)):
-            raise ValueError("h0 representative is a boundary")
+        h0 = _mask(rep)
+        if lam is None:
+            lam = _solve_lam(gens, bnd, masks, h0)
+        if lam < 0 or lam >> n or any(gens[i].maslov for i in _bits(lam)):
+            raise ValueError("the class functional must be supported in grading 0")
+        if any((lam & m).bit_count() & 1 for m in masks):
+            raise ValueError("the class functional does not vanish on boundaries")
+        if not (lam & h0).bit_count() & 1:
+            raise ValueError("the class functional is not 1 on the h0 representative")
+        object.__setattr__(self, "lam", lam)
         return True
 
     def to_json_dict(self) -> dict:
@@ -146,10 +174,45 @@ def _mask(indices) -> int:
     return out
 
 
+def _bits(mask: int) -> list[int]:
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
+def _solve_lam(gens, bnd, masks: list[int], h0: int) -> int:
+    """lam with lam . d = 0 on every boundary and lam . h0 = 1, after the rank-one check."""
+    # The grading-0 and grading-1 sectors hold the generators of even and odd
+    # grading.  Reduce e_last against the columns of the rows [d_odd; h0],
+    # tagging the column of even generator i with 1 << i.
+    last = 1 << len(gens)
+    columns = {i: last if h0 >> i & 1 else 0 for i, g in enumerate(gens) if not g.maslov & 1}
+    for j, g in enumerate(gens):
+        if g.maslov & 1:
+            for i in bnd[j]:
+                columns[i] |= 1 << j
+    _, lam, relations = first_entry(
+        [(None, [(v, 1 << i) for i, v in columns.items()])], last)
+    if lam is None:
+        raise ValueError("h0 representative is a boundary")
+    # The relations among those columns number #even - rank(d_odd) - 1, as
+    # h0 is not a boundary; homology has rank one when that is rank(d_even).
+    cycles = Echelon()
+    if len(relations) != sum(cycles.add(masks[i]) for i in columns):
+        raise UnsupportedComplexError(
+            "not a knot-like complex in scope: completed grading-0 homology "
+            "must have rank one"
+        )
+    return lam
+
+
 def trivial_complex() -> BifilteredComplex:
     """One generator at (0, 0), grading 0: the unknot complex."""
-    return BifilteredComplex(
-        (Generator("u0", 0, 0, 0),), ((),), frozenset({0})
+    return BifilteredComplex._derived(
+        (Generator("u0", 0, 0, 0),), ((),), frozenset({0}), 1
     )
 
 
@@ -160,6 +223,7 @@ def staircase_complex(steps: StepVector) -> BifilteredComplex:
     horizontal-right and vertical-down moves of the given lengths, and ends
     at (V, 0).  Even path positions (vertices) sit in grading 0; odd ones
     (corners) sit in grading 1 with boundary the two neighbouring vertices.
+    h0 is the first vertex and lam the sum of all vertices.
     """
     x, y = 0, sum(steps.vertical)
     pts = [(x, y)]
@@ -173,11 +237,11 @@ def staircase_complex(steps: StepVector) -> BifilteredComplex:
         Generator(f"x{i}", px, py, i % 2) for i, (px, py) in enumerate(pts)
     )
     bnd = tuple((i - 1, i + 1) if i % 2 else () for i in range(len(pts)))
-    return BifilteredComplex(gens, bnd, frozenset({0}))
+    return BifilteredComplex._derived(gens, bnd, frozenset({0}), _mask(range(0, len(pts), 2)))
 
 
 def tensor(c: BifilteredComplex, d: BifilteredComplex) -> BifilteredComplex:
-    """Tensor product over GF(2); filtrations and gradings add."""
+    """Tensor product over GF(2); filtrations and gradings add, h0 and lam tensor."""
     nd = len(d.generators)
     gens = []
     bnd = []
@@ -191,11 +255,13 @@ def tensor(c: BifilteredComplex, d: BifilteredComplex) -> BifilteredComplex:
             )
             bnd.append(tuple(sorted([x + j for x in scaled] + [base + y for y in drow])))
     rep = frozenset(i * nd + j for i in c.h0_rep for j in d.h0_rep)
-    return BifilteredComplex(tuple(gens), tuple(bnd), rep)
+    # the blocks of lam(d) sit apart, so summing them ORs them
+    lam = sum(d.lam << i * nd for i in _bits(c.lam))
+    return BifilteredComplex._derived(tuple(gens), tuple(bnd), rep, lam)
 
 
 def dual(c: BifilteredComplex) -> BifilteredComplex:
-    """Rotate the diagram by 180 degrees and reverse all arrows."""
+    """Rotate the diagram by 180 degrees and reverse all arrows; h0 and lam swap."""
     gens = tuple(
         Generator(g.name + "'", -g.alg, -g.alex, -g.maslov) for g in c.generators
     )
@@ -204,27 +270,7 @@ def dual(c: BifilteredComplex) -> BifilteredComplex:
         for j in targets:
             rev[j].append(i)  # i increases, so each list stays sorted
     bnd = tuple(map(tuple, rev))
-    return BifilteredComplex(gens, bnd, _h0_from_parts(gens, bnd))
-
-
-def _h0_from_parts(gens, bnd) -> frozenset[int]:
-    zeros = [i for i, g in enumerate(gens) if g.maslov == 0]
-    ones = [i for i, g in enumerate(gens) if g.maslov == 1]
-    pos = {i: k for k, i in enumerate(zeros)}
-    cycles = Echelon()
-    for b, i in enumerate(zeros):
-        cycles.add(_mask(bnd[i]), 1 << b)
-    kernel = cycles.kernel
-    boundaries = Echelon()
-    for f in ones:
-        boundaries.add(_mask(pos[t] for t in bnd[f]))
-    residues = [k for k in kernel if not boundaries.contains(k)]
-    if len(kernel) - boundaries.rank != 1 or not residues:
-        raise UnsupportedComplexError(
-            "not a knot-like complex in scope: homology in grading 0 must have rank one"
-        )
-    k = residues[0]
-    return frozenset(zeros[b] for b in range(len(zeros)) if (k >> b) & 1)
+    return BifilteredComplex._derived(gens, bnd, frozenset(_bits(c.lam)), _mask(c.h0_rep))
 
 
 def direct_sum_with_box(c: BifilteredComplex, corner_alg: int, corner_alex: int,
@@ -238,7 +284,7 @@ def direct_sum_with_box(c: BifilteredComplex, corner_alg: int, corner_alex: int,
                     top_maslov - 1)
     gens = c.generators + (top, bot)
     bnd = c.boundary + ((k + 1,), ())
-    return BifilteredComplex(gens, bnd, c.h0_rep)
+    return BifilteredComplex._derived(gens, bnd, c.h0_rep, c.lam)
 
 
 def _torus_pair(p: int, q: int) -> tuple[int, int]:

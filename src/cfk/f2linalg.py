@@ -30,10 +30,6 @@ class Echelon:
         self._rows: dict[int, tuple[int, int]] = {}  # pivot bit -> (vector, tag)
         self.kernel: list[int] = []
 
-    @property
-    def rank(self) -> int:
-        return len(self._rows)
-
     def _reduce(self, vec: int, tag: int) -> tuple[int, int]:
         # Walk the set bits upward; a row changes no bit below its pivot, so
         # the bits still to visit are exactly those of ``pending``.

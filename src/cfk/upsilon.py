@@ -18,9 +18,9 @@ from fractions import Fraction
 from itertools import combinations, starmap
 from operator import sub
 
-from .complexes import BifilteredComplex, Generator, UnsupportedComplexError, _mask
+from .complexes import BifilteredComplex, Generator, _bits, _mask
 from .exactnum import PiecewiseLinear, check_parameter
-from .f2linalg import Echelon, by_threshold, first_entry, in_span
+from .f2linalg import by_threshold, first_entry, in_span
 
 
 class CertificateError(RuntimeError):
@@ -111,27 +111,6 @@ def _sector_layout(c: BifilteredComplex):
     return ids, grades, bit
 
 
-class _SectorTables:
-    """Graded sectors and every boundary block between them, as integers.
-
-    The boundary of the U-completed complex restricted to the grading-0 and
-    grading-1 sectors equals the fundamental boundary restricted to even and
-    odd generators, so all homology questions reduce to two bit matrices:
-    ``d_even[k]`` is the boundary of even element k over the odd sector and
-    ``d_odd[j]`` that of odd element j over the even sector.  Every row is
-    built up front, for the verifiers and the class functional, which read
-    them all; the search engine builds its rows on demand instead.
-    """
-
-    def __init__(self, c: BifilteredComplex):
-        (even_ids, odd_ids), _, bit = _sector_layout(c)
-        # a boundary holds distinct generators, so summing their bits ORs them
-        get = bit.__getitem__
-        self.d_even = [sum(map(get, c.boundary[i])) for i in even_ids]
-        self.d_odd = [sum(map(get, c.boundary[i])) for i in odd_ids]
-        self.h0_mask = sum(map(get, c.h0_rep))
-
-
 class _Memo(dict):
     """``memo[k]`` is ``build(k)``, computed on the first lookup and kept."""
 
@@ -144,48 +123,19 @@ class _Memo(dict):
         return value
 
 
-_LAM = "_class_functional"  # key of the memoised lam in a complex's __dict__
-
-
-def _class_functional(tables: _SectorTables) -> int:
-    """lam with lam . d_odd[j] = 0 for every j and lam . h0 = 1, after the rank check."""
-    # reduce e_last against the columns of the rows [d_odd; h0], tagging column k
-    last = 1 << len(tables.d_odd)
-    columns = [last if (tables.h0_mask >> k) & 1 else 0 for k in range(len(tables.d_even))]
-    for j, d in enumerate(tables.d_odd):
-        for k in _bits(d):
-            columns[k] |= 1 << j
-    _, lam, relations = first_entry(
-        [(None, [(v, 1 << k) for k, v in enumerate(columns)])], last)
-    if lam is None:
-        raise AssertionError("no functional separates the h0 class from boundaries")
-    # The relations among those columns number #even - rank(d_odd) - 1, as
-    # h0 is not a boundary; homology has rank one when that is rank(d_even).
-    cycles = Echelon()
-    if len(relations) != sum(cycles.add(v) for v in tables.d_even):
-        raise UnsupportedComplexError(
-            "not a knot-like complex in scope: completed grading-0 homology "
-            "must have rank one"
-        )
-    return lam
-
-
 class _SectorEngine:
     """The graded sectors, built lazily, and the class-detecting functional.
 
     The sectors are laid out in one pass over the generators.  Boundary
-    rows (``d_even[k]``, ``d_odd[j]``, as in :class:`_SectorTables`) and the
-    columns the searches feed, ``class_columns[k]`` = ([d(e); lam(e)], 1 << k)
-    for even element k and ``odd_columns[j]`` = (d_odd[j], 1 << j), are
-    built on first lookup and kept on this engine, so a query pays only for
-    the elements that enter its filtrations.
+    rows (``d_even[k]``, ``d_odd[j]``, as in :class:`_DirectChecker`) and
+    the columns the searches feed, ``class_columns[k]`` = ([d(e); lam(e)],
+    1 << k) for even element k and ``odd_columns[j]`` = (d_odd[j], 1 << j),
+    are built on first lookup and kept on this engine, so a query pays only
+    for the elements that enter its filtrations.
 
-    The functional lam vanishes on boundaries and takes value 1 on the
-    distinguished representative; because the completed grading-0 homology
-    has rank one (checked once), a cycle z represents that class exactly
-    when lam(z) = 1, and a cycle with lam(z) = 0 is a boundary.  lam depends
-    only on the complex, so it is solved once per complex, from eager
-    tables, and kept, as one int, in the complex's instance ``__dict__``.
+    The functional lam is the complex's own ``c.lam``.  Every complex has
+    completed grading-0 homology of rank one, so a cycle z represents the
+    distinguished class exactly when lam(z) = 1, and is a boundary otherwise.
     """
 
     def __init__(self, c: BifilteredComplex):
@@ -195,12 +145,9 @@ class _SectorEngine:
         get, rows = bit.__getitem__, c.boundary
         self.d_even = d_even = _Memo(lambda k: sum(map(get, rows[even_ids[k]])))
         self.d_odd = d_odd = _Memo(lambda j: sum(map(get, rows[odd_ids[j]])))
-        lam = vars(c).get(_LAM)
-        if lam is None:
-            lam = vars(c)[_LAM] = _class_functional(_SectorTables(c))
-        last = 1 << len(odd_ids)
+        lam, last = c.lam, 1 << len(odd_ids)  # lam is indexed by generator
         self.class_columns = _Memo(
-            lambda k: (d_even[k] | last if lam >> k & 1 else d_even[k], 1 << k))
+            lambda k: (d_even[k] | last if lam >> even_ids[k] & 1 else d_even[k], 1 << k))
         self.odd_columns = _Memo(lambda j: (d_odd[j], 1 << j))
         # bounds the slope part of the packed side keys
         self._spread = max(map(abs, starmap(sub, self.even_grades)))
@@ -255,15 +202,6 @@ class _SectorEngine:
         return [a * x + c * y for x, y in self.odd_grades]
 
 
-def _bits(mask: int) -> list[int]:
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return out
-
-
 def gamma_at(c: BifilteredComplex, t) -> GammaCertificate:
     """gamma(t) with a re-checkable witness cycle."""
     engine = _SectorEngine(c)
@@ -282,6 +220,8 @@ def verify_gamma_certificate(c: BifilteredComplex, cert: GammaCertificate) -> No
     grading-1 sector, the level bound, and minimality over thresholds; none
     of it reuses the class functional that guided the original search.
     """
+    if not 0 <= cert.t <= 2:
+        raise CertificateError("t must lie in [0, 2]")
     if len(set(cert.cycle)) != len(cert.cycle):
         raise CertificateError("certificate cycle repeats an element")
     tables = _DirectChecker(c)
@@ -296,11 +236,23 @@ def verify_gamma_certificate(c: BifilteredComplex, cert: GammaCertificate) -> No
         raise CertificateError("a cycle in the h0 class exists below the threshold")
 
 
-class _DirectChecker(_SectorTables):
-    """Definition-level feasibility checks used by certificate verification."""
+class _DirectChecker:
+    """Definition-level feasibility checks used by certificate verification.
+
+    The boundary of the U-completed complex between the grading-0 and
+    grading-1 sectors is the fundamental one between even and odd
+    generators: ``d_even[k]`` is the boundary of even element k over the odd
+    sector and ``d_odd[j]`` that of odd element j over the even sector.
+    Every row is built up front, as the checks read them all.
+    """
 
     def __init__(self, c: BifilteredComplex):
-        super().__init__(c)
+        (even_ids, odd_ids), _, bit = _sector_layout(c)
+        # a boundary holds distinct generators, so summing their bits ORs them
+        get = bit.__getitem__
+        self.d_even = [sum(map(get, c.boundary[i])) for i in even_ids]
+        self.d_odd = [sum(map(get, c.boundary[i])) for i in odd_ids]
+        self.h0_mask = sum(map(get, c.h0_rep))
         self.even = sector(c, 0)
         self.odd = sector(c, 1)
         self.even_pos = {e: k for k, e in enumerate(self.even)}

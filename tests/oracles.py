@@ -5,7 +5,8 @@ algebraic route, deliberately avoiding the bit-packed elimination engine and
 the class-functional shortcut used by the package under test.  GF(2) vectors
 are plain 0/1 lists, except in ``SortedEchelon``, the package's former
 sorted-row echelon on bitmasks, kept as the reference for the pivot-indexed
-one.
+one; in ``_h0_from_parts``, which runs on it; and in the eager passes at the
+end, which the lazy sector engine replaced.
 """
 
 from __future__ import annotations
@@ -13,10 +14,11 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations, groupby
 
-from cfk import sector
+from cfk import UnsupportedComplexError, sector
+from cfk.complexes import _mask
 from cfk.f2linalg import first_entry
 from cfk.semigroup import _validate_pq
-from cfk.upsilon import _SectorTables, _class_functional, level, level_slope
+from cfk.upsilon import _DirectChecker, level, level_slope
 from cfk.upsilon2 import Gamma2Certificate, MergeWitness
 
 
@@ -91,6 +93,32 @@ class SortedEchelon:
 
     def contains(self, vec):
         return self._reduce(vec, 0)[0] == 0
+
+
+def _h0_from_parts(gens, bnd) -> frozenset[int]:
+    """The h0 representative by two eliminations, as ``cfk.complexes.dual`` once found it.
+
+    It reduces the grading-0 cycles modulo the grading-1 boundaries and takes
+    the first cycle left over; UnsupportedComplexError unless that homology
+    has rank one.  The echelons are the sorted-row reference above.
+    """
+    zeros = [i for i, g in enumerate(gens) if g.maslov == 0]
+    ones = [i for i, g in enumerate(gens) if g.maslov == 1]
+    pos = {i: k for k, i in enumerate(zeros)}
+    cycles = SortedEchelon()
+    for b, i in enumerate(zeros):
+        cycles.add(_mask(bnd[i]), 1 << b)
+    kernel = cycles.kernel
+    boundaries = SortedEchelon()
+    for f in ones:
+        boundaries.add(_mask(pos[t] for t in bnd[f]))
+    residues = [k for k in kernel if not boundaries.contains(k)]
+    if len(kernel) - boundaries.rank != 1 or not residues:
+        raise UnsupportedComplexError(
+            "not a knot-like complex in scope: homology in grading 0 must have rank one"
+        )
+    k = residues[0]
+    return frozenset(zeros[b] for b in range(len(zeros)) if (k >> b) & 1)
 
 
 # ---------------------------------------------------------------------------
@@ -321,10 +349,12 @@ def eager_side(c, t0, sign):
     Keys are (2b*level, 2*sign*slope) tuples at t0 = a/b; the columns
     [d(e); lam(e)] of every even element are built before the search.
     """
-    tables = _SectorTables(c)
-    lam = _class_functional(tables)
+    tables = _DirectChecker(c)
+    # c.lam is indexed by generator; U-translates keep the generator order
+    even_ids = [i for i, g in enumerate(c.generators) if g.maslov % 2 == 0]
     last = 1 << len(tables.d_odd)
-    columns = [(d | last if lam >> k & 1 else d, 1 << k) for k, d in enumerate(tables.d_even)]
+    columns = [(d | last if c.lam >> i & 1 else d, 1 << k)
+               for k, (i, d) in enumerate(zip(even_ids, tables.d_even))]
     a, b = t0.numerator, t0.denominator
     keys = [(a * e.alex + (2 * b - a) * e.alg, sign * (e.alex - e.alg)) for e in sector(c, 0)]
     key, z0, null_cycles = first_entry(_eager_batches(keys, columns), last)
@@ -337,7 +367,7 @@ def eager_gamma2(c, t0) -> Gamma2Certificate:
     """gamma2 at a positive singularity t0, every grading-1 column built first."""
     (gamma0, _), _, z0m, null_m = eager_side(c, t0, -1)
     _, _, z0p, null_p = eager_side(c, t0, 1)
-    tables = _SectorTables(c)
+    tables = _DirectChecker(c)
     even, odd = sector(c, 0), sector(c, 1)
     n_odd = len(odd)
     seed = [(v, v << n_odd) for v in null_m] + [(v, 0) for v in null_p]

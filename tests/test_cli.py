@@ -5,7 +5,7 @@ import time
 
 import pytest
 
-from cfk.cli import build_invariant_report, distinguish_report, recursion_report, run
+from cfk.cli import SCHEMA_VERSION, build_invariant_report, distinguish_report, recursion_report, run
 
 
 def run_capture(capsys, argv):
@@ -162,6 +162,25 @@ class TestInvariants:
     def test_cache_entry_for_another_expression_is_a_miss(self, capsys, tmp_path):
         other = json.dumps(build_invariant_report("T(2,3)"), indent=2)
         self._bad_entry_is_a_miss(capsys, tmp_path, other)
+
+    def test_cache_partial_report_is_a_miss(self, capsys, tmp_path):
+        partial = {"schema_version": SCHEMA_VERSION, "expression": "T(3,4)"}
+        self._bad_entry_is_a_miss(capsys, tmp_path, json.dumps(partial))
+
+    def test_cache_whole_entry_is_a_hit(self, capsys, tmp_path):
+        from cfk.cli import _cache_path
+
+        cache = tmp_path / "cache"
+        cache.mkdir()
+        entry = cache / os.path.basename(_cache_path(str(cache), "T(3,4)"))
+        # a whole report is served as it stands, so a changed value shows a hit
+        stored = build_invariant_report("T(3,4)")
+        stored["generator_count"] = 1
+        entry.write_text(json.dumps(stored, indent=2), encoding="utf-8")
+        code, out, _ = run_capture(
+            capsys, ["invariants", "T(3,4)", "--no-timing", "--cache", str(cache)]
+        )
+        assert code == 0 and json.loads(out) == stored
 
     def test_cache_env_var(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setenv("CFK_CACHE_DIR", str(tmp_path / "envcache"))
@@ -333,17 +352,16 @@ class TestStaircase:
 
 
 def _count_functionals(monkeypatch):
-    """A list that grows by one entry each time the class functional is solved."""
-    # the package re-exports the function upsilon under the module's name
-    upsilon_module = sys.modules["cfk.upsilon"]
+    """A list that grows by one entry each time the class functional is eliminated."""
+    complexes_module = sys.modules["cfk.complexes"]
     solved = []
-    original = upsilon_module._class_functional
+    original = complexes_module._solve_lam
 
-    def counting(tables):
-        solved.append(tables)
-        return original(tables)
+    def counting(gens, *args):
+        solved.append(len(gens))
+        return original(gens, *args)
 
-    monkeypatch.setattr(upsilon_module, "_class_functional", counting)
+    monkeypatch.setattr(complexes_module, "_solve_lam", counting)
     return solved
 
 
@@ -366,19 +384,19 @@ class TestReportHelpers:
             "separating_singularities"
         ]
 
-    def test_report_solves_the_class_functional_once(self, monkeypatch):
+    def test_report_solves_no_class_functional(self, monkeypatch):
         # upsilon, every gamma2 and each --grid point build their own tables,
-        # and all of them reuse the one functional memoised on the complex
+        # and all of them read the functional the builders derived
         solved = _count_functionals(monkeypatch)
-        report = build_invariant_report("T(2,5) # T(5,6)", grid=8)
+        report = build_invariant_report("-T(2,3) # T(5,6)", grid=8)
         assert sum(s["upsilon2"] is not None for s in report["singularities"]) >= 2
-        assert len(solved) == 1
+        assert solved == []
 
-    def test_distinguish_solves_the_class_functional_once_per_expression(self, monkeypatch):
+    def test_distinguish_solves_no_class_functional(self, monkeypatch):
         solved = _count_functionals(monkeypatch)
         report = distinguish_report("T(5,7)", "T(2,5) # T(5,6)")
         assert report["by"] == "upsilon2"
-        assert len(solved) == 2
+        assert solved == []
 
 
 TEN_TREFOILS = " # ".join(["T(2,3)"] * 10)

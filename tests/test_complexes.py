@@ -21,8 +21,9 @@ from cfk import (
     torus_knot_complex,
     trivial_complex,
 )
-from cfk.complexes import _h0_from_parts, expression_size, parse_knot_factors
+from cfk.complexes import expression_size, parse_knot_factors
 from cfk.semigroup import StepVector
+from oracles import _h0_from_parts
 
 
 def by_point(c):
@@ -91,6 +92,33 @@ class TestValidation:
         bnd = (frozenset(), frozenset({0}))
         with pytest.raises(ValueError):
             BifilteredComplex(gens, bnd, frozenset({0}))
+
+
+class TestDerivedClassFunctional:
+    """The builders' lam goes through the same checks as the eliminated one."""
+
+    def parts(self):
+        c = tensor(torus_knot_complex(2, 3), dual(torus_knot_complex(2, 3)))
+        return c, (c.generators, c.boundary, c.h0_rep)
+
+    def test_support_outside_grading_0_is_refused(self):
+        c, parts = self.parts()
+        off = next(i for i, g in enumerate(c.generators) if g.maslov)
+        for lam in (c.lam | 1 << off, c.lam | 1 << len(c.generators), -1):
+            with pytest.raises(ValueError, match="supported in grading 0"):
+                BifilteredComplex._derived(*parts, lam)
+
+    def test_lam_not_vanishing_on_boundaries_is_refused(self):
+        c, parts = self.parts()
+        # one end of an edge into grading 0 taken out of lam
+        i = next(j for row in c.boundary for j in row if c.lam >> j & 1)
+        with pytest.raises(ValueError, match="vanish on boundaries"):
+            BifilteredComplex._derived(*parts, c.lam ^ 1 << i)
+
+    def test_lam_that_misses_h0_is_refused(self):
+        c, parts = self.parts()
+        with pytest.raises(ValueError, match="not 1 on the h0"):
+            BifilteredComplex._derived(*parts, 0)
 
 
 class TestTensor:

@@ -1,9 +1,10 @@
-"""The sector engine: lam solved once per complex, integer tables, verifiers apart.
+"""The sector engine: lam by construction, integer tables, verifiers apart.
 
-The class functional lam depends only on the complex, so the engine solves it
-once and keeps the int in the complex's instance ``__dict__``.  The engine's
-tables are built from integers; here they are compared with the tables the
-oracle derives from ``sector(c, m)``.  The verifiers must never read lam.
+Every complex carries its class functional lam: the public constructor solves
+it by elimination and the builders derive it from their inputs, so no query
+solves it.  The engine's tables are built from integers; here they are
+compared with the tables the oracle derives from ``sector(c, m)``.  The
+verifiers must never read lam.
 """
 
 import random
@@ -18,13 +19,13 @@ from cfk import (
     Generator,
     UnsupportedComplexError,
     direct_sum_with_box,
+    dual,
     parse_knot_expression,
 )
 from cfk.upsilon import (
     CertificateError,
-    _LAM,
+    _DirectChecker,
     _SectorEngine,
-    _SectorTables,
     gamma_at,
     sector,
     upsilon,
@@ -37,9 +38,10 @@ from cfk.upsilon2 import (
     upsilon2_at,
     verify_gamma2_certificate,
 )
-from oracles import SectorTables, brute_gamma2, eager_gamma2, eager_side
+from oracles import SectorTables, _h0_from_parts, brute_gamma2, eager_gamma2, eager_side
 
 # the package attributes cfk.upsilon and cfk.upsilon2 are not the modules
+COMPLEXES = sys.modules["cfk.complexes"]
 UPSILON = sys.modules["cfk.upsilon"]
 UPSILON2 = sys.modules["cfk.upsilon2"]
 
@@ -67,15 +69,15 @@ def positive_singularities(ups):
 
 
 def count_functionals(monkeypatch):
-    """A list that grows by one entry each time lam is solved."""
+    """A list that grows by one entry each time lam is solved by elimination."""
     solved = []
-    original = UPSILON._class_functional
+    original = COMPLEXES._solve_lam
 
-    def counting(tables):
-        solved.append(tables)
-        return original(tables)
+    def counting(gens, *args):
+        solved.append(len(gens))
+        return original(gens, *args)
 
-    monkeypatch.setattr(UPSILON, "_class_functional", counting)
+    monkeypatch.setattr(COMPLEXES, "_solve_lam", counting)
     return solved
 
 
@@ -85,35 +87,57 @@ class TestFunctionalOncePerComplex:
         knot = parse_knot_expression("T(2,5) # T(5,6)")
         boxed = direct_sum_with_box(direct_sum_with_box(knot, 3, 4, 1, 2, 1), 2, 6, 2, 1, 0)
         ups = upsilon(knot)
-        assert len(solved) == 1
         t0s = positive_singularities(ups)[:2]
         assert len(t0s) == 2
         for t0 in t0s:
             assert upsilon2_at(knot, t0, ups=ups) == upsilon2_at(boxed, t0, ups=ups)
-        # K was solved by the upsilon search; K with boxes once, on its first query
-        assert len(solved) == 2
-        assert _LAM in vars(knot) and _LAM in vars(boxed)
         gamma_at(knot, F(1))
         gamma2_at(boxed, t0s[0])
-        assert len(solved) == 2
+        # the builders derived lam, and no query solves it
+        assert solved == []
+        # the public constructor solves it once, on construction
+        copy = BifilteredComplex(boxed.generators, boxed.boundary, boxed.h0_rep)
+        assert solved == [len(boxed.generators)] and copy.lam == boxed.lam
+        upsilon(copy)
+        gamma2_at(copy, t0s[0])
+        assert len(solved) == 1
 
     def test_memo_holds_only_an_int_and_leaves_equality_alone(self):
         c = parse_knot_expression("T(3,4)")
         fresh = parse_knot_expression("T(3,4)")
         upsilon(c)
-        assert type(vars(c)[_LAM]) is int
-        assert set(vars(c)) - set(vars(fresh)) == {_LAM}
+        assert type(c.lam) is int and c.lam == fresh.lam
+        # a query writes nothing into the complex
+        assert set(vars(c)) == set(vars(fresh))
+        # lam is outside equality, hashing and repr
+        object.__setattr__(fresh, "lam", c.lam ^ 1)
         assert c == fresh and hash(c) == hash(fresh)
+        assert repr(c) == repr(fresh) and "lam" not in repr(c)
 
     def test_rank_two_complex_is_refused_on_every_call(self, monkeypatch):
         solved = count_functionals(monkeypatch)
         gens = (Generator("a", 0, 0, 0), Generator("b", 1, 1, 0))
-        c = BifilteredComplex(gens, (frozenset(), frozenset()), frozenset({0}))
-        for call in (lambda: gamma_at(c, F(1)), lambda: upsilon(c)):
+        for _ in range(2):
             with pytest.raises(UnsupportedComplexError, match="rank one"):
-                call()
+                BifilteredComplex(gens, (frozenset(), frozenset()), frozenset({0}))
         assert len(solved) == 2
-        assert _LAM not in vars(c)
+
+
+def test_lam_by_construction_matches_the_elimination():
+    # the builders' closed forms against the public constructor's elimination
+    # on the same parts; the dual's h0 against the two-elimination oracle
+    pairs = [(2, 3), (2, 5), (3, 4), (3, 5), (2, 7), (4, 5)]
+    checked = 0
+    for seed in (31, 32):
+        for expr, c in random_complexes(seed, 100, pairs, max_boxes=3):
+            solved = BifilteredComplex(c.generators, c.boundary, c.h0_rep)
+            assert c.lam == solved.lam, expr
+            d = dual(c)
+            assert d.h0_rep == _h0_from_parts(d.generators, d.boundary), expr
+            assert d.lam == BifilteredComplex(d.generators, d.boundary, d.h0_rep).lam, expr
+            assert dual(d).lam == c.lam and dual(d).h0_rep == c.h0_rep, expr
+            checked += 1
+    assert checked == 200
 
 
 def verdict(check):
@@ -161,7 +185,7 @@ def test_verifiers_never_read_the_memoised_functional():
     assert before.count("accepted") == 3 + len(genuine)
 
     # a functional wrong on one element: the search reads it, the verifiers not
-    vars(c)[_LAM] ^= 1
+    object.__setattr__(c, "lam", c.lam ^ 1)
     assert search_outcomes(c, t0s) != genuine
     assert [verdict(check) for check in checks] == before
 
@@ -187,7 +211,7 @@ def test_integer_tables_match_the_sectors(seed):
         # the engine builds a row on first lookup: materialise every position
         assert [engine.d_even[k] for k in range(len(even))] == d_even, expr
         assert [engine.d_odd[j] for j in range(len(odd))] == d_odd, expr
-        tables = _SectorTables(c)
+        tables = _DirectChecker(c)
         assert (tables.d_even, tables.d_odd) == (d_even, d_odd), expr
         assert tables.h0_mask == oracle_mask(oracle.h0), expr
 

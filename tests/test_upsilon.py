@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 from fractions import Fraction as F
 from math import gcd
 
@@ -115,6 +116,13 @@ class TestGamma:
         with pytest.raises(CertificateError):
             verify_gamma_certificate(c, bad)
 
+    def test_parameter_outside_the_interval_rejected(self):
+        c = torus_knot_complex(3, 4)
+        cert = gamma_at(c, F(1))
+        for t in (F(5, 2), F(-1, 3)):
+            with pytest.raises(CertificateError, match="t must lie in"):
+                verify_gamma_certificate(c, replace(cert, t=t))
+
 
 class TestUpsilon:
     def test_trefoil(self):
@@ -150,9 +158,8 @@ class TestUpsilon:
         # two grading-0 cycles and no boundary: valid as a complex, but its
         # grading-0 homology has rank two
         gens = (Generator("a", 0, 0, 0), Generator("b", 1, 1, 0))
-        c = BifilteredComplex(gens, (frozenset(), frozenset()), frozenset({0}))
         with pytest.raises(UnsupportedComplexError, match="rank one"):
-            upsilon(c)
+            upsilon(BifilteredComplex(gens, (frozenset(), frozenset()), frozenset({0})))
 
     def test_starts_at_zero(self):
         for expr in ("T(2,3)", "T(3,5)", "T(2,5) # T(3,4)", "-T(2,7)"):
