@@ -9,6 +9,7 @@ expression, so cached and fresh runs emit identical bytes.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import os
@@ -449,10 +450,18 @@ def _pad_dash_expressions(argv):
     return [" " + a if a.startswith("-T(") or a.startswith("-(") else a for a in argv]
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # built on the first run(), not at import, and reused by every later call:
+    # parse_args returns a fresh Namespace with every default reapplied, and
+    # help and usage text are formatted when printed
+    return build_parser()
+
+
 def run(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    args = build_parser().parse_args(_pad_dash_expressions(list(argv)))
+    args = _parser().parse_args(_pad_dash_expressions(list(argv)))
     # the one boundary for bad input; anything else is a bug and propagates
     try:
         return args.func(args)

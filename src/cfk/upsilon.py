@@ -220,6 +220,7 @@ def verify_gamma_certificate(c: BifilteredComplex, cert: GammaCertificate) -> No
     grading-1 sector, the level bound, and minimality over thresholds; none
     of it reuses the class functional that guided the original search.
     """
+    _check_exact(cert.t, "t")
     if not 0 <= cert.t <= 2:
         raise CertificateError("t must lie in [0, 2]")
     if len(set(cert.cycle)) != len(cert.cycle):
@@ -234,6 +235,13 @@ def verify_gamma_certificate(c: BifilteredComplex, cert: GammaCertificate) -> No
     below = _mask(k for k, e in enumerate(tables.even) if level(cert.t, e) < cert.s)
     if tables.feasible(below):
         raise CertificateError("a cycle in the h0 class exists below the threshold")
+
+
+def _check_exact(value, name: str) -> None:
+    """CertificateError unless value is an int or a Fraction (a bool is neither here)."""
+    if isinstance(value, bool) or not isinstance(value, (int, Fraction)):
+        raise CertificateError(
+            f"{name} must be an int or a Fraction, got {type(value).__name__}")
 
 
 class _DirectChecker:

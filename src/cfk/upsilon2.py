@@ -25,6 +25,7 @@ from .upsilon import (
     _DirectChecker,
     _SectorEngine,
     _bits,
+    _check_exact,
     level,
     level_slope,
 )
@@ -190,6 +191,7 @@ def verify_gamma2_certificate(c: BifilteredComplex, cert: Gamma2Certificate,
     tables are used: no class functional, no search step and no upsilon.
     """
     t0 = cert.t0
+    _check_exact(t0, "t0")
     if not 0 < t0 < 2:
         raise CertificateError("t0 must lie in the open interval (0, 2)")
     tables = _DirectChecker(c)

@@ -9,9 +9,22 @@ from cfk.cli import SCHEMA_VERSION, build_invariant_report, distinguish_report, 
 
 
 def run_capture(capsys, argv):
-    code = run(argv)
+    """(exit code, stdout, stderr) of run(argv), a usage error's SystemExit included."""
+    try:
+        code = run(argv)
+    except SystemExit as exc:
+        code = exc.code
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def child_env():
+    """Environment for a child process that imports the same cfk as this one, installed or not."""
+    import cfk
+
+    src = os.path.dirname(os.path.dirname(cfk.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path}
 
 
 class TestInvariants:
@@ -192,16 +205,10 @@ class TestInvariants:
 
     def test_module_entry_point(self, tmp_path):
         import subprocess
-        import sys
 
-        import cfk
-
-        # the child imports the same cfk as this process, installed or not
-        src = os.path.dirname(os.path.dirname(cfk.__file__))
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         proc = subprocess.run(
             [sys.executable, "-m", "cfk", "staircase", "3", "4"],
-            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
+            capture_output=True, text=True, env=child_env(),
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["steps"] == [1, 2, 2, 1]
@@ -575,3 +582,102 @@ def test_error_boundary(capsys, tmp_path, monkeypatch, command, bad, good, calle
     monkeypatch.setattr(cfk.cli, callee, broken)
     with pytest.raises(RuntimeError, match="bug"):
         run(argv(good))
+
+
+@pytest.fixture
+def fresh_parser():
+    """Clear the memoised parser before and after the test."""
+    import cfk.cli
+
+    cfk.cli._parser.cache_clear()
+    yield cfk.cli._parser
+    cfk.cli._parser.cache_clear()
+
+
+class TestParserReuse:
+    def test_two_runs_build_the_parser_once(self, capsys, monkeypatch, fresh_parser):
+        import cfk.cli
+
+        built = []
+        real = cfk.cli.build_parser
+
+        def counting():
+            built.append(1)
+            return real()
+
+        monkeypatch.setattr(cfk.cli, "build_parser", counting)
+        assert run(["staircase", "2", "3"]) == 0
+        assert run(["invariants", "T(2,3)", "--no-timing"]) == 0
+        assert len(built) == 1
+
+    def test_no_state_carries_across_calls(self, capsys, tmp_path, monkeypatch, fresh_parser):
+        from cfk.cli import _cache_path
+
+        cache = tmp_path / "cache"
+        cache.mkdir()
+        # a doctored entry shows whether a call read the cache
+        doctored = build_invariant_report("T(3,4)")
+        doctored["generator_count"] = 1
+        entry = _cache_path(str(cache), "T(3,4)")
+        with open(entry, "w", encoding="utf-8") as fh:
+            json.dump(doctored, fh, indent=2)
+        # (argv, CFK_CACHE_DIR): each call would change if the one before leaked
+        steps = [
+            (["invariants", "T(3,4)", "--no-timing", "--grid", "3", "--max-generators", "24"], None),
+            (["invariants", "T(3,4) # T(2,5)", "--no-timing"], None),  # 25 generators
+            (["invariants", "T(3,4)", "--no-timing", "--cache", str(cache)], None),
+            (["invariants", "T(3,4)", "--no-timing"], None),
+            (["invariants", "T(3,4)", "--no-timing"], str(cache)),
+            (["invariants", "T(3,4)", "--no-timing"], None),
+            (["invariants", "T(3,4)", "--max-generators", "0"], None),
+            (["plot", "T(2,3)"], None),
+            (["--help"], None),
+            (["invariants", "--help"], None),
+            (["invariants", "T(3,4)", "--no-timing"], None),
+        ]
+
+        def run_step(argv, env):
+            if env is None:
+                monkeypatch.delenv("CFK_CACHE_DIR", raising=False)
+            else:
+                monkeypatch.setenv("CFK_CACHE_DIR", env)
+            return run_capture(capsys, argv)
+
+        expected = []
+        for argv, env in steps:
+            fresh_parser.cache_clear()
+            expected.append(run_step(argv, env))
+        fresh_parser.cache_clear()
+        assert [run_step(argv, env) for argv, env in steps] == expected
+        assert fresh_parser.cache_info().misses == 1
+
+        codes = [code for code, _, _ in expected]
+        assert codes == [0, 0, 0, 0, 0, 0, 2, 2, 0, 0, 0]
+        served = [json.loads(out)["generator_count"] for _, out, _ in expected[2:6]]
+        assert served == [1, 5, 1, 5]
+        assert expected[1][1] and expected[8][1].startswith("usage: cfk")
+        assert os.listdir(cache) == [os.path.basename(entry)]
+
+    def test_import_builds_no_parser(self):
+        import subprocess
+
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import cfk.cli; print(cfk.cli._parser.cache_info().currsize)"],
+            capture_output=True, text=True, env=child_env(),
+        )
+        assert proc.returncode == 0 and proc.stdout == "0\n"
+
+    def test_a_hit_builds_nothing(self, capsys, tmp_path, monkeypatch):
+        import cfk.cli
+
+        argv = ["invariants", "T(3,4) # T(2,5)", "--no-timing", "--cache", str(tmp_path)]
+        code, fresh, _ = run_capture(capsys, argv)
+        assert code == 0
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a cache hit built something")
+
+        for name in ("parse_knot_expression", "upsilon", "_check_size"):
+            monkeypatch.setattr(cfk.cli, name, forbidden)
+        assert run_capture(capsys, argv) == (0, fresh, "")

@@ -123,6 +123,13 @@ class TestGamma:
             with pytest.raises(CertificateError, match="t must lie in"):
                 verify_gamma_certificate(c, replace(cert, t=t))
 
+    @pytest.mark.parametrize("t", [1.0, "1", None, True], ids=repr)
+    def test_inexact_parameter_rejected(self, t):
+        c = torus_knot_complex(3, 4)
+        cert = gamma_at(c, F(1))
+        with pytest.raises(CertificateError, match="t must be an int or a Fraction"):
+            verify_gamma_certificate(c, replace(cert, t=t))
+
 
 class TestUpsilon:
     def test_trefoil(self):

@@ -142,6 +142,15 @@ class TestGamma2:
             with pytest.raises(CertificateError):
                 verify_gamma2_certificate(c, swapped)
 
+    @pytest.mark.parametrize("t0", [0.4, "2/5", None, True], ids=repr)
+    def test_inexact_parameter_rejected(self, t0):
+        from dataclasses import replace
+
+        c = torus_knot_complex(5, 7)
+        cert = gamma2_at(c, F(2, 5))
+        with pytest.raises(CertificateError, match="t0 must be an int or a Fraction"):
+            verify_gamma2_certificate(c, replace(cert, t0=t0))
+
 
 def test_secondary_invariant_needs_no_upsilon(monkeypatch):
     def forbidden(*args, **kwargs):
