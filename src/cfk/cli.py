@@ -454,7 +454,11 @@ def _pad_dash_expressions(argv):
 def _parser() -> argparse.ArgumentParser:
     # built on the first run(), not at import, and reused by every later call:
     # parse_args returns a fresh Namespace with every default reapplied, and
-    # help and usage text are formatted when printed
+    # help and usage text are formatted when printed.  The cmd_* functions are
+    # bound through set_defaults(func=...) when the parser is built, so a patch
+    # of a cmd_* name made after the first run() in a process is not seen; the
+    # names those functions call (upsilon, upsilon2_at, ...) are still looked
+    # up on each call
     return build_parser()
 
 

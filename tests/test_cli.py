@@ -9,11 +9,7 @@ from cfk.cli import SCHEMA_VERSION, build_invariant_report, distinguish_report, 
 
 
 def run_capture(capsys, argv):
-    """(exit code, stdout, stderr) of run(argv), a usage error's SystemExit included."""
-    try:
-        code = run(argv)
-    except SystemExit as exc:
-        code = exc.code
+    code = run(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
 
@@ -641,7 +637,13 @@ class TestParserReuse:
                 monkeypatch.delenv("CFK_CACHE_DIR", raising=False)
             else:
                 monkeypatch.setenv("CFK_CACHE_DIR", env)
-            return run_capture(capsys, argv)
+            # a usage error or --help ends in SystemExit; its code is compared too
+            try:
+                code = run(argv)
+            except SystemExit as exc:
+                code = exc.code
+            captured = capsys.readouterr()
+            return code, captured.out, captured.err
 
         expected = []
         for argv, env in steps:
