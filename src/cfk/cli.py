@@ -20,7 +20,6 @@ from fractions import Fraction
 from math import gcd, log10
 
 from .complexes import (
-    BifilteredComplex,
     InvalidTorusKnotError,
     KnotExpressionError,
     _torus_pair,
@@ -32,7 +31,7 @@ from .complexes import (
 )
 from .exactnum import PiecewiseLinear
 from .semigroup import alexander_torus, step_vector
-from .upsilon import BreakpointVerificationError, gamma_at, upsilon
+from .upsilon import upsilon
 from .upsilon2 import upsilon2_at
 
 SCHEMA_VERSION = 1
@@ -81,7 +80,7 @@ def _fmt(x: Fraction) -> str:
     return str(Fraction(x))
 
 
-def build_invariant_report(expression: str, grid: int = 0) -> dict:
+def build_invariant_report(expression: str) -> dict:
     """Invariant report for a knot expression, without the timing field."""
     canonical = canonical_expression(expression)
     complex_ = parse_knot_expression(canonical)
@@ -95,8 +94,6 @@ def build_invariant_report(expression: str, grid: int = 0) -> dict:
             entry["upsilon2"] = None
             entry["reason"] = "slope jump is not positive"
         entries.append(entry)
-    if grid > 0:
-        _grid_check(complex_, ups, grid)
     return {
         "schema_version": SCHEMA_VERSION,
         "expression": canonical,
@@ -106,15 +103,6 @@ def build_invariant_report(expression: str, grid: int = 0) -> dict:
         },
         "singularities": entries,
     }
-
-
-def _grid_check(complex_: BifilteredComplex, ups: PiecewiseLinear, grid: int) -> None:
-    for k in range(1, grid):
-        t = Fraction(2 * k, grid)
-        if gamma_at(complex_, t).s != -ups.evaluate(t) / 2:
-            raise BreakpointVerificationError(
-                f"dense-grid verification failed at t={t}"
-            )
 
 
 def _emit_json(payload: dict, timing_ms=None) -> None:
@@ -167,12 +155,11 @@ def cmd_invariants(args) -> int:
     canonical = canonical_expression(args.expression)
     cache_dir = args.cache or os.environ.get(CACHE_ENV_VAR)
     report = None
-    # a hit would skip the --grid verification, so --grid only writes
-    if cache_dir and args.grid <= 0:
+    if cache_dir:
         report = _read_cache(_cache_path(cache_dir, canonical), canonical)
     if report is None:
         _check_size(canonical, args.max_generators)
-        report = build_invariant_report(canonical, grid=args.grid)
+        report = build_invariant_report(canonical)
         if cache_dir:
             try:
                 _write_cache(_cache_path(cache_dir, canonical), report)
@@ -391,8 +378,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_inv = sub.add_parser("invariants", help="full invariant report for an expression")
     p_inv.add_argument("expression")
-    p_inv.add_argument("--grid", type=int, default=0, metavar="N",
-                       help="verify upsilon on N extra evenly spaced parameters")
     p_inv.add_argument("--cache", metavar="DIR", default=None,
                        help=f"report cache directory (or ${CACHE_ENV_VAR})")
     p_inv.add_argument("--no-timing", action="store_true",

@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 from functools import reduce
 from math import gcd
 
+from .exactnum import check_integer
 from .f2linalg import Echelon, first_entry
 from .semigroup import (
     InvalidTorusKnotError,
@@ -87,6 +88,10 @@ class BifilteredComplex:
         object.__setattr__(self, "generators", tuple(self.generators))
         object.__setattr__(self, "boundary", tuple(self.boundary))
         object.__setattr__(self, "h0_rep", frozenset(self.h0_rep))
+        if lam is None:  # outside input; the builders only combine checked gradings
+            for g in self.generators:
+                for name in ("alg", "alex", "maslov"):
+                    check_integer(getattr(g, name), f"{name} of generator {g.name}")
         if not self._validate(lam):
             object.__setattr__(self, "boundary", tuple(
                 tuple(sorted(set(targets))) for targets in self.boundary))
@@ -276,6 +281,9 @@ def dual(c: BifilteredComplex) -> BifilteredComplex:
 def direct_sum_with_box(c: BifilteredComplex, corner_alg: int, corner_alex: int,
                         width: int, height: int, top_maslov: int) -> BifilteredComplex:
     """Add an acyclic two-generator summand: top at the corner, db = a."""
+    for name, value in (("corner_alg", corner_alg), ("corner_alex", corner_alex),
+                        ("width", width), ("height", height), ("top_maslov", top_maslov)):
+        check_integer(value, name)
     if width < 1 or height < 1:
         raise ValueError("box width and height must be positive")
     k = len(c.generators)

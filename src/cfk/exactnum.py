@@ -32,6 +32,12 @@ def as_fraction(x) -> Fraction:
     return Fraction(x)
 
 
+def check_integer(value, name: str) -> None:
+    """ValueError naming the field unless value is an int (a bool is not one here)."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{name} must be an int, got {type(value).__name__}")
+
+
 def check_parameter(t) -> Fraction:
     """Validate and return t as a Fraction in [0, 2]."""
     t = as_fraction(t)

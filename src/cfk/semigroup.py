@@ -13,6 +13,8 @@ from dataclasses import dataclass
 from itertools import chain
 from math import gcd
 
+from .exactnum import check_integer
+
 
 class InvalidTorusKnotError(ValueError):
     """The pair (p, q) does not describe a torus knot in scope."""
@@ -34,7 +36,9 @@ class AlexanderPolynomial:
     exponents: tuple[int, ...]
 
     def __post_init__(self):
-        exps = tuple(int(e) for e in self.exponents)
+        exps = tuple(self.exponents)
+        for e in exps:
+            check_integer(e, "every exponent")
         object.__setattr__(self, "exponents", exps)
         if not exps or exps[0] != 0:
             raise ValueError("exponent list must start at 0")
@@ -56,7 +60,9 @@ class StepVector:
     steps: tuple[int, ...]
 
     def __post_init__(self):
-        steps = tuple(int(b) for b in self.steps)
+        steps = tuple(self.steps)
+        for b in steps:
+            check_integer(b, "every step")
         object.__setattr__(self, "steps", steps)
         if len(steps) < 2 or len(steps) % 2 != 0:
             raise ValueError("a step vector has a positive even number of steps")

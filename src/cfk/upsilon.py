@@ -19,7 +19,7 @@ from itertools import combinations, starmap
 from operator import sub
 
 from .complexes import BifilteredComplex, Generator, _bits, _mask
-from .exactnum import PiecewiseLinear, check_parameter
+from .exactnum import PiecewiseLinear, _collinear, check_parameter
 from .f2linalg import by_threshold, first_entry, in_span
 
 
@@ -221,6 +221,11 @@ def verify_gamma_certificate(c: BifilteredComplex, cert: GammaCertificate) -> No
     of it reuses the class functional that guided the original search.
     """
     _check_exact(cert.t, "t")
+    _check_exact(cert.s, "s")
+    if not isinstance(cert.levels, tuple):
+        raise CertificateError("levels must be a tuple")
+    for lv in cert.levels:
+        _check_exact(lv, "every level")
     if not 0 <= cert.t <= 2:
         raise CertificateError("t must lie in [0, 2]")
     if len(set(cert.cycle)) != len(cert.cycle):
@@ -329,15 +334,11 @@ def upsilon(c: BifilteredComplex) -> PiecewiseLinear:
         t = Fraction(2 * (a2 - a1), denom)
         if 0 < t < 2:
             candidates.add(t)
-    ts = sorted(candidates)
-    values = [engine.gamma(t)[0] for t in ts]
-    for i in range(len(ts) - 1):
-        mid = (ts[i] + ts[i + 1]) / 2
-        gmid = engine.gamma(mid)[0]
-        lhs = (values[i + 1] - values[i]) * (mid - ts[i])
-        rhs = (gmid - values[i]) * (ts[i + 1] - ts[i])
-        if lhs != rhs:
+    graph = [(t, engine.gamma(t)[0]) for t in sorted(candidates)]
+    for left, right in zip(graph, graph[1:]):
+        mid = (left[0] + right[0]) / 2
+        if not _collinear(left, (mid, engine.gamma(mid)[0]), right):
             raise BreakpointVerificationError(
-                f"gamma is not linear on [{ts[i]}, {ts[i + 1]}]: missed breakpoint"
+                f"gamma is not linear on [{left[0]}, {right[0]}]: missed breakpoint"
             )
-    return PiecewiseLinear(tuple((t, -2 * v) for t, v in zip(ts, values)))
+    return PiecewiseLinear(tuple((t, -2 * v) for t, v in graph))

@@ -192,6 +192,8 @@ def verify_gamma2_certificate(c: BifilteredComplex, cert: Gamma2Certificate,
     """
     t0 = cert.t0
     _check_exact(t0, "t0")
+    _check_exact(cert.gamma, "gamma")
+    _check_exact(cert.gamma2, "gamma2")
     if not 0 < t0 < 2:
         raise CertificateError("t0 must lie in the open interval (0, 2)")
     tables = _DirectChecker(c)

@@ -73,13 +73,6 @@ class TestInvariants:
         _, second, _ = run_capture(capsys, ["invariants", "T(2,5) # T(2,3)", "--no-timing"])
         assert first == second
 
-    def test_grid_verification_passes(self, capsys):
-        code, out, _ = run_capture(
-            capsys, ["invariants", "T(3,4)", "--no-timing", "--grid", "12"]
-        )
-        assert code == 0
-        json.loads(out)
-
     def test_cache_round_trip(self, capsys, tmp_path):
         cache = str(tmp_path / "cache")
         argv = ["invariants", "T(3,4) # T(2,3)", "--no-timing", "--cache", cache]
@@ -127,23 +120,6 @@ class TestInvariants:
         assert code == 3 and out == "" and err.startswith("error: ")
         # neither a half-written entry nor the temp file is left behind
         assert list(cache.iterdir()) == []
-
-    def test_grid_skips_the_cache_read(self, capsys, tmp_path):
-        from cfk.cli import _cache_path
-
-        cache = tmp_path / "cache"
-        cache.mkdir()
-        entry = cache / os.path.basename(_cache_path(str(cache), "T(3,4)"))
-        wrong = build_invariant_report("T(3,4)")
-        wrong["upsilon"]["breakpoints"] = [["0", "0"], ["2", "0"]]
-        entry.write_text(json.dumps(wrong, indent=2), encoding="utf-8")
-        argv = ["invariants", "T(3,4)", "--no-timing", "--cache", str(cache)]
-        code, out, _ = run_capture(capsys, argv + ["--grid", "6"])
-        assert code == 0
-        _, fresh, _ = run_capture(capsys, ["invariants", "T(3,4)", "--no-timing"])
-        assert out == fresh
-        # the entry was rewritten, and a plain run now hits it
-        assert json.loads(entry.read_text(encoding="utf-8")) == json.loads(fresh)
 
     def _bad_entry_is_a_miss(self, capsys, tmp_path, content):
         from cfk.cli import _cache_path
@@ -388,10 +364,10 @@ class TestReportHelpers:
         ]
 
     def test_report_solves_no_class_functional(self, monkeypatch):
-        # upsilon, every gamma2 and each --grid point build their own tables,
-        # and all of them read the functional the builders derived
+        # upsilon and every gamma2 build their own tables, and all of them
+        # read the functional the builders derived
         solved = _count_functionals(monkeypatch)
-        report = build_invariant_report("-T(2,3) # T(5,6)", grid=8)
+        report = build_invariant_report("-T(2,3) # T(5,6)")
         assert sum(s["upsilon2"] is not None for s in report["singularities"]) >= 2
         assert solved == []
 
@@ -619,7 +595,7 @@ class TestParserReuse:
             json.dump(doctored, fh, indent=2)
         # (argv, CFK_CACHE_DIR): each call would change if the one before leaked
         steps = [
-            (["invariants", "T(3,4)", "--no-timing", "--grid", "3", "--max-generators", "24"], None),
+            (["invariants", "T(3,4)", "--no-timing", "--max-generators", "24"], None),
             (["invariants", "T(3,4) # T(2,5)", "--no-timing"], None),  # 25 generators
             (["invariants", "T(3,4)", "--no-timing", "--cache", str(cache)], None),
             (["invariants", "T(3,4)", "--no-timing"], None),

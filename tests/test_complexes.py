@@ -2,6 +2,8 @@ import json
 import random
 import time
 import tracemalloc
+from dataclasses import replace
+from fractions import Fraction
 from math import gcd
 
 import pytest
@@ -92,6 +94,14 @@ class TestValidation:
         bnd = (frozenset(), frozenset({0}))
         with pytest.raises(ValueError):
             BifilteredComplex(gens, bnd, frozenset({0}))
+
+    @pytest.mark.parametrize("field, value", [
+        ("alg", 0.0), ("alex", Fraction(0)), ("maslov", False), ("alg", "0"),
+    ], ids=repr)
+    def test_non_integer_grading_rejected(self, field, value):
+        gen = replace(Generator("a", 0, 0, 0), **{field: value})
+        with pytest.raises(ValueError, match=f"{field} of generator a must be an int"):
+            BifilteredComplex((gen,), ((),), frozenset({0}))
 
 
 class TestDerivedClassFunctional:
@@ -249,6 +259,15 @@ class TestBox:
         c = torus_knot_complex(2, 3)
         boxed = direct_sum_with_box(c, 3, 3, 1, 1, 1)
         assert boxed.h0_rep == c.h0_rep
+
+    @pytest.mark.parametrize("name, value", [
+        ("corner_alg", 0.5), ("corner_alex", Fraction(1, 2)), ("width", 1.0),
+        ("height", True), ("top_maslov", 1.0),
+    ], ids=repr)
+    def test_non_integer_argument_rejected(self, name, value):
+        args = {"corner_alg": 0, "corner_alex": 1, "width": 1, "height": 1, "top_maslov": 1}
+        with pytest.raises(ValueError, match=f"{name} must be an int"):
+            direct_sum_with_box(torus_knot_complex(3, 4), **{**args, name: value})
 
 
 def _canonical_rows(c):

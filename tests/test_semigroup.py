@@ -1,3 +1,4 @@
+from fractions import Fraction
 from math import gcd
 
 import pytest
@@ -100,6 +101,13 @@ class TestAlexanderType:
         with pytest.raises(ValueError):
             AlexanderPolynomial((0, 1, 5))
 
+    @pytest.mark.parametrize("exponents", [
+        (0, 1.5, 2), (0, 1.0, 2), (0, True, 2), (0, Fraction(1), 2), (0, "1", 2),
+    ], ids=repr)
+    def test_rejects_non_integer_exponents(self, exponents):
+        with pytest.raises(ValueError, match="every exponent must be an int"):
+            AlexanderPolynomial(exponents)
+
 
 class TestStepVector:
     def test_t34(self):
@@ -137,3 +145,10 @@ class TestStepVector:
     def test_type_rejects_odd_length(self):
         with pytest.raises(ValueError):
             StepVector((1, 2, 1))
+
+    @pytest.mark.parametrize("steps", [
+        (1.9, 1.9), (1.0, 1.0), (True, True), (Fraction(1), Fraction(1)), ("1", "1"),
+    ], ids=repr)
+    def test_type_rejects_non_integer_steps(self, steps):
+        with pytest.raises(ValueError, match="every step must be an int"):
+            StepVector(steps)

@@ -1,4 +1,5 @@
 import random
+import re
 from dataclasses import replace
 from fractions import Fraction as F
 from math import gcd
@@ -19,8 +20,10 @@ from cfk import (
     trivial_complex,
 )
 from cfk.upsilon import (
+    BreakpointVerificationError,
     CertificateError,
     GammaCertificate,
+    _SectorEngine,
     gamma_at,
     level,
     sector,
@@ -123,12 +126,25 @@ class TestGamma:
             with pytest.raises(CertificateError, match="t must lie in"):
                 verify_gamma_certificate(c, replace(cert, t=t))
 
-    @pytest.mark.parametrize("t", [1.0, "1", None, True], ids=repr)
-    def test_inexact_parameter_rejected(self, t):
+    # gamma(1) of T(3,4) is 1, on one element: each inexact s or level below
+    # equals the true value and differs from it only in its type
+    @pytest.mark.parametrize("field, value, message", [
+        *(pytest.param("t", t, "t must be an int or a Fraction", id=repr(t))
+          for t in (1.0, "1", None, True)),
+        *(pytest.param(field, value, message, id=f"{field}={value!r}")
+          for field, value, message in (
+              ("s", 1.0, "s must be an int or a Fraction"),
+              ("s", True, "s must be an int or a Fraction"),
+              ("levels", (1.0,), "every level must be an int or a Fraction"),
+              ("levels", (True,), "every level must be an int or a Fraction"),
+              ("levels", [F(1)], "levels must be a tuple"),
+              ("levels", None, "levels must be a tuple"))),
+    ])
+    def test_inexact_parameter_rejected(self, field, value, message):
         c = torus_knot_complex(3, 4)
         cert = gamma_at(c, F(1))
-        with pytest.raises(CertificateError, match="t must be an int or a Fraction"):
-            verify_gamma_certificate(c, replace(cert, t=t))
+        with pytest.raises(CertificateError, match=message):
+            verify_gamma_certificate(c, replace(cert, **{field: value}))
 
 
 class TestUpsilon:
@@ -167,6 +183,25 @@ class TestUpsilon:
         gens = (Generator("a", 0, 0, 0), Generator("b", 1, 1, 0))
         with pytest.raises(UnsupportedComplexError, match="rank one"):
             upsilon(BifilteredComplex(gens, (frozenset(), frozenset()), frozenset({0})))
+
+    # T(3,4)'s candidates are 0, 2/3, 1, 4/3 and 2: 5/6 is the midpoint of
+    # [2/3, 1], and the candidate 1 is the right end of that interval
+    @pytest.mark.parametrize("t, interval", [
+        (F(5, 6), "[2/3, 1]"), (F(1), "[2/3, 1]"), (F(2), "[4/3, 2]"),
+    ], ids=str)
+    def test_gamma_off_its_line_at_one_point_is_caught(self, monkeypatch, t, interval):
+        real, seen = _SectorEngine.gamma, []
+
+        def gamma(engine, u):
+            s, cycle = real(engine, u)
+            seen.append(u)
+            return (s + F(1, 7) if u == t else s), cycle
+
+        monkeypatch.setattr(_SectorEngine, "gamma", gamma)
+        message = f"gamma is not linear on {interval}: missed breakpoint"
+        with pytest.raises(BreakpointVerificationError, match=f"^{re.escape(message)}$"):
+            upsilon(torus_knot_complex(3, 4))
+        assert t in seen
 
     def test_starts_at_zero(self):
         for expr in ("T(2,3)", "T(3,5)", "T(2,5) # T(3,4)", "-T(2,7)"):

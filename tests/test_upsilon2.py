@@ -142,14 +142,23 @@ class TestGamma2:
             with pytest.raises(CertificateError):
                 verify_gamma2_certificate(c, swapped)
 
-    @pytest.mark.parametrize("t0", [0.4, "2/5", None, True], ids=repr)
-    def test_inexact_parameter_rejected(self, t0):
+    # each gamma or gamma2 below equals the certificate's own value at that
+    # singularity and differs from it only in being inexact
+    @pytest.mark.parametrize("expr, t0, field, value", [
+        *(pytest.param("T(5,7)", F(2, 5), "t0", v, id=repr(v)) for v in (0.4, "2/5", None, True)),
+        *(pytest.param(expr, t0, field, value, id=f"{expr}-{field}={value!r}")
+          for expr, t0, field, value in (
+              ("T(2,5)", 1, "gamma", 1.0), ("T(2,5)", 1, "gamma", True),
+              ("T(2,5)", 1, "gamma2", 1.5), ("T(3,5)", 1, "gamma", 1.5),
+              ("T(3,5)", 1, "gamma2", 2.0), ("T(4,5)", F(1, 2), "gamma2", 2.25))),
+    ])
+    def test_inexact_parameter_rejected(self, expr, t0, field, value):
         from dataclasses import replace
 
-        c = torus_knot_complex(5, 7)
-        cert = gamma2_at(c, F(2, 5))
-        with pytest.raises(CertificateError, match="t0 must be an int or a Fraction"):
-            verify_gamma2_certificate(c, replace(cert, t0=t0))
+        c = parse_knot_expression(expr)
+        cert = gamma2_at(c, t0)
+        with pytest.raises(CertificateError, match=f"{field} must be an int or a Fraction"):
+            verify_gamma2_certificate(c, replace(cert, **{field: value}))
 
 
 def test_secondary_invariant_needs_no_upsilon(monkeypatch):
