@@ -43,12 +43,9 @@ from .upsilon import (
 )
 from .upsilon2 import (
     Gamma2Certificate,
-    Jet,
     MergeWitness,
     NotApplicableError,
-    SideData,
     gamma2_at,
-    side_cycles,
     upsilon2_at,
     verify_gamma2_certificate,
 )
@@ -65,13 +62,11 @@ __all__ = [
     "GammaCertificate",
     "Generator",
     "InvalidTorusKnotError",
-    "Jet",
     "KnotExpressionError",
     "MergeWitness",
     "NotApplicableError",
     "PiecewiseLinear",
     "SectorElement",
-    "SideData",
     "StepVector",
     "UnsupportedComplexError",
     "alexander_torus",
@@ -84,7 +79,6 @@ __all__ = [
     "level_slope",
     "parse_knot_expression",
     "sector",
-    "side_cycles",
     "staircase_complex",
     "step_vector",
     "tensor",

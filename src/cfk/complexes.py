@@ -88,10 +88,18 @@ class BifilteredComplex:
         object.__setattr__(self, "generators", tuple(self.generators))
         object.__setattr__(self, "boundary", tuple(self.boundary))
         object.__setattr__(self, "h0_rep", frozenset(self.h0_rep))
-        if lam is None:  # outside input; the builders only combine checked gradings
+        if lam is None:  # outside input; the builders only combine checked data
             for g in self.generators:
                 for name in ("alg", "alex", "maslov"):
                     check_integer(getattr(g, name), f"{name} of generator {g.name}")
+            # a row may be any iterable, so read each one once
+            rows = tuple(r if type(r) is tuple else tuple(r) for r in self.boundary)
+            object.__setattr__(self, "boundary", rows)
+            for i, targets in enumerate(rows):
+                for j in targets:
+                    check_integer(j, f"entry of boundary row {i}")
+            for i in self.h0_rep:
+                check_integer(i, "entry of h0_rep")
         if not self._validate(lam):
             object.__setattr__(self, "boundary", tuple(
                 tuple(sorted(set(targets))) for targets in self.boundary))
@@ -313,10 +321,16 @@ def torus_knot_complex(p: int, q: int) -> BifilteredComplex:
     return staircase_complex(step_vector(alexander_torus(a, b)))
 
 
+# parentheses nested deeper than this are refused before the recursive
+# descent can exhaust the interpreter's stack
+_MAX_NESTING = 100
+
+
 class _ExpressionScanner:
     def __init__(self, text: str):
         self.text = text
         self.pos = 0
+        self.depth = 0
 
     def skip_ws(self) -> None:
         while self.pos < len(self.text) and self.text[self.pos].isspace():
@@ -368,9 +382,13 @@ class _ExpressionScanner:
             self.expect(")")
             return [(sign, p, q)]
         if ch == "(":
+            if self.depth == _MAX_NESTING:
+                self.fail(f"parentheses nested deeper than {_MAX_NESTING}")
             self.pos += 1
+            self.depth += 1
             factors = self.expr(sign)
             self.expect(")")
+            self.depth -= 1
             return factors
         self.fail("expected 'T(p,q)' or a parenthesised expression")
 

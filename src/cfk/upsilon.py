@@ -177,7 +177,7 @@ class _SectorEngine:
         return self.entry([half * x + (1 - half) * y for x, y in self.even_grades])[:2]
 
     def side(self, t0: Fraction, sign: int):
-        """Gamma jet, admissible positions, class cycle and null cycles at t0 + sign*delta.
+        """Gamma jet, class cycle and null cycles at t0 + sign*delta.
 
         Elements enter in (level, sign*slope) order at t0, the order of their
         levels just beside t0, so the entry key is the side gamma jet.  At
@@ -191,10 +191,9 @@ class _SectorEngine:
         u, v = a * width + sign, (2 * b - a) * width - sign
         keys = [u * x + v * y for x, y in self.even_grades]
         key, z0, null_cycles = self.entry(keys)
-        admissible = [k for k, kk in enumerate(keys) if kk <= key]
         scaled, slope = divmod(key + spread, width)
         jet = (Fraction(scaled, 2 * b), Fraction(sign * (slope - spread), 2))
-        return jet, admissible, z0, null_cycles
+        return jet, z0, null_cycles
 
     def scaled_odd_levels(self, t0: Fraction) -> list[int]:
         """2b times the grading-1 levels at t0 = a/b: a*Alex + (2b - a)*alg."""

@@ -30,40 +30,8 @@ from .upsilon import (
     level_slope,
 )
 
-SIDE_MINUS = "minus"
-SIDE_PLUS = "plus"
-
-
 class NotApplicableError(ValueError):
     """t0 is not a singularity with a positive slope jump."""
-
-
-@dataclass(frozen=True)
-class Jet:
-    """First-order level data at t0: value and d(level)/dt."""
-
-    value: Fraction
-    slope: Fraction
-
-    def side_key(self, sign: int) -> tuple[Fraction, Fraction]:
-        """Lexicographic comparison key on the side t0 + sign*delta."""
-        return (self.value, sign * self.slope)
-
-
-@dataclass(frozen=True)
-class SideData:
-    """Pivot data for one side of a singularity.
-
-    ``cycle_particular`` plus the GF(2) span of ``cycle_basis`` is exactly
-    the set of cycles supported on the admissible elements that represent
-    the distinguished class.
-    """
-
-    side: str
-    gamma_jet: Jet
-    admissible: tuple[SectorElement, ...]
-    cycle_particular: frozenset[SectorElement]
-    cycle_basis: tuple[frozenset[SectorElement], ...]
 
 
 @dataclass(frozen=True)
@@ -121,22 +89,6 @@ def _elements(engine: _SectorEngine, mask: int) -> frozenset[SectorElement]:
     return frozenset(engine.elements(engine.even_ids, _bits(mask)))
 
 
-def side_cycles(c: BifilteredComplex, t0, side: str,
-                ups: PiecewiseLinear | None = None) -> SideData:
-    """Admissible pivots and class cycles on one side of the singularity t0."""
-    if side not in (SIDE_MINUS, SIDE_PLUS):
-        raise ValueError(f"side must be '{SIDE_MINUS}' or '{SIDE_PLUS}'")
-    engine, _, minus, plus = _sides(c, t0, ups)
-    jet, admissible, z0, null_cycles = minus if side == SIDE_MINUS else plus
-    return SideData(
-        side=side,
-        gamma_jet=Jet(*jet),
-        admissible=tuple(engine.elements(engine.even_ids, admissible)),
-        cycle_particular=_elements(engine, z0),
-        cycle_basis=tuple(_elements(engine, v) for v in null_cycles),
-    )
-
-
 def gamma2_at(c: BifilteredComplex, t0,
               ups: PiecewiseLinear | None = None) -> Gamma2Certificate:
     """Minimal threshold at which the two side classes merge, with witness.
@@ -149,7 +101,7 @@ def gamma2_at(c: BifilteredComplex, t0,
     are tagged with their own mask above the odd bits, so the witness tag
     gives w and z_minus, and z_plus = z_minus + dw.
     """
-    engine, t0, ((gamma0, _), _, z0m, null_m), (_, _, z0p, null_p) = _sides(c, t0, ups)
+    engine, t0, ((gamma0, _), z0m, null_m), (_, z0p, null_p) = _sides(c, t0, ups)
     n_odd = len(engine.odd_ids)
     seed = [(v, v << n_odd) for v in null_m] + [(v, 0) for v in null_p]
     scale = 2 * t0.denominator  # thresholds are levels times 2b, in integers
@@ -197,11 +149,11 @@ def verify_gamma2_certificate(c: BifilteredComplex, cert: Gamma2Certificate,
     if not 0 < t0 < 2:
         raise CertificateError("t0 must lie in the open interval (0, 2)")
     tables = _DirectChecker(c)
-    jets = [Jet(level(t0, e), level_slope(e)) for e in tables.even]
+    jets = [(level(t0, e), level_slope(e)) for e in tables.even]
 
     def check_side(elems, sign, label):
         zmask = tables.class_cycle(elems, label)
-        keys = [jet.side_key(sign) for jet in jets]
+        keys = [(value, sign * slope) for value, slope in jets]
         key = max(keys[k] for k in _bits(zmask))
         if key[0] != cert.gamma:
             raise CertificateError(f"the top level of {label} is not the stored gamma")

@@ -329,8 +329,8 @@ def brute_gamma2(c, t0, ups) -> Fraction:
 
 # ---------------------------------------------------------------------------
 # the eager side and gamma2 passes that the lazy sector engine replaced:
-# whole integer tables, tuple keys, every batch built by one full sort, and a
-# full admissible scan.  Same elimination order, so same pivots and tags.
+# whole integer tables, tuple keys and every batch built by one full sort.
+# Same elimination order, so same pivots and tags.
 
 
 def _eager_batches(thresholds, columns):
@@ -344,7 +344,7 @@ def _positions(mask):
 
 
 def eager_side(c, t0, sign):
-    """(jet, admissible positions, class cycle, null cycles) at t0 + sign*delta.
+    """(jet, class cycle, null cycles) at t0 + sign*delta.
 
     Keys are (2b*level, 2*sign*slope) tuples at t0 = a/b; the columns
     [d(e); lam(e)] of every even element are built before the search.
@@ -358,15 +358,14 @@ def eager_side(c, t0, sign):
     a, b = t0.numerator, t0.denominator
     keys = [(a * e.alex + (2 * b - a) * e.alg, sign * (e.alex - e.alg)) for e in sector(c, 0)]
     key, z0, null_cycles = first_entry(_eager_batches(keys, columns), last)
-    admissible = [k for k, kk in enumerate(keys) if kk <= key]
     jet = (Fraction(key[0], 2 * b), Fraction(sign * key[1], 2))
-    return jet, admissible, z0, null_cycles
+    return jet, z0, null_cycles
 
 
 def eager_gamma2(c, t0) -> Gamma2Certificate:
     """gamma2 at a positive singularity t0, every grading-1 column built first."""
-    (gamma0, _), _, z0m, null_m = eager_side(c, t0, -1)
-    _, _, z0p, null_p = eager_side(c, t0, 1)
+    (gamma0, _), z0m, null_m = eager_side(c, t0, -1)
+    _, z0p, null_p = eager_side(c, t0, 1)
     tables = _DirectChecker(c)
     even, odd = sector(c, 0), sector(c, 1)
     n_odd = len(odd)

@@ -244,6 +244,17 @@ class TestDistinguish:
         code, _, err = run_capture(capsys, ["distinguish", "T(2,3)", "nope"])
         assert code == 2
 
+    @pytest.mark.parametrize("command, opener", [
+        (["invariants", "--no-timing"], "("), (["distinguish", "T(2,3)"], "-("),
+    ])
+    def test_over_deep_nesting_is_a_usage_error(self, capsys, command, opener):
+        # a RecursionError would exit 1, which distinguish uses for NOT DISTINGUISHED
+        deep = opener * 600 + "T(2,3)" + ")" * 600
+        code, out, err = run_capture(capsys, command + [deep])
+        assert (code, out) == (2, "")
+        assert err.startswith("error: parentheses nested deeper than 100")
+        assert len(err.splitlines()) == 1
+
 
 class TestConjecture:
     def test_p5_k2(self, capsys):

@@ -23,7 +23,7 @@ from cfk import (
     torus_knot_complex,
     trivial_complex,
 )
-from cfk.complexes import expression_size, parse_knot_factors
+from cfk.complexes import _MAX_NESTING, expression_size, parse_knot_factors
 from cfk.semigroup import StepVector
 from oracles import _h0_from_parts
 
@@ -102,6 +102,18 @@ class TestValidation:
         gen = replace(Generator("a", 0, 0, 0), **{field: value})
         with pytest.raises(ValueError, match=f"{field} of generator a must be an int"):
             BifilteredComplex((gen,), ((),), frozenset({0}))
+
+    @pytest.mark.parametrize("boundary, h0_rep, field", [
+        (((), (0.0,)), {0}, "entry of boundary row 1"),
+        (((), [Fraction(0)]), {0}, "entry of boundary row 1"),
+        (((), (False,)), {0}, "entry of boundary row 1"),
+        (((), ()), {0.0}, "entry of h0_rep"),
+        (((), ()), {True}, "entry of h0_rep"),
+    ], ids=repr)
+    def test_non_integer_index_rejected(self, boundary, h0_rep, field):
+        gens = (Generator("a", 0, 0, 0), Generator("b", 1, 1, 1))
+        with pytest.raises(ValueError, match=f"{field} must be an int"):
+            BifilteredComplex(gens, boundary, h0_rep)
 
 
 class TestDerivedClassFunctional:
@@ -376,6 +388,20 @@ class TestParser:
         with pytest.raises(KnotExpressionError) as info:
             parse_knot_factors("T(2,3\u00b2)")
         assert info.value.position == 5
+
+    def test_nesting_at_the_limit_parses(self):
+        depth = _MAX_NESTING
+        text = "-(" * depth + "T(2,3)" + ")" * depth
+        assert parse_knot_factors(text) == (((-1) ** depth, 2, 3),)
+
+    @pytest.mark.parametrize("opener", ["(", "-(", " ( "])
+    def test_nesting_past_the_limit_is_a_syntax_error(self, opener):
+        # the recursive descent would otherwise raise RecursionError
+        depth = _MAX_NESTING + 1
+        text = opener * depth + "T(2,3)" + ")" * depth
+        with pytest.raises(KnotExpressionError, match="nested deeper") as info:
+            parse_knot_factors(text)
+        assert info.value.position == text.index("(", len(opener) * _MAX_NESTING)
 
     def test_unknot_variants(self):
         assert len(parse_knot_expression("T(1,5)").generators) == 1

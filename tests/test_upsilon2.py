@@ -12,10 +12,7 @@ from cfk import (
 from cfk.upsilon import CertificateError, upsilon
 from cfk.upsilon2 import (
     NotApplicableError,
-    SIDE_MINUS,
-    SIDE_PLUS,
     gamma2_at,
-    side_cycles,
     upsilon2_at,
     verify_gamma2_certificate,
 )
@@ -27,54 +24,32 @@ def points(elems):
 
 
 class TestSideCycles:
-    def test_t34(self):
-        c = torus_knot_complex(3, 4)
-        minus = side_cycles(c, F(2, 3), SIDE_MINUS)
-        plus = side_cycles(c, F(2, 3), SIDE_PLUS)
-        assert points(minus.admissible) == {(0, 3)}
-        assert points(plus.admissible) == {(1, 1)}
-        assert points(minus.cycle_particular) == {(0, 3)}
-        assert points(plus.cycle_particular) == {(1, 1)}
-        assert minus.cycle_basis == () and plus.cycle_basis == ()
-        assert minus.gamma_jet.value == 1
-
-    def test_t57(self):
-        c = torus_knot_complex(5, 7)
-        minus = side_cycles(c, F(4, 5), SIDE_MINUS)
-        plus = side_cycles(c, F(4, 5), SIDE_PLUS)
-        assert points(minus.admissible) == {(1, 8)}
-        assert points(plus.admissible) == {(3, 5)}
-
-    def test_connected_sum_pivots(self):
-        c = parse_knot_expression("T(2,5) # T(5,6)")
-        minus = side_cycles(c, F(4, 5), SIDE_MINUS)
-        plus = side_cycles(c, F(4, 5), SIDE_PLUS)
-        assert points(minus.cycle_particular) == {(1, 8)}
-        assert points(plus.cycle_particular) == {(3, 5)}
-        names = {e.generator.name for e in minus.cycle_particular}
-        assert names == {"(x0|x2)"}  # (0,2) tensor (1,6)
-        names = {e.generator.name for e in plus.cycle_particular}
-        assert names == {"(x0|x4)"}  # (0,2) tensor (3,3)
-
+    # the side passes of gamma2_at: their gamma jets decide whether t0 is a
+    # singularity with a positive slope jump, and their class cycles are the
+    # certificate's z_minus and z_plus (see TestGamma2)
     def test_rejects_non_singularity(self):
         c = torus_knot_complex(3, 4)
-        with pytest.raises(NotApplicableError):
-            side_cycles(c, F(1, 2), SIDE_MINUS)
+        with pytest.raises(NotApplicableError, match="no singularity"):
+            gamma2_at(c, F(1, 2))
+        with pytest.raises(NotApplicableError, match="no singularity"):
+            upsilon2_at(c, F(1, 2))
 
     def test_rejects_negative_jump(self):
         c = dual(torus_knot_complex(3, 4))
         ups = upsilon(c)
         t0 = ups.singularities()[0][0]
-        with pytest.raises(NotApplicableError):
-            side_cycles(c, t0, SIDE_PLUS, ups=ups)
+        with pytest.raises(NotApplicableError, match="negative"):
+            gamma2_at(c, t0, ups=ups)
+        with pytest.raises(NotApplicableError, match="negative"):
+            upsilon2_at(c, t0)
 
     def test_rejects_endpoint(self):
-        with pytest.raises(NotApplicableError):
-            side_cycles(torus_knot_complex(3, 4), F(0), SIDE_PLUS)
-
-    def test_rejects_unknown_side(self):
-        with pytest.raises(ValueError):
-            side_cycles(torus_knot_complex(3, 4), F(2, 3), "left")
+        c = torus_knot_complex(3, 4)
+        for t0 in (F(0), 2):
+            with pytest.raises(NotApplicableError, match="open interval"):
+                gamma2_at(c, t0)
+            with pytest.raises(NotApplicableError, match="open interval"):
+                upsilon2_at(c, t0)
 
     def test_rejects_foreign_upsilon(self):
         # same singularity location, different gamma value
@@ -97,6 +72,8 @@ class TestGamma2:
         assert cert.gamma == F(19, 5)
         assert cert.gamma2 == F(23, 5)
         assert points(cert.witness.w) == {(2, 8), (3, 7)}
+        assert points(cert.witness.z_minus) == {(1, 8)}
+        assert points(cert.witness.z_plus) == {(3, 5)}
 
     def test_connected_sum_exceeds_23_fifths(self):
         c = parse_knot_expression("T(2,5) # T(5,6)")
@@ -104,6 +81,12 @@ class TestGamma2:
         assert cert.gamma2 > F(23, 5)
         assert cert.gamma2 == F(5)  # attained by (0,2) tensor the (3,6) corner
         assert points(cert.witness.w) == {(3, 8)}
+        assert points(cert.witness.z_minus) == {(1, 8)}
+        assert points(cert.witness.z_plus) == {(3, 5)}
+        names = {e.generator.name for e in cert.witness.z_minus}
+        assert names == {"(x0|x2)"}  # (0,2) tensor (1,6)
+        names = {e.generator.name for e in cert.witness.z_plus}
+        assert names == {"(x0|x4)"}  # (0,2) tensor (3,3)
 
     def test_certificates_verify(self):
         for expr, t0 in (
@@ -172,9 +155,9 @@ def test_secondary_invariant_needs_no_upsilon(monkeypatch):
     cert = gamma2_at(c, F(4, 5))
     verify_gamma2_certificate(c, cert)
     assert upsilon2_at(c, F(4, 5)) == F(-12, 5)
-    assert side_cycles(c, F(4, 5), SIDE_PLUS).gamma_jet.value == cert.gamma
+    assert cert.gamma == F(19, 5)
     with pytest.raises(NotApplicableError):
-        side_cycles(c, F(1, 2), SIDE_MINUS)
+        gamma2_at(c, F(1, 2))
 
 
 class TestUpsilon2Values:
@@ -246,14 +229,13 @@ class TestStability:
 
 def test_integer_side_keys_match_fraction_levels():
     # _SectorEngine.side orders the even sector on integer keys scaled by
-    # (2b, 2) at t0 = a/b.  The Fraction definition (level, level_slope and
-    # Jet.side_key) must give the same jet, admissible positions, class
-    # cycle and null cycles, at every breakpoint of upsilon and at points
-    # with large denominators.
+    # (2b, 2) at t0 = a/b.  The Fraction definition, keys (level,
+    # sign * level_slope), must give the same jet, class cycle and null
+    # cycles, at every breakpoint of upsilon and at points with large
+    # denominators.
     import random
 
     from cfk.upsilon import _SectorEngine, level, level_slope, sector
-    from cfk.upsilon2 import Jet
 
     rng = random.Random(9731)
     pairs = [(2, 3), (2, 5), (3, 4), (3, 5), (2, 7), (4, 5), (3, 7), (5, 6)]
@@ -272,10 +254,9 @@ def test_integer_side_keys_match_fraction_levels():
         t0s += [F(97, 113), F(1, 977), F(1999, 1000), F(355, 226)]
         for t0 in t0s:
             for sign in (-1, 1):
-                keys = [Jet(level(t0, e), level_slope(e)).side_key(sign) for e in sector(c, 0)]
+                keys = [(level(t0, e), sign * level_slope(e)) for e in sector(c, 0)]
                 key, z0, null_cycles = engine.entry(keys)
-                admissible = [k for k, kk in enumerate(keys) if kk <= key]
-                expected = ((key[0], sign * key[1]), admissible, z0, null_cycles)
+                expected = ((key[0], sign * key[1]), z0, null_cycles)
                 got = engine.side(t0, sign)
                 assert got == expected, (expr, t0, sign)
                 assert all(type(x) is F for x in got[0])
