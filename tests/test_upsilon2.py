@@ -9,9 +9,10 @@ from cfk import (
     parse_knot_expression,
     torus_knot_complex,
 )
-from cfk.upsilon import CertificateError, upsilon
+from cfk.upsilon import CertificateError, _SectorEngine, upsilon
 from cfk.upsilon2 import (
     NotApplicableError,
+    _elements,
     gamma2_at,
     upsilon2_at,
     verify_gamma2_certificate,
@@ -23,10 +24,46 @@ def points(elems):
     return {(e.alg, e.alex) for e in elems}
 
 
+def side_pass(c, t0, sign):
+    """gamma jet, class cycle (as sector elements) and null cycles beside t0."""
+    engine = _SectorEngine(c)
+    jet, z0, null_cycles = engine.side(t0, sign)
+    return jet, _elements(engine, z0), null_cycles
+
+
 class TestSideCycles:
     # the side passes of gamma2_at: their gamma jets decide whether t0 is a
-    # singularity with a positive slope jump, and their class cycles are the
+    # singularity with a positive slope jump, and their class cycles seed the
     # certificate's z_minus and z_plus (see TestGamma2)
+    def test_t34(self):
+        c = torus_knot_complex(3, 4)
+        jet_m, minus, null_m = side_pass(c, F(2, 3), -1)
+        jet_p, plus, null_p = side_pass(c, F(2, 3), 1)
+        assert points(minus) == {(0, 3)}
+        assert points(plus) == {(1, 1)}
+        assert null_m == [] and null_p == []
+        # upsilon = -3t before 2/3 and -2 after it: gamma = 1, slopes 3/2, 0
+        assert jet_m == (1, F(3, 2)) and jet_p == (1, 0)
+
+    def test_t57(self):
+        c = torus_knot_complex(5, 7)
+        jet_m, minus, _ = side_pass(c, F(4, 5), -1)
+        jet_p, plus, _ = side_pass(c, F(4, 5), 1)
+        assert points(minus) == {(1, 8)}
+        assert points(plus) == {(3, 5)}
+        assert jet_m == (F(19, 5), F(7, 2)) and jet_p == (F(19, 5), 1)
+
+    def test_connected_sum_pivots(self):
+        c = parse_knot_expression("T(2,5) # T(5,6)")
+        _, minus, _ = side_pass(c, F(4, 5), -1)
+        _, plus, _ = side_pass(c, F(4, 5), 1)
+        assert points(minus) == {(1, 8)}
+        assert points(plus) == {(3, 5)}
+        names = {e.generator.name for e in minus}
+        assert names == {"(x0|x2)"}  # (0,2) tensor (1,6)
+        names = {e.generator.name for e in plus}
+        assert names == {"(x0|x4)"}  # (0,2) tensor (3,3)
+
     def test_rejects_non_singularity(self):
         c = torus_knot_complex(3, 4)
         with pytest.raises(NotApplicableError, match="no singularity"):
