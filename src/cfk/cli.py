@@ -429,10 +429,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_DASHED = ("-T(", "-(")
+
+
 def _pad_dash_expressions(argv):
     # argparse reads "-T(2,3)" as an option; a leading space makes it a
-    # positional, and the knot grammar ignores whitespace anyway.
-    return [" " + a if a.startswith("-T(") or a.startswith("-(") else a for a in argv]
+    # positional.  run() takes the space off again once parsed.
+    return [" " + a if a.startswith(_DASHED) else a for a in argv]
+
+
+def _unpad_dash_expressions(args, argv) -> None:
+    # so that a syntax error's position indexes the user's own text
+    padded = {" " + a for a in argv if a.startswith(_DASHED)}
+    for name, value in vars(args).items():
+        if isinstance(value, str) and value in padded:
+            setattr(args, name, value[1:])
 
 
 @functools.cache
@@ -450,7 +461,9 @@ def _parser() -> argparse.ArgumentParser:
 def run(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    args = _parser().parse_args(_pad_dash_expressions(list(argv)))
+    argv = list(argv)
+    args = _parser().parse_args(_pad_dash_expressions(argv))
+    _unpad_dash_expressions(args, argv)
     # the one boundary for bad input; anything else is a bug and propagates
     try:
         return args.func(args)

@@ -214,7 +214,7 @@ def _solve_lam(gens, bnd, masks: list[int], h0: int) -> int:
     # The relations among those columns number #even - rank(d_odd) - 1, as
     # h0 is not a boundary; homology has rank one when that is rank(d_even).
     cycles = Echelon()
-    if len(relations) != sum(cycles.add(masks[i]) for i in columns):
+    if len(relations) != sum(1 for i in columns if cycles.add(masks[i])):
         raise UnsupportedComplexError(
             "not a knot-like complex in scope: completed grading-0 homology "
             "must have rank one"

@@ -47,18 +47,18 @@ class Echelon:
                 tag ^= row[1]
         return residue, tag
 
-    def add(self, vec: int, tag: int = 0) -> bool:
-        """Insert vec; returns True if it increased the rank."""
+    def add(self, vec: int, tag: int = 0) -> int:
+        """Insert vec; returns the pivot bit of the row it stored, 0 if none.
+
+        The stored row has no bit at the pivot of an earlier row.
+        """
         vec, tag = self._reduce(vec, tag)
         if vec == 0:
             self.kernel.append(tag)
-            return False
-        self._rows[vec & -vec] = (vec, tag)
-        return True
-
-    def reduce_with_tag(self, vec: int) -> tuple[int, int]:
-        """Residue of vec against the row space, and the tag of what it absorbed."""
-        return self._reduce(vec, 0)
+            return 0
+        pivot = vec & -vec
+        self._rows[pivot] = (vec, tag)
+        return pivot
 
     def contains(self, vec: int) -> bool:
         return self._reduce(vec, 0)[0] == 0
@@ -93,17 +93,28 @@ def first_entry(batches: Iterable[tuple[object, list[Column]]], target: int,
 
     ``batches`` yields (threshold, columns) in threshold order, each column a
     (vector, tag) pair.  Every column of a batch goes into one Echelon before
-    target is reduced.  Returns (threshold, witness, kernel):
+    target is tested.  Returns (threshold, witness, kernel):
     witness is the XOR of the tags of columns that sum to target, and kernel
     holds the tags of the columns fed so far that reduced to zero, a basis of
     their linear relations when the tags are independent.  threshold and
     witness are None when target never enters.
+
+    The residue of target is kept reduced as rows arrive: it holds no bit at
+    any pivot, and a new row with pivot p holds none at an earlier pivot, so
+    XORing the row in exactly when bit p is set keeps that true.  The rows
+    have distinct pivots, so the rows that sum to target, and the witness,
+    are the ones a reduction from scratch would find.
     """
     ech = Echelon()
+    rows = ech._rows
+    residue, witness = target, 0
     for threshold, columns in batches:
         for vec, tag in columns:
-            ech.add(vec, tag)
-        residue, witness = ech.reduce_with_tag(target)
+            pivot = ech.add(vec, tag)
+            if residue & pivot:
+                row, row_tag = rows[pivot]
+                residue ^= row
+                witness ^= row_tag
         if residue == 0:
             return threshold, witness, ech.kernel
     return None, None, ech.kernel

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, starmap
+from itertools import combinations, groupby, starmap
 from operator import sub
 
 from .complexes import BifilteredComplex, Generator, _bits, _mask
@@ -93,22 +93,22 @@ class GammaCertificate:
 
 
 def _sector_layout(c: BifilteredComplex):
-    """Sector positions, (Alex, alg) grades and position bits, in one pass.
+    """Sector positions and (Alex, alg) grades, in one pass.
 
     Returns ``(even_ids, odd_ids)``, ``(even_grades, odd_grades)`` and
-    ``bit``: element k of the grading-0 sector is generator ``even_ids[k]``
-    shifted by U^(maslov // 2), with (Alex, alg) ``even_grades[k]`` (likewise
-    for grading 1), and ``bit[i]`` is 1 << (position of generator i within
-    its sector).
+    ``position``: element k of the grading-0 sector is generator
+    ``even_ids[k]`` shifted by U^(maslov // 2), with (Alex, alg)
+    ``even_grades[k]`` (likewise for grading 1), and ``position[i]`` is the
+    position of generator i within its sector.
     """
     ids, grades = ([], []), ([], [])  # by parity of the grading
-    bit = []
+    position = []
     for i, g in enumerate(c.generators):
         parity, shift = g.maslov & 1, g.maslov >> 1
-        bit.append(1 << len(ids[parity]))
+        position.append(len(ids[parity]))
         ids[parity].append(i)
         grades[parity].append((g.alex - shift, g.alg - shift))
-    return ids, grades, bit
+    return ids, grades, position
 
 
 class _Memo(dict):
@@ -140,11 +140,11 @@ class _SectorEngine:
 
     def __init__(self, c: BifilteredComplex):
         self.generators = c.generators
-        (even_ids, odd_ids), (self.even_grades, self.odd_grades), bit = _sector_layout(c)
+        (even_ids, odd_ids), (self.even_grades, self.odd_grades), position = _sector_layout(c)
         self.even_ids, self.odd_ids = even_ids, odd_ids
-        get, rows = bit.__getitem__, c.boundary
-        self.d_even = d_even = _Memo(lambda k: sum(map(get, rows[even_ids[k]])))
-        self.d_odd = d_odd = _Memo(lambda j: sum(map(get, rows[odd_ids[j]])))
+        get, rows = position.__getitem__, c.boundary
+        self.d_even = d_even = _Memo(lambda k: _mask(map(get, rows[even_ids[k]])))
+        self.d_odd = d_odd = _Memo(lambda j: _mask(map(get, rows[odd_ids[j]])))
         lam, last = c.lam, 1 << len(odd_ids)  # lam is indexed by generator
         self.class_columns = _Memo(
             lambda k: (d_even[k] | last if lam >> even_ids[k] & 1 else d_even[k], 1 << k))
@@ -195,10 +195,19 @@ class _SectorEngine:
         jet = (Fraction(scaled, 2 * b), Fraction(sign * (slope - spread), 2))
         return jet, z0, null_cycles
 
-    def scaled_odd_levels(self, t0: Fraction) -> list[int]:
-        """2b times the grading-1 levels at t0 = a/b: a*Alex + (2b - a)*alg."""
+    def odd_batches(self, t0: Fraction, floor: int):
+        """Grading-1 columns batched by 2b times their level at t0 = a/b, from floor up.
+
+        The scaled level is a*Alex + (2b - a)*alg; ties keep sector order.
+        Elements below floor are left out, and their columns never built.
+        """
         a, c = t0.numerator, 2 * t0.denominator - t0.numerator
-        return [a * x + c * y for x, y in self.odd_grades]
+        levels = [a * x + c * y for x, y in self.odd_grades]
+        above = sorted((j for j, lv in enumerate(levels) if lv >= floor),
+                       key=levels.__getitem__)
+        columns = self.odd_columns
+        for lv, group in groupby(above, key=levels.__getitem__):
+            yield lv, [columns[j] for j in group]
 
 
 def gamma_at(c: BifilteredComplex, t) -> GammaCertificate:
@@ -255,20 +264,26 @@ class _DirectChecker:
     grading-1 sectors is the fundamental one between even and odd
     generators: ``d_even[k]`` is the boundary of even element k over the odd
     sector and ``d_odd[j]`` that of odd element j over the even sector.
-    Every row is built up front, as the checks read them all.
+    Every row is built up front, as the checks read them all, from the
+    sectors themselves and not from the searches' layout.
     """
 
     def __init__(self, c: BifilteredComplex):
-        (even_ids, odd_ids), _, bit = _sector_layout(c)
-        # a boundary holds distinct generators, so summing their bits ORs them
-        get = bit.__getitem__
-        self.d_even = [sum(map(get, c.boundary[i])) for i in even_ids]
-        self.d_odd = [sum(map(get, c.boundary[i])) for i in odd_ids]
-        self.h0_mask = sum(map(get, c.h0_rep))
         self.even = sector(c, 0)
         self.odd = sector(c, 1)
         self.even_pos = {e: k for k, e in enumerate(self.even)}
         self.odd_pos = {e: j for j, e in enumerate(self.odd)}
+        # generator index -> position of its translate within its sector
+        index = {g: i for i, g in enumerate(c.generators)}
+        pos = {index[e.generator]: k for part in (self.even, self.odd)
+               for k, e in enumerate(part)}
+
+        def row(e: SectorElement) -> int:
+            return _mask(pos[i] for i in c.boundary[index[e.generator]])
+
+        self.d_even = [row(e) for e in self.even]
+        self.d_odd = [row(e) for e in self.odd]
+        self.h0_mask = _mask(pos[i] for i in c.h0_rep)
 
     def class_cycle(self, elems, label: str) -> int:
         """Even-sector mask of ``elems``; CertificateError unless a cycle in the h0 class."""

@@ -18,7 +18,7 @@ from itertools import chain
 
 from .complexes import BifilteredComplex, _mask
 from .exactnum import PiecewiseLinear, check_parameter
-from .f2linalg import by_threshold, first_entry
+from .f2linalg import first_entry
 from .upsilon import (
     CertificateError,
     SectorElement,
@@ -100,14 +100,20 @@ def gamma2_at(c: BifilteredComplex, t0,
     until z0_minus + z0_plus enters their span.  The minus-side null cycles
     are tagged with their own mask above the odd bits, so the witness tag
     gives w and z_minus, and z_plus = z_minus + dw.
+
+    Grading-1 elements below gamma are never fed: the boundary of such an
+    element o lies below gamma, where the minus pass fed every element, and
+    is a relation among their class columns (d(do) = 0, and lam vanishes on
+    boundaries).  So do is in the span of the seeded null cycles, the column
+    of o would only join the kernel, and the rows, gamma2 and the witness do
+    not change.
     """
     engine, t0, ((gamma0, _), z0m, null_m), (_, z0p, null_p) = _sides(c, t0, ups)
     n_odd = len(engine.odd_ids)
     seed = [(v, v << n_odd) for v in null_m] + [(v, 0) for v in null_p]
     scale = 2 * t0.denominator  # thresholds are levels times 2b, in integers
     floor = int(gamma0 * scale)
-    thresholds = [lv if lv > floor else floor for lv in engine.scaled_odd_levels(t0)]
-    batches = chain([(floor, seed)], by_threshold(thresholds, engine.odd_columns))
+    batches = chain([(floor, seed)], engine.odd_batches(t0, floor))
     r_star, tag, _ = first_entry(batches, z0m ^ z0p)
     if r_star is None:
         raise AssertionError("side classes must merge once every element is admissible")

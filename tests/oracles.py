@@ -5,8 +5,8 @@ algebraic route, deliberately avoiding the bit-packed elimination engine and
 the class-functional shortcut used by the package under test.  GF(2) vectors
 are plain 0/1 lists, except in ``SortedEchelon``, the package's former
 sorted-row echelon on bitmasks, kept as the reference for the pivot-indexed
-one; in ``_h0_from_parts``, which runs on it; and in the eager passes at the
-end, which the lazy sector engine replaced.
+one; in ``first_entry_per_batch`` and ``_h0_from_parts``, which run on it;
+and in the eager passes at the end, which the lazy sector engine replaced.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ from itertools import combinations, groupby
 
 from cfk import UnsupportedComplexError, sector
 from cfk.complexes import _mask
-from cfk.f2linalg import first_entry
 from cfk.semigroup import _validate_pq
 from cfk.upsilon import _DirectChecker, level, level_slope
 from cfk.upsilon2 import Gamma2Certificate, MergeWitness
@@ -77,22 +76,39 @@ class SortedEchelon:
         return vec, tag
 
     def add(self, vec, tag=0):
+        """Insert vec; the pivot bit of the row it stored, 0 if none."""
         vec, tag = self._reduce(vec, tag)
         if vec == 0:
             self.kernel.append(tag)
-            return False
+            return 0
         pivot = vec & -vec
         lo = 0
         while lo < len(self._rows) and self._rows[lo][0] < pivot:
             lo += 1
         self._rows.insert(lo, (pivot, vec, tag))
-        return True
+        return pivot
 
     def reduce_with_tag(self, vec):
         return self._reduce(vec, 0)
 
     def contains(self, vec):
         return self._reduce(vec, 0)[0] == 0
+
+
+def first_entry_per_batch(batches, target):
+    """Reference for ``cfk.f2linalg.first_entry``, as it was before it tracked target.
+
+    After every batch target is reduced from scratch against the rows fed so
+    far; returns (threshold, witness, kernel) like the package's.
+    """
+    ech = SortedEchelon()
+    for threshold, columns in batches:
+        for vec, tag in columns:
+            ech.add(vec, tag)
+        residue, witness = ech.reduce_with_tag(target)
+        if residue == 0:
+            return threshold, witness, ech.kernel
+    return None, None, ech.kernel
 
 
 def _h0_from_parts(gens, bnd) -> frozenset[int]:
@@ -329,8 +345,9 @@ def brute_gamma2(c, t0, ups) -> Fraction:
 
 # ---------------------------------------------------------------------------
 # the eager side and gamma2 passes that the lazy sector engine replaced:
-# whole integer tables, tuple keys and every batch built by one full sort.
-# Same elimination order, so same pivots and tags.
+# whole integer tables, tuple keys, every batch built by one full sort, every
+# grading-1 column fed (those below gamma at gamma) and target reduced after
+# every batch.  Same elimination order, so same pivots and tags.
 
 
 def _eager_batches(thresholds, columns):
@@ -357,7 +374,7 @@ def eager_side(c, t0, sign):
                for k, (i, d) in enumerate(zip(even_ids, tables.d_even))]
     a, b = t0.numerator, t0.denominator
     keys = [(a * e.alex + (2 * b - a) * e.alg, sign * (e.alex - e.alg)) for e in sector(c, 0)]
-    key, z0, null_cycles = first_entry(_eager_batches(keys, columns), last)
+    key, z0, null_cycles = first_entry_per_batch(_eager_batches(keys, columns), last)
     jet = (Fraction(key[0], 2 * b), Fraction(sign * key[1], 2))
     return jet, z0, null_cycles
 
@@ -374,8 +391,8 @@ def eager_gamma2(c, t0) -> Gamma2Certificate:
     floor = int(gamma0 * scale)
     thresholds = [max(level(t0, e) * scale, floor) for e in odd]
     columns = [(d, 1 << j) for j, d in enumerate(tables.d_odd)]
-    r_star, tag, _ = first_entry([(floor, seed)] + _eager_batches(thresholds, columns),
-                                 z0m ^ z0p)
+    r_star, tag, _ = first_entry_per_batch(
+        [(floor, seed)] + _eager_batches(thresholds, columns), z0m ^ z0p)
     wmask = tag & ((1 << n_odd) - 1)
     zm = z0m ^ (tag >> n_odd)
     zp = zm

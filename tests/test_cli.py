@@ -60,6 +60,16 @@ class TestInvariants:
         assert code == 2
         assert "position 7" in err
 
+    @pytest.mark.parametrize("expression, position", [
+        ("-T(2,x)", 5), ("T(2,x)", 4), ("-(T(2,3) # T(2,x))", 15), ("(T(2,3) # T(2,x))", 14),
+    ])
+    def test_parse_error_position_indexes_the_argument(self, capsys, expression, position):
+        # a dashed argument is padded for argparse; the position must not count the pad
+        assert expression[position] == "x"
+        code, out, err = run_capture(capsys, ["invariants", expression])
+        assert (code, out) == (2, "")
+        assert err == f"error: expected an integer (at position {position})\n"
+
     def test_timing_field_is_last_and_optional(self, capsys):
         code, out, _ = run_capture(capsys, ["invariants", "T(2,3)"])
         assert code == 0
@@ -243,6 +253,15 @@ class TestDistinguish:
     def test_parse_error(self, capsys):
         code, _, err = run_capture(capsys, ["distinguish", "T(2,3)", "nope"])
         assert code == 2
+
+    @pytest.mark.parametrize("expressions", [
+        ["-(T(2,3)", "T(2,5)"], ["T(2,5)", "-(T(2,3)"], ["(T(2,3)", "T(2,5)"],
+    ])
+    def test_parse_error_at_the_end_names_the_argument_length(self, capsys, expressions):
+        text = next(e for e in expressions if e.endswith("(T(2,3)"))
+        code, out, err = run_capture(capsys, ["distinguish"] + expressions)
+        assert (code, out) == (2, "")
+        assert err == f"error: expected ')' (at position {len(text)})\n"
 
     @pytest.mark.parametrize("command, opener", [
         (["invariants", "--no-timing"], "("), (["distinguish", "T(2,3)"], "-("),

@@ -53,12 +53,9 @@ class TestEchelon:
         assert not ech.contains(0b100)
 
     def test_tag_tracking_recovers_combination(self):
-        ech = Echelon()
         vecs = [0b011, 0b110, 0b100]
-        for i, v in enumerate(vecs):
-            ech.add(v, 1 << i)
-        residue, tag = ech.reduce_with_tag(0b001)
-        assert residue == 0
+        threshold, tag, _ = first_entry([(0, [(v, 1 << i) for i, v in enumerate(vecs)])], 0b001)
+        assert threshold == 0
         acc = 0
         for i in range(3):
             if (tag >> i) & 1:
@@ -217,11 +214,11 @@ def _random_vectors(rng, width, n):
     return out
 
 
-def test_pivot_indexed_echelon_matches_sorted_rows(monkeypatch):
+def test_pivot_indexed_echelon_matches_sorted_rows():
     # The pivot-indexed store must make the same rows, residues, tags and
-    # kernel as the sorted-row echelon it replaced, kept in tests/oracles.py.
-    import cfk.f2linalg
-    from oracles import SortedEchelon
+    # kernel as the sorted-row echelon it replaced, kept in tests/oracles.py,
+    # and first_entry on it the same answer as the per-batch reduction there.
+    from oracles import SortedEchelon, first_entry_per_batch
 
     rng = random.Random(5150)
     for trial in range(60):
@@ -236,14 +233,46 @@ def test_pivot_indexed_echelon_matches_sorted_rows(monkeypatch):
         assert fast.kernel == ref.kernel
         assert fast._rows == {p: (v, tag) for p, v, tag in ref._rows}
         for probe in _random_vectors(rng, width, 20) + vectors[:5]:
-            assert fast.reduce_with_tag(probe) == ref.reduce_with_tag(probe)
+            assert fast._reduce(probe, 0) == ref.reduce_with_tag(probe)
             assert fast.contains(probe) == ref.contains(probe)
 
         thresholds = [rng.randrange(0, 6) for _ in range(n)]
         columns = list(zip(vectors, tags))
         target = rng.choice(vectors + [rng.getrandbits(width)]) if vectors else 0
         got = first_entry(by_threshold(thresholds, columns), target)
-        with monkeypatch.context() as m:
-            m.setattr(cfk.f2linalg, "Echelon", SortedEchelon)
-            expected = first_entry(by_threshold(thresholds, columns), target)
+        expected = first_entry_per_batch(by_threshold(thresholds, columns), target)
         assert got == expected
+
+
+def test_tracked_target_matches_the_per_batch_reduction():
+    # first_entry keeps target reduced as rows arrive; the oracle reduces it
+    # from scratch after every batch.  Targets in the span of a few columns,
+    # outside every span, and zero; batches of 0 to 6 columns, some empty.
+    from oracles import first_entry_per_batch
+
+    rng = random.Random(1616)
+    entered = never = 0
+    for trial in range(300):
+        width = rng.choice([1, 3, 8, 64, 65, 200])
+        vectors = _random_vectors(rng, width, rng.randrange(0, 40))
+        tags = [rng.getrandbits(48) if trial % 2 else 1 << i for i in range(len(vectors))]
+        columns = list(zip(vectors, tags))
+        batches = []
+        while columns:
+            size = rng.randrange(0, 7)
+            batches.append((len(batches), columns[:size]))
+            columns = columns[size:]
+        kind = trial % 3
+        if kind == 0 and vectors:
+            target = 0
+            for v in rng.sample(vectors, min(len(vectors), rng.randrange(1, 5))):
+                target ^= v
+        elif kind == 1:
+            target = rng.getrandbits(width + 2)
+        else:
+            target = 0
+        got = first_entry(iter(batches), target)
+        assert got == first_entry_per_batch(iter(batches), target), trial
+        entered += got[0] is not None
+        never += got[0] is None
+    assert entered > 100 and never > 50

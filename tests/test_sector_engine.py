@@ -27,6 +27,7 @@ from cfk.upsilon import (
     _DirectChecker,
     _SectorEngine,
     gamma_at,
+    level,
     sector,
     upsilon,
     verify_gamma_certificate,
@@ -271,3 +272,35 @@ def test_a_query_builds_at_most_half_of_each_sector(monkeypatch):
         engine = engines.pop()
         assert 2 * len(engine.d_even) <= len(engine.even_ids), t0
         assert 2 * len(engine.d_odd) <= len(engine.odd_ids), t0
+
+
+def test_gamma2_builds_no_grading1_row_below_gamma(monkeypatch):
+    # an element below gamma has its boundary among the minus side's null
+    # cycles, so its column could only join the kernel: it is never built
+    engines = []
+
+    class Recording(_SectorEngine):
+        def __init__(self, c):
+            super().__init__(c)
+            engines.append(self)
+
+    monkeypatch.setattr(UPSILON2, "_SectorEngine", Recording)
+    # mirrored factors put corners, and odd box tops sit, below gamma
+    cases = []
+    for expr in ("T(3,5) # -T(2,5) # T(4,5)", "-T(3,4) # T(3,7)", "T(4,5) # -T(2,7)"):
+        knot = parse_knot_expression(expr)
+        boxed = direct_sum_with_box(direct_sum_with_box(knot, 1, 2, 2, 1, 1), 0, 0, 1, 3, 3)
+        ups = upsilon(knot)
+        cases += [(expr, knot, ups), (expr + " + boxes", boxed, ups)]
+    below_total = 0
+    for expr, c, ups in cases:
+        odd = sector(c, 1)
+        for t0 in positive_singularities(ups):
+            cert = gamma2_at(c, t0, ups=ups)
+            engine = engines.pop()
+            below = {j for j, e in enumerate(odd) if level(t0, e) < cert.gamma}
+            assert not below & set(engine.d_odd), (expr, t0)
+            assert not below & set(engine.odd_columns), (expr, t0)
+            assert set(engine.odd_columns) == set(engine.d_odd), (expr, t0)
+            below_total += len(below)
+    assert below_total >= 60
