@@ -7,15 +7,18 @@ equivalence is a run of moves x_i <- x_i + x_j, with x_j of the same grading
 at or below x_i in both filtrations: a filtered isomorphism.  The moves make
 boundary rows that are not staircase-shaped, and some mix a box with the
 knot, so they reach the grading-1 elements below gamma that the gamma2 pass
-leaves out.
+leaves out.  A pair joined by an arrow of length zero puts an element exactly
+at gamma that the pass must keep.
 """
 
+from fractions import Fraction as F
 from functools import cache
 
+import pytest
 from hypothesis import assume, given, seed, settings, strategies as st
 
-from cfk import BifilteredComplex, direct_sum_with_box, parse_knot_expression
-from cfk.upsilon import upsilon
+from cfk import BifilteredComplex, Generator, direct_sum_with_box, parse_knot_expression
+from cfk.upsilon import SectorElement, gamma_at, level, upsilon, verify_gamma_certificate
 from cfk.upsilon2 import gamma2_at, upsilon2_at, verify_gamma2_certificate
 from oracles import eager_gamma2
 
@@ -78,6 +81,11 @@ def test_upsilon2_survives_boxes_and_filtered_changes_of_basis(factors, boxes, d
         assert cert.upsilon2() == value, (expr, boxes, t0)
         assert cert == eager_gamma2(changed, t0), (expr, boxes, t0)
         verify_gamma2_certificate(changed, cert, ups=ups)
+    # Upsilon at a few points, without a search over the changed complex
+    for t in (F(1, 3), F(1), F(8, 5)):
+        cert = gamma_at(changed, t)
+        assert -2 * cert.s == ups.evaluate(t), (expr, boxes, t)
+        verify_gamma_certificate(changed, cert)
 
 
 def test_the_moves_make_long_rows_and_mix_a_box_with_the_knot():
@@ -92,3 +100,28 @@ def test_the_moves_make_long_rows_and_mix_a_box_with_the_knot():
     ups, expected = invariants("T(3,4)")
     for t0, value in expected.items():
         assert upsilon2_at(changed, t0, ups=ups) == value
+
+
+@pytest.mark.parametrize("expr, t0, k, grades", [
+    ("T(4,5)", F(1), 3, (2, 2)),
+    ("T(3,7)", F(2, 3), 1, (1, 4)),
+    ("T(2,5) # T(5,6)", F(1), 13, (4, 4)),
+])
+def test_a_pair_at_gamma_joined_by_an_arrow_of_length_zero(expr, t0, k, grades):
+    # o -> e with both at the same (alg, alex) is acyclic.  Here they sit at
+    # level gamma with a slope strictly between the two side slopes, so
+    # neither side pass feeds e; after x_k <- x_k + o the gamma2 pass must
+    # feed o, whose level is exactly gamma, to cancel e from x_k's boundary
+    knot = parse_knot_expression(expr)
+    n = len(knot.generators)
+    g = knot.generators[k]
+    alg, alex = grades
+    pair = (Generator("o", alg, alex, g.maslov), Generator("e", alg, alex, g.maslov - 1))
+    c = BifilteredComplex(knot.generators + pair, knot.boundary + ((n + 1,), ()), knot.h0_rep)
+    changed = change_basis(c, [(k, n)])
+    ups, expected = invariants(expr)
+    cert = gamma2_at(changed, t0, ups=ups)
+    assert level(t0, SectorElement(pair[0], g.maslov >> 1)) == cert.gamma
+    assert cert.upsilon2() == expected[t0]
+    assert cert == eager_gamma2(changed, t0)
+    verify_gamma2_certificate(changed, cert, ups=ups)

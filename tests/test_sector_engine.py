@@ -275,7 +275,7 @@ def test_a_query_builds_at_most_half_of_each_sector(monkeypatch):
 
 
 def test_gamma2_builds_no_grading1_row_below_gamma(monkeypatch):
-    # an element below gamma has its boundary among the minus side's null
+    # an element below gamma has its boundary in the span of the minus side's null
     # cycles, so its column could only join the kernel: it is never built
     engines = []
 
