@@ -1,10 +1,11 @@
 """Bifiltered GF(2) chain complexes generated by torus-knot staircases.
 
 A complex stores one fundamental copy of its generators together with the
-boundary map, a distinguished degree-0 homology representative h0 and the
-class functional lam.  The U-action shifting filtration by (-1,-1) and
-grading by -2 is kept implicit; whole graded sectors of the U-completed
-complex are enumerated on demand in :mod:`cfk.upsilon`.
+boundary map, a distinguished degree-0 homology representative h0, the
+class functional lam and the sector layout.  The U-action shifting
+filtration by (-1,-1) and grading by -2 is kept implicit: the layout records
+where each generator's translate sits in the grading-0 and grading-1 sectors
+of the U-completed complex, which :mod:`cfk.upsilon` searches.
 
 Every complex validates the chain-complex axioms: the boundary drops the
 grading by exactly one, never increases either filtration, squares to zero,
@@ -16,9 +17,12 @@ not have rank one; the builders derive it from their inputs in linear time.
 
 from __future__ import annotations
 
+from array import array
+from collections import namedtuple
 from dataclasses import dataclass, field
 from functools import reduce
 from math import gcd
+from operator import sub
 
 from .exactnum import check_integer
 from .f2linalg import Echelon, first_entry
@@ -65,14 +69,16 @@ class BifilteredComplex:
 
     ``lam`` is the class functional, a mask over the indices of grading-0
     generators: a cycle z of the completed grading-0 sector represents the
-    h0 class exactly when lam(z) = 1.  It is fixed when the complex is built
-    and takes no part in equality, hashing or repr.
+    h0 class exactly when lam(z) = 1.  ``layout`` is the :class:`SectorLayout`
+    of the generators.  Both are fixed when the complex is built and take no
+    part in equality, hashing or repr.
     """
 
     generators: tuple[Generator, ...]
     boundary: tuple[tuple[int, ...], ...]
     h0_rep: frozenset[int]
     lam: int = field(init=False, repr=False, compare=False)
+    layout: SectorLayout = field(init=False, repr=False, compare=False)
 
     @classmethod
     def _derived(cls, generators, boundary, h0_rep, lam: int) -> BifilteredComplex:
@@ -163,6 +169,7 @@ class BifilteredComplex:
         if not (lam & h0).bit_count() & 1:
             raise ValueError("the class functional is not 1 on the h0 representative")
         object.__setattr__(self, "lam", lam)
+        object.__setattr__(self, "layout", _sector_layout(gens))
         return True
 
     def to_json_dict(self) -> dict:
@@ -178,6 +185,48 @@ class BifilteredComplex:
             },
             "h0_rep": [gens[i].name for i in sorted(self.h0_rep)],
         }
+
+
+class SectorLayout(namedtuple("SectorLayout", "ids grades position spread")):
+    """Where each generator's U-translate sits in the grading-0 and grading-1 sectors.
+
+    Index 0 of ``ids`` and ``grades`` is the grading-0 sector, index 1 the
+    grading-1 sector: its element k is generator ``ids[p][k]`` shifted by
+    U^(maslov // 2), with Alexander and algebraic grades ``grades[p][0][k]``
+    and ``grades[p][1][k]``.  ``position[i]`` is the place of generator i
+    within its sector, and ``spread`` the largest |Alex - alg| over the
+    grading-0 sector.  Each sequence is the narrowest int array that holds
+    its values, or a tuple past 64 bits.
+    """
+
+    __slots__ = ()
+
+
+def _compact(values: list[int]):
+    """The values in the narrowest int array that holds them, or a tuple past 64 bits."""
+    for code in "hiq":
+        try:
+            return array(code, values)
+        except OverflowError:
+            pass
+    return tuple(values)
+
+
+def _sector_layout(gens) -> SectorLayout:
+    """The sector layout of a generator tuple, in one pass."""
+    ids, alex, alg = ([], []), ([], []), ([], [])  # by parity of the grading
+    position = []
+    for i, g in enumerate(gens):
+        parity, shift = g.maslov & 1, g.maslov >> 1
+        position.append(len(ids[parity]))
+        ids[parity].append(i)
+        alex[parity].append(g.alex - shift)
+        alg[parity].append(g.alg - shift)
+    spread = max(map(abs, map(sub, alex[0], alg[0])))
+    return SectorLayout(
+        tuple(map(_compact, ids)),
+        tuple((_compact(x), _compact(y)) for x, y in zip(alex, alg)),
+        _compact(position), spread)
 
 
 def _mask(indices) -> int:
@@ -256,17 +305,19 @@ def staircase_complex(steps: StepVector) -> BifilteredComplex:
 def tensor(c: BifilteredComplex, d: BifilteredComplex) -> BifilteredComplex:
     """Tensor product over GF(2); filtrations and gradings add, h0 and lam tensor."""
     nd = len(d.generators)
+    # every row takes its entries from one int object per index
+    index = list(range(len(c.generators) * nd))
     gens = []
     bnd = []
     for i, (a, crow) in enumerate(zip(c.generators, c.boundary)):
         # generator (i, j) has index i * nd + j
-        scaled, base = [i2 * nd for i2 in crow], i * nd
+        scaled, block = [i2 * nd for i2 in crow], index[i * nd:(i + 1) * nd]
         for j, (b, drow) in enumerate(zip(d.generators, d.boundary)):
             gens.append(
                 Generator(f"({a.name}|{b.name})", a.alg + b.alg, a.alex + b.alex,
                           a.maslov + b.maslov)
             )
-            bnd.append(tuple(sorted([x + j for x in scaled] + [base + y for y in drow])))
+            bnd.append(tuple(sorted([index[x + j] for x in scaled] + [block[y] for y in drow])))
     rep = frozenset(i * nd + j for i in c.h0_rep for j in d.h0_rep)
     # the blocks of lam(d) sit apart, so summing them ORs them
     lam = sum(d.lam << i * nd for i in _bits(c.lam))

@@ -15,8 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, groupby, starmap
-from operator import sub
+from itertools import combinations, groupby
 
 from .complexes import BifilteredComplex, Generator, _bits, _mask
 from .exactnum import PiecewiseLinear, _collinear, check_parameter
@@ -92,25 +91,6 @@ class GammaCertificate:
     levels: tuple[Fraction, ...]
 
 
-def _sector_layout(c: BifilteredComplex):
-    """Sector positions and (Alex, alg) grades, in one pass.
-
-    Returns ``(even_ids, odd_ids)``, ``(even_grades, odd_grades)`` and
-    ``position``: element k of the grading-0 sector is generator
-    ``even_ids[k]`` shifted by U^(maslov // 2), with (Alex, alg)
-    ``even_grades[k]`` (likewise for grading 1), and ``position[i]`` is the
-    position of generator i within its sector.
-    """
-    ids, grades = ([], []), ([], [])  # by parity of the grading
-    position = []
-    for i, g in enumerate(c.generators):
-        parity, shift = g.maslov & 1, g.maslov >> 1
-        position.append(len(ids[parity]))
-        ids[parity].append(i)
-        grades[parity].append((g.alex - shift, g.alg - shift))
-    return ids, grades, position
-
-
 class _Memo(dict):
     """``memo[k]`` is ``build(k)``, computed on the first lookup and kept."""
 
@@ -126,9 +106,12 @@ class _Memo(dict):
 class _SectorEngine:
     """The graded sectors, built lazily, and the class-detecting functional.
 
-    The sectors are laid out in one pass over the generators.  Boundary
-    rows (``d_even[k]``, ``d_odd[j]``, as in :class:`_DirectChecker`) and
-    the columns the searches feed, ``class_columns[k]`` = ([d(e); lam(e)],
+    The sectors come from the complex's own ``c.layout``, so setting up an
+    engine walks no generator: ``even_ids`` and ``even_grades`` (the pair of
+    Alexander and algebraic grade sequences) are its grading-0 part,
+    ``odd_ids`` and ``odd_grades`` its grading-1 part.  Boundary rows
+    (``d_even[k]``, ``d_odd[j]``, as in :class:`_DirectChecker`) and the
+    columns the searches feed, ``class_columns[k]`` = ([d(e); lam(e)],
     1 << k) for even element k and ``odd_columns[j]`` = (d_odd[j], 1 << j),
     are built on first lookup and kept on this engine, so a query pays only
     for the elements that enter its filtrations.
@@ -140,7 +123,7 @@ class _SectorEngine:
 
     def __init__(self, c: BifilteredComplex):
         self.generators = c.generators
-        (even_ids, odd_ids), (self.even_grades, self.odd_grades), position = _sector_layout(c)
+        (even_ids, odd_ids), (self.even_grades, self.odd_grades), position, spread = c.layout
         self.even_ids, self.odd_ids = even_ids, odd_ids
         get, rows = position.__getitem__, c.boundary
         self.d_even = d_even = _Memo(lambda k: _mask(map(get, rows[even_ids[k]])))
@@ -149,10 +132,9 @@ class _SectorEngine:
         self.class_columns = _Memo(
             lambda k: (d_even[k] | last if lam >> even_ids[k] & 1 else d_even[k], 1 << k))
         self.odd_columns = _Memo(lambda j: (d_odd[j], 1 << j))
-        # bounds the slope part of the packed side keys
-        self._spread = max(map(abs, starmap(sub, self.even_grades)))
+        self._spread = spread  # bounds the slope part of the packed side keys
 
-    def elements(self, ids: list[int], positions) -> list[SectorElement]:
+    def elements(self, ids, positions) -> list[SectorElement]:
         """The elements at ``positions`` of the sector of ``ids``, built on demand."""
         gens = self.generators
         return [SectorElement(g, g.maslov >> 1) for g in (gens[ids[k]] for k in positions)]
@@ -174,7 +156,7 @@ class _SectorEngine:
     def gamma(self, t) -> tuple[Fraction, int]:
         """Minimal threshold and a witness cycle (bitmask over the even sector)."""
         half = check_parameter(t) / 2
-        return self.entry([half * x + (1 - half) * y for x, y in self.even_grades])[:2]
+        return self.entry([half * x + (1 - half) * y for x, y in zip(*self.even_grades)])[:2]
 
     def side(self, t0: Fraction, sign: int):
         """Gamma jet, class cycle and null cycles at t0 + sign*delta.
@@ -189,7 +171,7 @@ class _SectorEngine:
         width = 2 * spread + 1
         a, b = t0.numerator, t0.denominator
         u, v = a * width + sign, (2 * b - a) * width - sign
-        keys = [u * x + v * y for x, y in self.even_grades]
+        keys = [u * x + v * y for x, y in zip(*self.even_grades)]
         key, z0, null_cycles = self.entry(keys)
         scaled, slope = divmod(key + spread, width)
         jet = (Fraction(scaled, 2 * b), Fraction(sign * (slope - spread), 2))
@@ -202,7 +184,7 @@ class _SectorEngine:
         Elements below floor are left out, and their columns never built.
         """
         a, c = t0.numerator, 2 * t0.denominator - t0.numerator
-        levels = [a * x + c * y for x, y in self.odd_grades]
+        levels = [a * x + c * y for x, y in zip(*self.odd_grades)]
         above = sorted((j for j, lv in enumerate(levels) if lv >= floor),
                        key=levels.__getitem__)
         columns = self.odd_columns
@@ -339,7 +321,7 @@ def upsilon(c: BifilteredComplex) -> PiecewiseLinear:
     evaluating at the midpoint, so a missed breakpoint aborts loudly.
     """
     engine = _SectorEngine(c)
-    points = sorted({(y, x) for x, y in engine.even_grades})
+    points = sorted({(y, x) for x, y in zip(*engine.even_grades)})
     candidates = {Fraction(0), Fraction(2)}
     for (a1, x1), (a2, x2) in combinations(points, 2):
         denom = (x1 - a1) - (x2 - a2)

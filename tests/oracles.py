@@ -6,7 +6,9 @@ the class-functional shortcut used by the package under test.  GF(2) vectors
 are plain 0/1 lists, except in ``SortedEchelon``, the package's former
 sorted-row echelon on bitmasks, kept as the reference for the pivot-indexed
 one; in ``first_entry_per_batch`` and ``_h0_from_parts``, which run on it;
-and in the eager passes at the end, which the lazy sector engine replaced.
+and in the eager passes near the end, which the lazy sector engine
+replaced.  Last comes the walk over the generators that the engine made on
+every call before each complex carried its sector layout.
 """
 
 from __future__ import annotations
@@ -405,3 +407,27 @@ def eager_gamma2(c, t0) -> Gamma2Certificate:
     )
     return Gamma2Certificate(t0=t0, gamma=gamma0, gamma2=Fraction(r_star, scale),
                              witness=witness)
+
+
+# ---------------------------------------------------------------------------
+# the sector layout as the engine walked it on every call before each
+# complex carried its own: plain lists, grades as (Alex, alg) pairs
+
+
+def sector_layout(c):
+    """(even_ids, odd_ids), (even_grades, odd_grades), position and spread.
+
+    Element k of the grading-0 sector is generator ``even_ids[k]`` shifted
+    by U^(maslov // 2), with (Alex, alg) ``even_grades[k]`` (likewise for
+    grading 1); ``position[i]`` is the position of generator i within its
+    sector and ``spread`` the largest |Alex - alg| over the grading-0 sector.
+    """
+    ids, grades = ([], []), ([], [])  # by parity of the grading
+    position = []
+    for i, g in enumerate(c.generators):
+        parity, shift = g.maslov & 1, g.maslov >> 1
+        position.append(len(ids[parity]))
+        ids[parity].append(i)
+        grades[parity].append((g.alex - shift, g.alg - shift))
+    spread = max(abs(x - y) for x, y in grades[0])
+    return ids, grades, position, spread

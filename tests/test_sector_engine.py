@@ -1,14 +1,16 @@
-"""The sector engine: lam by construction, integer tables, verifiers apart.
+"""The sector engine: lam and the layout by construction, integer tables, verifiers apart.
 
 Every complex carries its class functional lam: the public constructor solves
 it by elimination and the builders derive it from their inputs, so no query
-solves it.  The engine's tables are built from integers; here they are
-compared with the tables the oracle derives from ``sector(c, m)``.  The
-verifiers must never read lam.
+solves it.  Every complex also carries its sector layout, built when it is
+validated, so no query walks its generators.  The engine's tables are built
+from integers; here they are compared with the tables the oracle derives
+from ``sector(c, m)``.  The verifiers must never read lam.
 """
 
 import random
 import sys
+from array import array
 from dataclasses import replace
 from fractions import Fraction as F
 
@@ -18,9 +20,14 @@ from cfk import (
     BifilteredComplex,
     Generator,
     UnsupportedComplexError,
+    alexander_torus,
     direct_sum_with_box,
     dual,
     parse_knot_expression,
+    staircase_complex,
+    step_vector,
+    tensor,
+    torus_knot_complex,
 )
 from cfk.upsilon import (
     CertificateError,
@@ -39,7 +46,15 @@ from cfk.upsilon2 import (
     upsilon2_at,
     verify_gamma2_certificate,
 )
-from oracles import SectorTables, _h0_from_parts, brute_gamma2, eager_gamma2, eager_side
+from oracles import (
+    SectorTables,
+    _h0_from_parts,
+    brute_gamma2,
+    eager_gamma2,
+    eager_side,
+    sector_layout,
+)
+from test_basis_change import change_basis, filtered_moves
 
 # the package attributes cfk.upsilon and cfk.upsilon2 are not the modules
 COMPLEXES = sys.modules["cfk.complexes"]
@@ -114,6 +129,11 @@ class TestFunctionalOncePerComplex:
         object.__setattr__(fresh, "lam", c.lam ^ 1)
         assert c == fresh and hash(c) == hash(fresh)
         assert repr(c) == repr(fresh) and "lam" not in repr(c)
+        # and so is the layout
+        assert c.layout == fresh.layout
+        object.__setattr__(fresh, "layout", fresh.layout._replace(spread=c.layout.spread + 1))
+        assert c == fresh and hash(c) == hash(fresh)
+        assert repr(c) == repr(fresh) and "layout" not in repr(c)
 
     def test_rank_two_complex_is_refused_on_every_call(self, monkeypatch):
         solved = count_functionals(monkeypatch)
@@ -202,8 +222,8 @@ def test_integer_tables_match_the_sectors(seed):
         engine = _SectorEngine(c)
         oracle = SectorTables(c)
         even, odd = oracle.even, oracle.odd
-        assert engine.even_grades == [(e.alex, e.alg) for e in even], expr
-        assert engine.odd_grades == [(e.alex, e.alg) for e in odd], expr
+        assert list(zip(*engine.even_grades)) == [(e.alex, e.alg) for e in even], expr
+        assert list(zip(*engine.odd_grades)) == [(e.alex, e.alg) for e in odd], expr
         assert engine.elements(engine.even_ids, range(len(even))) == list(even), expr
         assert engine.elements(engine.odd_ids, range(len(odd))) == list(odd), expr
         assert engine.elements(engine.even_ids, [2, 0]) == [even[2], even[0]], expr
@@ -304,3 +324,63 @@ def test_gamma2_builds_no_grading1_row_below_gamma(monkeypatch):
             assert set(engine.odd_columns) == set(engine.d_odd), (expr, t0)
             below_total += len(below)
     assert below_total >= 60
+
+
+def walked(layout):
+    """A carried layout in the form of the oracle's walk: lists and (Alex, alg) pairs."""
+    ids, grades, position, spread = layout
+    return tuple(map(list, ids)), tuple(list(zip(*g)) for g in grades), list(position), spread
+
+
+def sequences(layout):
+    ids, grades, position, _ = layout
+    return [*ids, *(s for pair in grades for s in pair), position]
+
+
+def test_every_builder_carries_the_walked_layout():
+    rng = random.Random(23)
+    built = [torus_knot_complex(1, 1), staircase_complex(step_vector(alexander_torus(3, 7)))]
+    for expr, c in random_complexes(29, 12, [(2, 3), (2, 5), (3, 4), (3, 5), (2, 7)]):
+        built += [c, dual(c), tensor(c, torus_knot_complex(2, 3))]
+        rows = [list(r)[::-1] + list(r) for r in c.boundary]  # unsorted, with repeats
+        built += [BifilteredComplex(c.generators, rows, c.h0_rep),
+                  BifilteredComplex(c.generators, [set(r) for r in c.boundary], c.h0_rep)]
+        moves = filtered_moves(c)
+        if moves:
+            built.append(change_basis(c, [rng.choice(moves) for _ in range(rng.randrange(1, 20))]))
+    assert len(built) >= 60
+    for c in built:
+        assert walked(c.layout) == sector_layout(c), c.to_json_dict()
+        # these grades and indices all fit the narrowest array, of 16-bit ints
+        assert all(type(s) is array and s.itemsize == 2 for s in sequences(c.layout))
+
+
+@pytest.mark.parametrize("corner", [2**40, 2**70])
+def test_grades_past_the_narrow_arrays_are_kept_exactly(corner):
+    # the box's grades need 64 bits, or more than any int array holds
+    c = direct_sum_with_box(parse_knot_expression("T(3,4)"), corner, corner, 1, 1, 0)
+    assert walked(c.layout) == sector_layout(c)
+    assert max(c.layout.grades[0][0]) == corner
+    assert upsilon2_at(c, F(2, 3)) == F(-4, 3)
+    assert upsilon2_at(c, F(2, 3)) == upsilon2_at(parse_knot_expression("T(3,4)"), F(2, 3))
+
+
+def test_a_query_walks_no_generator(monkeypatch):
+    walks = []
+    original = COMPLEXES._sector_layout
+
+    def counting(gens):
+        walks.append(len(gens))
+        return original(gens)
+
+    monkeypatch.setattr(COMPLEXES, "_sector_layout", counting)
+    c = direct_sum_with_box(parse_knot_expression("T(2,5) # T(5,6)"), 3, 4, 1, 2, 1)
+    # one walk per complex built: two staircases, their tensor and the box sum
+    assert len(walks) == 4 and walks[-1] == len(c.generators)
+    walks.clear()
+    ups = upsilon(c)
+    for t0 in positive_singularities(ups):
+        upsilon2_at(c, t0)
+        gamma2_at(c, t0, ups=ups)
+    gamma_at(c, F(1, 3))
+    assert walks == []
