@@ -115,9 +115,9 @@ class BifilteredComplex:
         """Raise ValueError on a broken axiom; False if a boundary row is not canonical.
 
         A canonical row is a strictly increasing tuple of indices.  The checks
-        stop at the first row that is not, before the rows are read as masks.
-        A lam of None is solved by elimination; any lam is then checked in
-        O(nnz) and kept.
+        stop at the first row that is not; each row is read as a mask only as
+        its entries pass.  A lam of None is solved by elimination; any lam is
+        then checked in O(nnz) and kept.
         """
         gens, bnd, rep = self.generators, self.boundary, self.h0_rep
         n = len(gens)
@@ -125,23 +125,25 @@ class BifilteredComplex:
             raise ValueError("boundary table size does not match generator count")
         if len({g.name for g in gens}) != n:
             raise ValueError("generator names must be unique")
+        masks = []
         for i, targets in enumerate(bnd):
             if type(targets) is not tuple:
                 return False
             g = gens[i]
-            prev = -1
+            prev, mask = -1, 0
             for j in targets:
                 if not prev < j < n:
                     if 0 <= j < n:
                         return False
                     raise ValueError(f"boundary of {g.name} references a missing generator")
                 prev = j
+                mask |= 1 << j
                 h = gens[j]
                 if h.maslov != g.maslov - 1:
                     raise ValueError("boundary must drop the grading by exactly 1")
                 if h.alg > g.alg or h.alex > g.alex:
                     raise ValueError("boundary must not increase either filtration")
-        masks = [_mask(targets) for targets in bnd]
+            masks.append(mask)
         for i in range(n):
             acc = 0
             for j in bnd[i]:
