@@ -307,7 +307,7 @@ def staircase_complex(steps: StepVector) -> BifilteredComplex:
 def tensor(c: BifilteredComplex, d: BifilteredComplex) -> BifilteredComplex:
     """Tensor product over GF(2); filtrations and gradings add, h0 and lam tensor."""
     nd = len(d.generators)
-    # every row takes its entries from one int object per index
+    # rows share one int object per index, rather than one per entry
     index = list(range(len(c.generators) * nd))
     gens = []
     bnd = []
