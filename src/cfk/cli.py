@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import hashlib
 import json
 import os
 import sys
@@ -113,6 +112,8 @@ def _emit_json(payload: dict, timing_ms=None) -> None:
 
 
 def _cache_path(cache_dir: str, canonical: str) -> str:
+    import hashlib  # here, so that a run without --cache never loads OpenSSL
+
     digest = hashlib.sha256(canonical.encode()).hexdigest()[:24]
     return os.path.join(cache_dir, digest + ".json")
 

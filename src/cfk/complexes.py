@@ -1,8 +1,9 @@
 """Bifiltered GF(2) chain complexes generated by torus-knot staircases.
 
-A complex stores one fundamental copy of its generators together with the
-boundary map, a distinguished degree-0 homology representative h0, the
-class functional lam and the sector layout.  The U-action shifting
+A complex stores one fundamental copy of its generators, as int columns
+whose names are built when read, together with the boundary map, a
+distinguished degree-0 homology representative h0, the class functional
+lam and the sector layout.  The U-action shifting
 filtration by (-1,-1) and grading by -2 is kept implicit: the layout records
 where each generator's translate sits in the grading-0 and grading-1 sectors
 of the U-completed complex, which :mod:`cfk.upsilon` searches.
@@ -19,10 +20,11 @@ from __future__ import annotations
 
 from array import array
 from collections import namedtuple
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import reduce
 from math import gcd
-from operator import sub
+from operator import eq, sub
 
 from .exactnum import check_integer
 from .f2linalg import Echelon, first_entry
@@ -57,15 +59,87 @@ class Generator:
     maslov: int
 
 
+class GeneratorColumns(Sequence):
+    """The generators of a complex, as a read-only sequence of :class:`Generator`.
+
+    The grades sit in three int columns, alg, Alexander and grading, each
+    stored as :func:`_compact` stores it, and ``name(i)`` builds the name
+    of generator i only when it is read.  A box sum chains its base: its
+    sequence is the base's followed by its own two entries.  Indexing and iterating give the Generator values a tuple would
+    hold, and ``len``, ``==``, ``hash``, ``repr`` and ``gens + a_tuple``
+    behave as on that tuple; ``tuple(gens)`` is that tuple.
+
+    ``explicit_names`` says whether any name came from outside input.  Names
+    that only the builders make are unique by construction: x{i}, u0,
+    box{k}t and box{k}b, a unique name plus ', and (a|b), which splits back
+    into a and b at its one '|' outside inner parentheses.
+    """
+
+    __slots__ = ("_base", "_start", "_own", "name", "explicit_names")
+
+    def __init__(self, alg, alex, maslov, name, explicit_names=False, base=None):
+        self._base = base
+        self._start = 0 if base is None else len(base)
+        self._own = (_compact(alg), _compact(alex), _compact(maslov))
+        self.name = name
+        self.explicit_names = explicit_names or (base is not None and base.explicit_names)
+
+    @property
+    def columns(self) -> tuple:
+        """The alg, Alexander and grading columns over the whole sequence."""
+        if self._base is None:
+            return self._own
+        return tuple(map(_extended, self._base.columns, self._own))
+
+    def __len__(self) -> int:
+        return self._start + len(self._own[0])
+
+    def _locate(self, i: int):
+        """The sequence in the chain that stores entry i, and i's place among its own."""
+        gens = self
+        while i < gens._start:
+            gens = gens._base
+        return gens, i - gens._start
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return tuple(self)[i]
+        i = range(len(self))[i]  # as a tuple reads i
+        gens, k = self._locate(i)
+        alg, alex, maslov = gens._own
+        return Generator(self.name(i), alg[k], alex[k], maslov[k])
+
+    def __iter__(self):
+        return map(Generator, map(self.name, range(len(self))), *self.columns)
+
+    def __eq__(self, other):
+        if not isinstance(other, (GeneratorColumns, tuple)):
+            return NotImplemented
+        return len(self) == len(other) and all(map(eq, self, other))
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+    def __repr__(self) -> str:
+        return repr(tuple(self))
+
+    def __add__(self, other):
+        if not isinstance(other, (GeneratorColumns, tuple)):
+            return NotImplemented
+        return tuple(self) + tuple(other)
+
+
 @dataclass(frozen=True)
 class BifilteredComplex:
     """Finite generator set, GF(2) boundary, and a distinguished H_0 cycle.
 
-    ``boundary[i]`` is the strictly increasing tuple of generator indices
-    appearing in the boundary of ``generators[i]``; any iterable of indices
-    is accepted and normalised to that form, and a row already in it is kept
-    as the same object.  ``h0_rep`` is the index set of a degree-0 cycle
-    generating the homology of the fundamental copy.
+    ``generators`` is any iterable of :class:`Generator`, stored as
+    :class:`GeneratorColumns`.  ``boundary[i]`` is the strictly increasing
+    tuple of generator indices appearing in the boundary of
+    ``generators[i]``; any iterable of indices is accepted and normalised to
+    that form, and a row already in it is kept as the same object.
+    ``h0_rep`` is the index set of a degree-0 cycle generating the homology
+    of the fundamental copy.
 
     ``lam`` is the class functional, a mask over the indices of grading-0
     generators: a cycle z of the completed grading-0 sector represents the
@@ -74,30 +148,44 @@ class BifilteredComplex:
     part in equality, hashing or repr.
     """
 
-    generators: tuple[Generator, ...]
+    generators: GeneratorColumns
     boundary: tuple[tuple[int, ...], ...]
     h0_rep: frozenset[int]
     lam: int = field(init=False, repr=False, compare=False)
     layout: SectorLayout = field(init=False, repr=False, compare=False)
 
     @classmethod
-    def _derived(cls, generators, boundary, h0_rep, lam: int) -> BifilteredComplex:
-        """A builder's complex, with the class functional derived from its inputs."""
+    def _derived(cls, generators: GeneratorColumns, boundary, h0_rep, lam: int,
+                 layout: SectorLayout | None = None) -> BifilteredComplex:
+        """A builder's complex, with the class functional derived from its inputs.
+
+        Given a layout as well, the complex is assembled from parts its
+        builder has checked, and not validated again.
+        """
         c = cls.__new__(cls)
         object.__setattr__(c, "generators", generators)
         object.__setattr__(c, "boundary", boundary)
         object.__setattr__(c, "h0_rep", h0_rep)
-        c.__post_init__(lam)
+        if layout is None:
+            c.__post_init__(lam)
+        else:
+            object.__setattr__(c, "lam", lam)
+            object.__setattr__(c, "layout", layout)
         return c
 
     def __post_init__(self, lam: int | None = None):
-        object.__setattr__(self, "generators", tuple(self.generators))
+        if not isinstance(self.generators, GeneratorColumns):  # outside input
+            gens = tuple(self.generators)
+            for g in gens:
+                for name in ("alg", "alex", "maslov"):
+                    check_integer(getattr(g, name), f"{name} of generator {g.name}")
+            names = tuple(g.name for g in gens)
+            object.__setattr__(self, "generators", GeneratorColumns(
+                *([getattr(g, name) for g in gens] for name in ("alg", "alex", "maslov")),
+                names.__getitem__, explicit_names=True))
         object.__setattr__(self, "boundary", tuple(self.boundary))
         object.__setattr__(self, "h0_rep", frozenset(self.h0_rep))
         if lam is None:  # outside input; the builders only combine checked data
-            for g in self.generators:
-                for name in ("alg", "alex", "maslov"):
-                    check_integer(getattr(g, name), f"{name} of generator {g.name}")
             # a row may be any iterable, so read each one once
             rows = tuple(r if type(r) is tuple else tuple(r) for r in self.boundary)
             object.__setattr__(self, "boundary", rows)
@@ -117,31 +205,33 @@ class BifilteredComplex:
         A canonical row is a strictly increasing tuple of indices.  The checks
         stop at the first row that is not; each row is read as a mask only as
         its entries pass.  A lam of None is solved by elimination; any lam is
-        then checked in O(nnz) and kept.
+        then checked in O(nnz) and kept.  Names are read only if some came
+        from outside input, to check that they are unique.
         """
         gens, bnd, rep = self.generators, self.boundary, self.h0_rep
+        alg, alex, maslov = gens.columns
         n = len(gens)
         if len(bnd) != n:
             raise ValueError("boundary table size does not match generator count")
-        if len({g.name for g in gens}) != n:
+        if gens.explicit_names and len(set(map(gens.name, range(n)))) != n:
             raise ValueError("generator names must be unique")
         masks = []
         for i, targets in enumerate(bnd):
             if type(targets) is not tuple:
                 return False
-            g = gens[i]
+            below, a, x = maslov[i] - 1, alg[i], alex[i]
             prev, mask = -1, 0
             for j in targets:
                 if not prev < j < n:
                     if 0 <= j < n:
                         return False
-                    raise ValueError(f"boundary of {g.name} references a missing generator")
+                    raise ValueError(
+                        f"boundary of {gens.name(i)} references a missing generator")
                 prev = j
                 mask |= 1 << j
-                h = gens[j]
-                if h.maslov != g.maslov - 1:
+                if maslov[j] != below:
                     raise ValueError("boundary must drop the grading by exactly 1")
-                if h.alg > g.alg or h.alex > g.alex:
+                if alg[j] > a or alex[j] > x:
                     raise ValueError("boundary must not increase either filtration")
             masks.append(mask)
         for i in range(n):
@@ -149,43 +239,42 @@ class BifilteredComplex:
             for j in bnd[i]:
                 acc ^= masks[j]
             if acc:
-                raise ValueError(f"boundary does not square to zero at {gens[i].name}")
+                raise ValueError(f"boundary does not square to zero at {gens.name(i)}")
         if not rep:
             raise ValueError("the distinguished homology representative is empty")
         acc = 0
         for i in rep:
             if not 0 <= i < n:
                 raise ValueError("h0 representative references a missing generator")
-            if gens[i].maslov != 0:
+            if maslov[i] != 0:
                 raise ValueError("h0 representative must be supported in grading 0")
             acc ^= masks[i]
         if acc:
             raise ValueError("h0 representative is not a cycle")
         h0 = _mask(rep)
         if lam is None:
-            lam = _solve_lam(gens, bnd, masks, h0)
-        if lam < 0 or lam >> n or any(gens[i].maslov for i in _bits(lam)):
+            lam = _solve_lam(maslov, bnd, masks, h0)
+        if lam < 0 or lam >> n or any(maslov[i] for i in _bits(lam)):
             raise ValueError("the class functional must be supported in grading 0")
         if any((lam & m).bit_count() & 1 for m in masks):
             raise ValueError("the class functional does not vanish on boundaries")
         if not (lam & h0).bit_count() & 1:
             raise ValueError("the class functional is not 1 on the h0 representative")
         object.__setattr__(self, "lam", lam)
-        object.__setattr__(self, "layout", _sector_layout(gens))
+        object.__setattr__(self, "layout", _sector_layout(alg, alex, maslov))
         return True
 
     def to_json_dict(self) -> dict:
-        gens = self.generators
+        names = list(map(self.generators.name, range(len(self.generators))))
         return {
             "generators": [
-                {"id": g.name, "alg": g.alg, "alex": g.alex, "maslov": g.maslov}
-                for g in gens
+                {"id": name, "alg": a, "alex": x, "maslov": m}
+                for name, a, x, m in zip(names, *self.generators.columns)
             ],
             "boundary": {
-                gens[i].name: [gens[j].name for j in self.boundary[i]]
-                for i in range(len(gens))
+                name: [names[j] for j in row] for name, row in zip(names, self.boundary)
             },
-            "h0_rep": [gens[i].name for i in sorted(self.h0_rep)],
+            "h0_rep": [names[i] for i in sorted(self.h0_rep)],
         }
 
 
@@ -204,7 +293,7 @@ class SectorLayout(namedtuple("SectorLayout", "ids grades position spread")):
     __slots__ = ()
 
 
-def _compact(values: list[int]):
+def _compact(values):
     """The values in the narrowest int array that holds them, or a tuple past 64 bits."""
     for code in "hiq":
         try:
@@ -214,21 +303,40 @@ def _compact(values: list[int]):
     return tuple(values)
 
 
-def _sector_layout(gens) -> SectorLayout:
-    """The sector layout of a generator tuple, in one pass."""
-    ids, alex, alg = ([], []), ([], []), ([], [])  # by parity of the grading
+def _extended(values, extra):
+    """``values`` followed by ``extra``, stored as :func:`_compact` stores them."""
+    if isinstance(values, array):
+        try:
+            return values + array(values.typecode, extra)
+        except OverflowError:
+            pass
+    return _compact([*values, *extra])
+
+
+_NO_SECTORS = SectorLayout(((), ()), (((), ()), ((), ())), (), 0)
+
+
+def _sector_layout(alg, alex, maslov, start: int = 0,
+                   base: SectorLayout = _NO_SECTORS) -> SectorLayout:
+    """The layout of ``base`` extended by generators start, start + 1, ... of these grades.
+
+    One pass over the new generators; a box sum extends its base's layout
+    by its own two.
+    """
+    ids, alexs, algs = ([], []), ([], []), ([], [])  # by parity of the grading
     position = []
-    for i, g in enumerate(gens):
-        parity, shift = g.maslov & 1, g.maslov >> 1
-        position.append(len(ids[parity]))
+    for i, (a, x, m) in enumerate(zip(alg, alex, maslov), start):
+        parity, shift = m & 1, m >> 1
+        position.append(len(base.ids[parity]) + len(ids[parity]))
         ids[parity].append(i)
-        alex[parity].append(g.alex - shift)
-        alg[parity].append(g.alg - shift)
-    spread = max(map(abs, map(sub, alex[0], alg[0])))
+        alexs[parity].append(x - shift)
+        algs[parity].append(a - shift)
+    spread = max(base.spread, max(map(abs, map(sub, alexs[0], algs[0])), default=0))
     return SectorLayout(
-        tuple(map(_compact, ids)),
-        tuple((_compact(x), _compact(y)) for x, y in zip(alex, alg)),
-        _compact(position), spread)
+        tuple(map(_extended, base.ids, ids)),
+        tuple((_extended(x0, x), _extended(y0, y))
+              for (x0, y0), x, y in zip(base.grades, alexs, algs)),
+        _extended(base.position, position), spread)
 
 
 def _mask(indices) -> int:
@@ -247,15 +355,15 @@ def _bits(mask: int) -> list[int]:
     return out
 
 
-def _solve_lam(gens, bnd, masks: list[int], h0: int) -> int:
+def _solve_lam(maslov, bnd, masks: list[int], h0: int) -> int:
     """lam with lam . d = 0 on every boundary and lam . h0 = 1, after the rank-one check."""
     # The grading-0 and grading-1 sectors hold the generators of even and odd
     # grading.  Reduce e_last against the columns of the rows [d_odd; h0],
     # tagging the column of even generator i with 1 << i.
-    last = 1 << len(gens)
-    columns = {i: last if h0 >> i & 1 else 0 for i, g in enumerate(gens) if not g.maslov & 1}
-    for j, g in enumerate(gens):
-        if g.maslov & 1:
+    last = 1 << len(maslov)
+    columns = {i: last if h0 >> i & 1 else 0 for i, m in enumerate(maslov) if not m & 1}
+    for j, m in enumerate(maslov):
+        if m & 1:
             for i in bnd[j]:
                 columns[i] |= 1 << j
     _, lam, relations = first_entry(
@@ -274,14 +382,13 @@ def _solve_lam(gens, bnd, masks: list[int], h0: int) -> int:
 
 
 def trivial_complex() -> BifilteredComplex:
-    """One generator at (0, 0), grading 0: the unknot complex."""
-    return BifilteredComplex._derived(
-        (Generator("u0", 0, 0, 0),), ((),), frozenset({0}), 1
-    )
+    """One generator at (0, 0), grading 0, named u0: the unknot complex."""
+    gens = GeneratorColumns((0,), (0,), (0,), "u{}".format)
+    return BifilteredComplex._derived(gens, ((),), frozenset({0}), 1)
 
 
 def staircase_complex(steps: StepVector) -> BifilteredComplex:
-    """Complex on the lattice points of the staircase path.
+    """Complex on the lattice points of the staircase path, named x0, x1, ...
 
     The path starts at (0, V) with V the total vertical drop, alternates
     horizontal-right and vertical-down moves of the given lengths, and ends
@@ -290,48 +397,56 @@ def staircase_complex(steps: StepVector) -> BifilteredComplex:
     h0 is the first vertex and lam the sum of all vertices.
     """
     x, y = 0, sum(steps.vertical)
-    pts = [(x, y)]
+    xs, ys = [x], [y]
     for k, b in enumerate(steps.steps):
         if k % 2 == 0:
             x += b
         else:
             y -= b
-        pts.append((x, y))
-    gens = tuple(
-        Generator(f"x{i}", px, py, i % 2) for i, (px, py) in enumerate(pts)
-    )
-    bnd = tuple((i - 1, i + 1) if i % 2 else () for i in range(len(pts)))
-    return BifilteredComplex._derived(gens, bnd, frozenset({0}), _mask(range(0, len(pts), 2)))
+        xs.append(x)
+        ys.append(y)
+    n = len(xs)
+    gens = GeneratorColumns(xs, ys, [i % 2 for i in range(n)], "x{}".format)
+    bnd = tuple((i - 1, i + 1) if i % 2 else () for i in range(n))
+    return BifilteredComplex._derived(gens, bnd, frozenset({0}), _mask(range(0, n, 2)))
 
 
 def tensor(c: BifilteredComplex, d: BifilteredComplex) -> BifilteredComplex:
-    """Tensor product over GF(2); filtrations and gradings add, h0 and lam tensor."""
+    """Tensor product over GF(2); filtrations and gradings add, h0 and lam tensor.
+
+    Generator (i, j) has index i * len(d.generators) + j and name (a|b), for
+    a and b the names of generator i of c and j of d.
+    """
     nd = len(d.generators)
+    left, right = c.generators.name, d.generators.name
+    gens = GeneratorColumns(
+        *([x + y for x in cs for y in ds] for cs, ds in zip(c.generators.columns,
+                                                            d.generators.columns)),
+        lambda i: f"({left(i // nd)}|{right(i % nd)})",
+        c.generators.explicit_names or d.generators.explicit_names)
     # rows share one int object per index, rather than one per entry
-    index = list(range(len(c.generators) * nd))
-    gens = []
+    index = list(range(len(gens)))
     bnd = []
-    for i, (a, crow) in enumerate(zip(c.generators, c.boundary)):
-        # generator (i, j) has index i * nd + j
+    for i, crow in enumerate(c.boundary):
         scaled, block = [i2 * nd for i2 in crow], index[i * nd:(i + 1) * nd]
-        for j, (b, drow) in enumerate(zip(d.generators, d.boundary)):
-            gens.append(
-                Generator(f"({a.name}|{b.name})", a.alg + b.alg, a.alex + b.alex,
-                          a.maslov + b.maslov)
-            )
+        for j, drow in enumerate(d.boundary):
             bnd.append(tuple(sorted([index[x + j] for x in scaled] + [block[y] for y in drow])))
     rep = frozenset(i * nd + j for i in c.h0_rep for j in d.h0_rep)
     # the blocks of lam(d) sit apart, so summing them ORs them
     lam = sum(d.lam << i * nd for i in _bits(c.lam))
-    return BifilteredComplex._derived(tuple(gens), tuple(bnd), rep, lam)
+    return BifilteredComplex._derived(gens, tuple(bnd), rep, lam)
 
 
 def dual(c: BifilteredComplex) -> BifilteredComplex:
-    """Rotate the diagram by 180 degrees and reverse all arrows; h0 and lam swap."""
-    gens = tuple(
-        Generator(g.name + "'", -g.alg, -g.alex, -g.maslov) for g in c.generators
-    )
-    rev: list[list[int]] = [[] for _ in gens]
+    """Rotate the diagram by 180 degrees and reverse all arrows; h0 and lam swap.
+
+    Each generator keeps its index, and its name gains a '.
+    """
+    base = c.generators.name
+    gens = GeneratorColumns(
+        *([-v for v in column] for column in c.generators.columns),
+        lambda i: base(i) + "'", c.generators.explicit_names)
+    rev: list[list[int]] = [[] for _ in range(len(gens))]
     for i, targets in enumerate(c.boundary):
         for j in targets:
             rev[j].append(i)  # i increases, so each list stays sorted
@@ -341,19 +456,32 @@ def dual(c: BifilteredComplex) -> BifilteredComplex:
 
 def direct_sum_with_box(c: BifilteredComplex, corner_alg: int, corner_alex: int,
                         width: int, height: int, top_maslov: int) -> BifilteredComplex:
-    """Add an acyclic two-generator summand: top at the corner, db = a."""
+    """Add an acyclic two-generator summand: top at the corner, db = a.
+
+    The base is checked and immutable, so only the box is: its row d(top) =
+    bot drops the grading by one and each filtration by the positive width
+    or height, d(bot) = 0, and lam and h0 stay the base's, which the box
+    does not touch.  Top and bot, generators k and k + 1 for k base
+    generators, are named box{k}t and box{k}b.
+    """
     for name, value in (("corner_alg", corner_alg), ("corner_alex", corner_alex),
                         ("width", width), ("height", height), ("top_maslov", top_maslov)):
         check_integer(value, name)
     if width < 1 or height < 1:
         raise ValueError("box width and height must be positive")
-    k = len(c.generators)
-    top = Generator(f"box{k}t", corner_alg, corner_alex, top_maslov)
-    bot = Generator(f"box{k}b", corner_alg - width, corner_alex - height,
-                    top_maslov - 1)
-    gens = c.generators + (top, bot)
-    bnd = c.boundary + ((k + 1,), ())
-    return BifilteredComplex._derived(gens, bnd, c.h0_rep, c.lam)
+    base = c.generators
+    k = len(base)
+    names = (f"box{k}t", f"box{k}b")
+    if base.explicit_names and not set(names).isdisjoint(map(base.name, range(k))):
+        raise ValueError("generator names must be unique")
+    grades = ((corner_alg, corner_alg - width), (corner_alex, corner_alex - height),
+              (top_maslov, top_maslov - 1))
+    base_name = base.name
+    gens = GeneratorColumns(
+        *grades, lambda i: base_name(i) if i < k else f"box{k}{'tb'[i - k]}", base=base)
+    return BifilteredComplex._derived(
+        gens, c.boundary + ((k + 1,), ()), c.h0_rep, c.lam,
+        _sector_layout(*grades, k, c.layout))
 
 
 def _torus_pair(p: int, q: int) -> tuple[int, int]:

@@ -135,7 +135,10 @@ class _SectorEngine:
         self._spread = spread  # bounds the slope part of the packed side keys
 
     def elements(self, ids, positions) -> list[SectorElement]:
-        """The elements at ``positions`` of the sector of ``ids``, built on demand."""
+        """The elements at ``positions`` of the sector of ``ids``, built on demand.
+
+        Each is built with its generator and that generator's name.
+        """
         gens = self.generators
         return [SectorElement(g, g.maslov >> 1) for g in (gens[ids[k]] for k in positions)]
 
@@ -251,20 +254,19 @@ class _DirectChecker:
     """
 
     def __init__(self, c: BifilteredComplex):
-        self.even = sector(c, 0)
-        self.odd = sector(c, 1)
+        # (generator index, translate) of the grading-0 and grading-1 sectors,
+        # each generator built once, in generator order as in sector()
+        parts = ([], [])
+        for i, g in enumerate(c.generators):
+            parts[g.maslov & 1].append((i, SectorElement(g, g.maslov >> 1)))
+        self.even = tuple(e for _, e in parts[0])
+        self.odd = tuple(e for _, e in parts[1])
         self.even_pos = {e: k for k, e in enumerate(self.even)}
         self.odd_pos = {e: j for j, e in enumerate(self.odd)}
         # generator index -> position of its translate within its sector
-        index = {g: i for i, g in enumerate(c.generators)}
-        pos = {index[e.generator]: k for part in (self.even, self.odd)
-               for k, e in enumerate(part)}
-
-        def row(e: SectorElement) -> int:
-            return _mask(pos[i] for i in c.boundary[index[e.generator]])
-
-        self.d_even = [row(e) for e in self.even]
-        self.d_odd = [row(e) for e in self.odd]
+        pos = {i: k for part in parts for k, (i, _) in enumerate(part)}
+        self.d_even = [_mask(pos[j] for j in c.boundary[i]) for i, _ in parts[0]]
+        self.d_odd = [_mask(pos[j] for j in c.boundary[i]) for i, _ in parts[1]]
         self.h0_mask = _mask(pos[i] for i in c.h0_rep)
 
     def class_cycle(self, elems, label: str) -> int:

@@ -7,17 +7,20 @@ are plain 0/1 lists, except in ``SortedEchelon``, the package's former
 sorted-row echelon on bitmasks, kept as the reference for the pivot-indexed
 one; in ``first_entry_per_batch`` and ``_h0_from_parts``, which run on it;
 and in the eager passes near the end, which the lazy sector engine
-replaced.  Last comes the walk over the generators that the engine made on
-every call before each complex carried its sector layout.
+replaced.  Then comes the walk over the generators that the engine made on
+every call before each complex carried its sector layout, and last the
+builders' tuples of named Generator values from before a complex stored its
+generators as columns.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import reduce
 from itertools import combinations, groupby
 
-from cfk import UnsupportedComplexError, sector
-from cfk.complexes import _mask
+from cfk import Generator, UnsupportedComplexError, alexander_torus, sector, step_vector
+from cfk.complexes import _mask, parse_knot_factors
 from cfk.semigroup import _validate_pq
 from cfk.upsilon import _DirectChecker, level, level_slope
 from cfk.upsilon2 import Gamma2Certificate, MergeWitness
@@ -431,3 +434,49 @@ def sector_layout(c):
         grades[parity].append((g.alex - shift, g.alg - shift))
     spread = max(abs(x - y) for x, y in grades[0])
     return ids, grades, position, spread
+
+
+# ---------------------------------------------------------------------------
+# the generators as the builders made them before a complex stored them as
+# columns: a tuple of Generator values, each with its name
+
+
+def eager_staircase_generators(steps) -> tuple[Generator, ...]:
+    """x0, x1, ... on the lattice points of the staircase path, vertices in grading 0."""
+    x, y = 0, sum(steps.vertical)
+    pts = [(x, y)]
+    for k, b in enumerate(steps.steps):
+        if k % 2 == 0:
+            x += b
+        else:
+            y -= b
+        pts.append((x, y))
+    return tuple(Generator(f"x{i}", px, py, i % 2) for i, (px, py) in enumerate(pts))
+
+
+def eager_tensor_generators(gs, hs) -> tuple[Generator, ...]:
+    """(a|b) for each a of gs and then each b of hs, grades added."""
+    return tuple(Generator(f"({a.name}|{b.name})", a.alg + b.alg, a.alex + b.alex,
+                           a.maslov + b.maslov) for a in gs for b in hs)
+
+
+def eager_dual_generators(gs) -> tuple[Generator, ...]:
+    return tuple(Generator(g.name + "'", -g.alg, -g.alex, -g.maslov) for g in gs)
+
+
+def eager_box_generators(gs, corner_alg, corner_alex, width, height, top_maslov):
+    k = len(gs)
+    return gs + (Generator(f"box{k}t", corner_alg, corner_alex, top_maslov),
+                 Generator(f"box{k}b", corner_alg - width, corner_alex - height,
+                           top_maslov - 1))
+
+
+def eager_expression_generators(text: str) -> tuple[Generator, ...]:
+    """The generators of parse_knot_expression(text), one factor after another."""
+    parts = []
+    for sign, p, q in parse_knot_factors(text):
+        a, b = min(p, q), max(p, q)
+        gs = ((Generator("u0", 0, 0, 0),) if a == 1
+              else eager_staircase_generators(step_vector(alexander_torus(a, b))))
+        parts.append(eager_dual_generators(gs) if sign < 0 else gs)
+    return reduce(eager_tensor_generators, parts)

@@ -195,6 +195,33 @@ class TestInvariants:
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["steps"] == [1, 2, 2, 1]
 
+    def test_a_run_without_cache_loads_no_hashlib(self):
+        import subprocess
+
+        script = ("import sys; from cfk.cli import run; "
+                  "code = run(['invariants', 'T(3,4)', '--no-timing']); "
+                  "print(code, '_hashlib' in sys.modules, file=sys.stderr)")
+        env = {k: v for k, v in child_env().items() if k != "CFK_CACHE_DIR"}
+        proc = subprocess.run([sys.executable, "-c", script],
+                              capture_output=True, text=True, env=env)
+        assert proc.stderr == "0 False\n"
+        assert json.loads(proc.stdout)["expression"] == "T(3,4)"
+
+    def test_cache_file_is_named_by_the_sha256_of_the_canonical_form(self, tmp_path):
+        import hashlib
+        import subprocess
+
+        proc = subprocess.run(
+            [sys.executable, "-m", "cfk", "invariants", "T(4,3) # T(1,5)", "--no-timing",
+             "--cache", str(tmp_path)],
+            capture_output=True, text=True, env=child_env(),
+        )
+        assert proc.returncode == 0
+        # the name caches written before keep, so they keep hitting
+        name = hashlib.sha256(b"T(3,4)").hexdigest()[:24] + ".json"
+        assert os.listdir(tmp_path) == [name]
+        assert json.loads((tmp_path / name).read_text())["expression"] == "T(3,4)"
+
     def test_dash_expression_accepted(self, capsys):
         code, out, _ = run_capture(capsys, ["invariants", "-T(3,4)", "--no-timing"])
         assert code == 0

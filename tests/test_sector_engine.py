@@ -8,6 +8,7 @@ from integers; here they are compared with the tables the oracle derives
 from ``sector(c, m)``.  The verifiers must never read lam.
 """
 
+import gc
 import random
 import sys
 from array import array
@@ -369,14 +370,15 @@ def test_a_query_walks_no_generator(monkeypatch):
     walks = []
     original = COMPLEXES._sector_layout
 
-    def counting(gens):
-        walks.append(len(gens))
-        return original(gens)
+    def counting(alg, *args):
+        walks.append(len(alg))
+        return original(alg, *args)
 
     monkeypatch.setattr(COMPLEXES, "_sector_layout", counting)
     c = direct_sum_with_box(parse_knot_expression("T(2,5) # T(5,6)"), 3, 4, 1, 2, 1)
-    # one walk per complex built: two staircases, their tensor and the box sum
-    assert len(walks) == 4 and walks[-1] == len(c.generators)
+    # one walk per complex built: two staircases and their tensor over all
+    # their generators, and the box sum over its own two
+    assert walks == [5, 9, 45, 2] and len(c.generators) == 47
     walks.clear()
     ups = upsilon(c)
     for t0 in positive_singularities(ups):
@@ -384,3 +386,19 @@ def test_a_query_walks_no_generator(monkeypatch):
         gamma2_at(c, t0, ups=ups)
     gamma_at(c, F(1, 3))
     assert walks == []
+
+
+def test_a_query_leaves_no_reference_cycle():
+    # an engine whose tables referred back to it would outlive its query
+    # until the next garbage collection, with every row it built
+    c = direct_sum_with_box(parse_knot_expression("T(2,5) # T(5,6)"), 3, 4, 1, 2, 1)
+    ups = upsilon(c)
+    gc.collect()
+    gc.disable()
+    try:
+        for t0 in positive_singularities(ups):
+            gamma2_at(c, t0, ups=ups)
+        gamma_at(c, F(1, 3))
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
