@@ -338,7 +338,8 @@ class TestRepresentation:
 
     def test_memory_per_complex(self):
         # about 292 KB with frozenset rows and instance dicts on the generators,
-        # 139 KB with a Generator object and a name string per generator
+        # 127 KB with a Generator object and a name string per generator, and
+        # about 47 KB with int columns and names built on demand
         parse_knot_expression("T(2,3)")
         tracemalloc.start()
         try:
