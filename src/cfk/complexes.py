@@ -8,12 +8,15 @@ filtration by (-1,-1) and grading by -2 is kept implicit: the layout records
 where each generator's translate sits in the grading-0 and grading-1 sectors
 of the U-completed complex, which :mod:`cfk.upsilon` searches.
 
-Every complex validates the chain-complex axioms: the boundary drops the
-grading by exactly one, never increases either filtration, squares to zero,
-h0 is a cycle, and lam, supported in grading 0, vanishes on boundaries and
-is 1 on h0, so h0 is not a boundary.  The public constructor finds lam by
-elimination and refuses a complex whose completed grading-0 homology does
-not have rank one; the builders derive it from their inputs in linear time.
+Every complex validates the chain-complex axioms once: the boundary drops
+the grading by exactly one, never increases either filtration, squares to
+zero, h0 is a cycle, and lam, supported in grading 0, vanishes on boundaries
+and is 1 on h0, so h0 is not a boundary.  Outside input has one door, the
+public constructor: it checks that every grade and index is an int,
+canonicalises each boundary row once, finds lam by elimination and refuses
+a complex whose completed grading-0 homology does not have rank one.  The
+builders hand over canonical rows and derive lam from their inputs in
+linear time.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import reduce
 from math import gcd
-from operator import eq, sub
+from operator import eq, index, lt, sub
 
 from .exactnum import check_integer
 from .f2linalg import Echelon, first_entry
@@ -65,9 +68,10 @@ class GeneratorColumns(Sequence):
     The grades sit in three int columns, alg, Alexander and grading, each
     stored as :func:`_compact` stores it, and ``name(i)`` builds the name
     of generator i only when it is read.  A box sum chains its base: its
-    sequence is the base's followed by its own two entries.  Indexing and iterating give the Generator values a tuple would
-    hold, and ``len``, ``==``, ``hash``, ``repr`` and ``gens + a_tuple``
-    behave as on that tuple; ``tuple(gens)`` is that tuple.
+    sequence is the base's followed by its own two entries.  Int indexing
+    and iterating give the Generator values a tuple would hold, and
+    ``len``, ``==``, ``hash`` and ``repr`` behave as on that tuple;
+    ``tuple(gens)`` is that tuple.  A slice is a TypeError.
 
     ``explicit_names`` says whether any name came from outside input.  Names
     that only the builders make are unique by construction: x{i}, u0,
@@ -102,9 +106,7 @@ class GeneratorColumns(Sequence):
         return gens, i - gens._start
 
     def __getitem__(self, i):
-        if isinstance(i, slice):
-            return tuple(self)[i]
-        i = range(len(self))[i]  # as a tuple reads i
+        i = range(len(self))[index(i)]  # as a tuple reads an int i
         gens, k = self._locate(i)
         alg, alex, maslov = gens._own
         return Generator(self.name(i), alg[k], alex[k], maslov[k])
@@ -123,11 +125,6 @@ class GeneratorColumns(Sequence):
     def __repr__(self) -> str:
         return repr(tuple(self))
 
-    def __add__(self, other):
-        if not isinstance(other, (GeneratorColumns, tuple)):
-            return NotImplemented
-        return tuple(self) + tuple(other)
-
 
 @dataclass(frozen=True)
 class BifilteredComplex:
@@ -136,8 +133,9 @@ class BifilteredComplex:
     ``generators`` is any iterable of :class:`Generator`, stored as
     :class:`GeneratorColumns`.  ``boundary[i]`` is the strictly increasing
     tuple of generator indices appearing in the boundary of
-    ``generators[i]``; any iterable of indices is accepted and normalised to
-    that form, and a row already in it is kept as the same object.
+    ``generators[i]``; the public constructor reads any iterable of int
+    indices once and stores it in that form, keeping a row already in it as
+    the same object, before it validates the complex once.
     ``h0_rep`` is the index set of a degree-0 cycle generating the homology
     of the fundamental copy.
 
@@ -167,14 +165,15 @@ class BifilteredComplex:
         object.__setattr__(c, "boundary", boundary)
         object.__setattr__(c, "h0_rep", h0_rep)
         if layout is None:
-            c.__post_init__(lam)
+            c._validate(lam)
         else:
             object.__setattr__(c, "lam", lam)
             object.__setattr__(c, "layout", layout)
         return c
 
-    def __post_init__(self, lam: int | None = None):
-        if not isinstance(self.generators, GeneratorColumns):  # outside input
+    def __post_init__(self):
+        """Check and canonicalise outside input once, then validate it."""
+        if not isinstance(self.generators, GeneratorColumns):
             gens = tuple(self.generators)
             for g in gens:
                 for name in ("alg", "alex", "maslov"):
@@ -183,30 +182,26 @@ class BifilteredComplex:
             object.__setattr__(self, "generators", GeneratorColumns(
                 *([getattr(g, name) for g in gens] for name in ("alg", "alex", "maslov")),
                 names.__getitem__, explicit_names=True))
-        object.__setattr__(self, "boundary", tuple(self.boundary))
         object.__setattr__(self, "h0_rep", frozenset(self.h0_rep))
-        if lam is None:  # outside input; the builders only combine checked data
-            # a row may be any iterable, so read each one once
-            rows = tuple(r if type(r) is tuple else tuple(r) for r in self.boundary)
-            object.__setattr__(self, "boundary", rows)
-            for i, targets in enumerate(rows):
-                for j in targets:
-                    check_integer(j, f"entry of boundary row {i}")
-            for i in self.h0_rep:
-                check_integer(i, "entry of h0_rep")
-        if not self._validate(lam):
-            object.__setattr__(self, "boundary", tuple(
-                tuple(sorted(set(targets))) for targets in self.boundary))
-            self._validate(lam)
+        rows = []
+        for i, row in enumerate(self.boundary):
+            row = row if type(row) is tuple else tuple(row)  # an iterator is read once
+            for j in row:
+                check_integer(j, f"entry of boundary row {i}")
+            rows.append(row if all(map(lt, row, row[1:])) else tuple(sorted(set(row))))
+        object.__setattr__(self, "boundary", tuple(rows))
+        for i in self.h0_rep:
+            check_integer(i, "entry of h0_rep")
+        self._validate(None)
 
-    def _validate(self, lam: int | None) -> bool:
-        """Raise ValueError on a broken axiom; False if a boundary row is not canonical.
+    def _validate(self, lam: int | None) -> None:
+        """Raise ValueError on a broken axiom; otherwise set lam and the layout.
 
-        A canonical row is a strictly increasing tuple of indices.  The checks
-        stop at the first row that is not; each row is read as a mask only as
-        its entries pass.  A lam of None is solved by elimination; any lam is
-        then checked in O(nnz) and kept.  Names are read only if some came
-        from outside input, to check that they are unique.
+        The rows are canonical: the public constructor canonicalises outside
+        input and the builders hand over canonical rows.  Each row is read as
+        a mask as its entries pass.  A lam of None is solved by elimination;
+        any lam is then checked in O(nnz) and kept.  Names are read only if
+        some came from outside input, to check that they are unique.
         """
         gens, bnd, rep = self.generators, self.boundary, self.h0_rep
         alg, alex, maslov = gens.columns
@@ -217,17 +212,12 @@ class BifilteredComplex:
             raise ValueError("generator names must be unique")
         masks = []
         for i, targets in enumerate(bnd):
-            if type(targets) is not tuple:
-                return False
             below, a, x = maslov[i] - 1, alg[i], alex[i]
-            prev, mask = -1, 0
+            mask = 0
             for j in targets:
-                if not prev < j < n:
-                    if 0 <= j < n:
-                        return False
+                if not 0 <= j < n:
                     raise ValueError(
                         f"boundary of {gens.name(i)} references a missing generator")
-                prev = j
                 mask |= 1 << j
                 if maslov[j] != below:
                     raise ValueError("boundary must drop the grading by exactly 1")
@@ -262,7 +252,6 @@ class BifilteredComplex:
             raise ValueError("the class functional is not 1 on the h0 representative")
         object.__setattr__(self, "lam", lam)
         object.__setattr__(self, "layout", _sector_layout(alg, alex, maslov))
-        return True
 
     def to_json_dict(self) -> dict:
         names = list(map(self.generators.name, range(len(self.generators))))

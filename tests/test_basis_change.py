@@ -117,7 +117,8 @@ def test_a_pair_at_gamma_joined_by_an_arrow_of_length_zero(expr, t0, k, grades):
     g = knot.generators[k]
     alg, alex = grades
     pair = (Generator("o", alg, alex, g.maslov), Generator("e", alg, alex, g.maslov - 1))
-    c = BifilteredComplex(knot.generators + pair, knot.boundary + ((n + 1,), ()), knot.h0_rep)
+    c = BifilteredComplex(tuple(knot.generators) + pair, knot.boundary + ((n + 1,), ()),
+                          knot.h0_rep)
     changed = change_basis(c, [(k, n)])
     ups, expected = invariants(expr)
     cert = gamma2_at(changed, t0, ups=ups)

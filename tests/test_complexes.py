@@ -109,11 +109,18 @@ class TestValidation:
         (((), (False,)), {0}, "entry of boundary row 1"),
         (((), ()), {0.0}, "entry of h0_rep"),
         (((), ()), {True}, "entry of h0_rep"),
+        # checked before the row is sorted, which could not compare "x" and 2
+        (((), (2, "x", 0)), {0}, "entry of boundary row 1"),
     ], ids=repr)
     def test_non_integer_index_rejected(self, boundary, h0_rep, field):
         gens = (Generator("a", 0, 0, 0), Generator("b", 1, 1, 1))
         with pytest.raises(ValueError, match=f"{field} must be an int"):
             BifilteredComplex(gens, boundary, h0_rep)
+
+    def test_unsorted_row_with_a_missing_generator_rejected(self):
+        c = torus_knot_complex(2, 3)
+        with pytest.raises(ValueError, match="boundary of x1 references a missing generator"):
+            BifilteredComplex(tuple(c.generators), ((), (5, 0), ()), c.h0_rep)
 
 
 class TestDerivedClassFunctional:
@@ -312,12 +319,37 @@ class TestRepresentation:
         c = parse_knot_expression("T(2,3) # -T(3,4)")
         rows = c.boundary
         assert any(len(row) > 1 for row in rows)
-        for spell in (set, frozenset, list, lambda row: tuple(reversed(row)),
+        for spell in (set, frozenset, list, iter, lambda row: tuple(reversed(row)),
                       lambda row: row + row[:1]):
             other = BifilteredComplex(c.generators, [spell(row) for row in rows], c.h0_rep)
             assert other == c and hash(other) == hash(c)
             assert other.boundary == tuple(tuple(sorted(row)) for row in rows)
             assert _canonical_rows(other)
+
+    def test_a_canonical_row_is_kept_as_the_same_object(self):
+        c = parse_knot_expression("T(2,3) # -T(3,4)")
+        k = next(i for i, row in enumerate(c.boundary) if len(row) > 1)
+        rows = list(c.boundary)
+        rows[k] = tuple(reversed(rows[k]))
+        other = BifilteredComplex(tuple(c.generators), rows, c.h0_rep)
+        assert other == c
+        for i, row in enumerate(other.boundary):
+            assert i == k or row is c.boundary[i]
+
+    def test_outside_input_is_validated_once(self, monkeypatch):
+        calls = []
+        validate = BifilteredComplex._validate
+
+        def counted(self, lam):
+            calls.append(lam)
+            validate(self, lam)
+
+        monkeypatch.setattr(BifilteredComplex, "_validate", counted)
+        c = parse_knot_expression("T(2,3) # -T(3,4)")
+        built = len(calls)  # one per builder that validates
+        unsorted = [tuple(reversed(row)) for row in c.boundary]
+        assert BifilteredComplex(tuple(c.generators), unsorted, c.h0_rep) == c
+        assert calls[built:] == [None]
 
     def test_box_shares_the_rows_and_generators_of_its_base(self):
         c = parse_knot_expression("T(3,5) # T(4,5) # T(7,8)")
@@ -331,7 +363,7 @@ class TestRepresentation:
         boxed = direct_sum_with_box(boxed, 0, 0, 2, 1, 0)
         for i in range(len(c.generators)):
             assert boxed.boundary[i] is c.boundary[i]
-        assert boxed.generators[:len(c.generators)] == tuple(c.generators)
+        assert tuple(boxed.generators)[:len(c.generators)] == tuple(c.generators)
         # the new row tuple and the extended layout, about 12 KB; 17 KB when
         # the box copied the base's tuple of Generator objects
         assert held <= 14 * 1024
