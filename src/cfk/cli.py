@@ -19,9 +19,7 @@ from fractions import Fraction
 from math import gcd, log10
 
 from .complexes import (
-    InvalidTorusKnotError,
     KnotExpressionError,
-    _torus_pair,
     canonical_expression,
     expression_size,
     parse_knot_expression,
@@ -29,7 +27,7 @@ from .complexes import (
     torus_knot_complex,
 )
 from .exactnum import PiecewiseLinear
-from .semigroup import alexander_torus, step_vector
+from .semigroup import InvalidTorusKnotError, _torus_pair, alexander_torus, step_vector
 from .upsilon import upsilon
 from .upsilon2 import upsilon2_at
 
@@ -180,7 +178,7 @@ def recursion_report(p: int, q: int, max_generators: int = DEFAULT_MAX_GENERATOR
     Parameters equal to 1 denote the unknot complex, which makes the
     recursion bottom out.
     """
-    if not (1 <= p < q) or gcd(p, q) != 1:
+    if _torus_pair(p, q) != (p, q) or p == q:
         raise InvalidTorusKnotError(f"need coprime 1 <= p < q, got ({p}, {q})")
     for expression in (f"T({p},{q})", f"T({p},{q - p})", f"T({p},{p + 1})"):
         _check_size(expression, max_generators)

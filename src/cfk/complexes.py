@@ -26,15 +26,14 @@ from collections import namedtuple
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import reduce
-from math import gcd
 from operator import eq, index, lt, sub
 
 from .exactnum import check_integer
 from .f2linalg import Echelon, first_entry
 from .semigroup import (
-    InvalidTorusKnotError,
     StepVector,
     _exponent_runs,
+    _torus_pair,
     alexander_torus,
     step_vector,
 )
@@ -471,16 +470,6 @@ def direct_sum_with_box(c: BifilteredComplex, corner_alg: int, corner_alex: int,
     return BifilteredComplex._derived(
         gens, c.boundary + ((k + 1,), ()), c.h0_rep, c.lam,
         _sector_layout(*grades, k, c.layout))
-
-
-def _torus_pair(p: int, q: int) -> tuple[int, int]:
-    """(min, max) of a valid torus knot pair; InvalidTorusKnotError otherwise."""
-    if not (isinstance(p, int) and isinstance(q, int)) or p < 1 or q < 1:
-        raise InvalidTorusKnotError(f"torus knot parameters must be positive integers, got ({p}, {q})")
-    a, b = min(p, q), max(p, q)
-    if gcd(a, b) != 1:
-        raise InvalidTorusKnotError(f"({p}, {q}) are not coprime")
-    return a, b
 
 
 def torus_knot_complex(p: int, q: int) -> BifilteredComplex:

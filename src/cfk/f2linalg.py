@@ -75,14 +75,18 @@ def in_span(vectors: Iterable[int], target: int) -> bool:
 Column = tuple[int, int]  # (vector, tag)
 
 
-def by_threshold(thresholds: Sequence, columns):
+def by_threshold(thresholds: Sequence, columns, floor=None):
     """Batches (threshold, columns) in increasing threshold order.
 
     Column k is ``columns[k]`` and sits at ``thresholds[k]``; ties keep index
-    order.  Batches are produced lazily, so a caller that stops early sorts
-    but never groups the rest, and never reads the columns it did not reach.
+    order.  Columns below ``floor``, when one is given, are left out.
+    Batches are produced lazily, so a caller that stops early sorts but
+    never groups the rest, and never reads the columns it did not reach.
     """
-    order = sorted(range(len(thresholds)), key=thresholds.__getitem__)
+    order = range(len(thresholds))
+    if floor is not None:
+        order = [k for k in order if thresholds[k] >= floor]
+    order = sorted(order, key=thresholds.__getitem__)
     for value, group in groupby(order, key=thresholds.__getitem__):
         yield value, [columns[k] for k in group]
 

@@ -20,13 +20,18 @@ class InvalidTorusKnotError(ValueError):
     """The pair (p, q) does not describe a torus knot in scope."""
 
 
-def _validate_pq(p: int, q: int) -> None:
-    if not (isinstance(p, int) and isinstance(q, int)):
-        raise InvalidTorusKnotError("torus knot parameters must be integers")
-    if not 2 <= p < q:
-        raise InvalidTorusKnotError(f"need 2 <= p < q, got ({p}, {q})")
-    if gcd(p, q) != 1:
+def _torus_pair(p: int, q: int) -> tuple[int, int]:
+    """(min, max) of a valid torus knot pair; InvalidTorusKnotError otherwise.
+
+    Both parameters must be positive ints (a bool is not one here) and
+    coprime; a parameter 1 stands for the unknot.
+    """
+    if any(isinstance(v, bool) or not isinstance(v, int) for v in (p, q)) or p < 1 or q < 1:
+        raise InvalidTorusKnotError(f"torus knot parameters must be positive integers, got ({p}, {q})")
+    a, b = min(p, q), max(p, q)
+    if gcd(a, b) != 1:
         raise InvalidTorusKnotError(f"({p}, {q}) are not coprime")
+    return a, b
 
 
 @dataclass(frozen=True)
@@ -96,8 +101,9 @@ def _exponent_runs(p: int, q: int):
 
 
 def alexander_torus(p: int, q: int) -> AlexanderPolynomial:
-    """Alexander polynomial of T(p,q) from the Apery set of the semigroup."""
-    _validate_pq(p, q)
+    """Alexander polynomial of T(p,q), 2 <= p < q, from the Apery set of the semigroup."""
+    if _torus_pair(p, q) != (p, q) or p < 2:
+        raise InvalidTorusKnotError(f"need 2 <= p < q, got ({p}, {q})")
     return AlexanderPolynomial(tuple(sorted(chain.from_iterable(_exponent_runs(p, q)))))
 
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, groupby
+from itertools import combinations
 
 from .complexes import BifilteredComplex, Generator, _bits, _mask
 from .exactnum import PiecewiseLinear, _collinear, check_parameter
@@ -134,13 +134,14 @@ class _SectorEngine:
         self.odd_columns = _Memo(lambda j: (d_odd[j], 1 << j))
         self._spread = spread  # bounds the slope part of the packed side keys
 
-    def elements(self, ids, positions) -> list[SectorElement]:
-        """The elements at ``positions`` of the sector of ``ids``, built on demand.
+    def elements(self, ids, mask: int) -> list[SectorElement]:
+        """The elements of the sector of ``ids`` set in ``mask``, in sector order.
 
-        Each is built with its generator and that generator's name.
+        They are built on demand, each with its generator and that
+        generator's name.
         """
         gens = self.generators
-        return [SectorElement(g, g.maslov >> 1) for g in (gens[ids[k]] for k in positions)]
+        return [SectorElement(g, g.maslov >> 1) for g in (gens[ids[k]] for k in _bits(mask))]
 
     def entry(self, keys: list):
         """First key at which the class is reachable, a cycle in it, and null cycles.
@@ -188,11 +189,7 @@ class _SectorEngine:
         """
         a, c = t0.numerator, 2 * t0.denominator - t0.numerator
         levels = [a * x + c * y for x, y in zip(*self.odd_grades)]
-        above = sorted((j for j, lv in enumerate(levels) if lv >= floor),
-                       key=levels.__getitem__)
-        columns = self.odd_columns
-        for lv, group in groupby(above, key=levels.__getitem__):
-            yield lv, [columns[j] for j in group]
+        return by_threshold(levels, self.odd_columns, floor)
 
 
 def gamma_at(c: BifilteredComplex, t) -> GammaCertificate:
@@ -200,7 +197,7 @@ def gamma_at(c: BifilteredComplex, t) -> GammaCertificate:
     engine = _SectorEngine(c)
     t = check_parameter(t)
     s, combo = engine.gamma(t)
-    elems = tuple(engine.elements(engine.even_ids, _bits(combo)))
+    elems = tuple(engine.elements(engine.even_ids, combo))
     levels = tuple(level(t, e) for e in elems)
     assert max(levels) == s
     return GammaCertificate(t=t, s=s, cycle=elems, levels=levels)
@@ -224,15 +221,12 @@ def verify_gamma_certificate(c: BifilteredComplex, cert: GammaCertificate) -> No
     if len(set(cert.cycle)) != len(cert.cycle):
         raise CertificateError("certificate cycle repeats an element")
     tables = _DirectChecker(c)
-    tables.class_cycle(cert.cycle, "certificate cycle")
-    levels = tuple(level(cert.t, e) for e in cert.cycle)
-    if levels != cert.levels:
+    keys = [level(cert.t, e) for e in tables.even]
+    _, top, _ = tables.least_class_cycle(cert.cycle, keys, "certificate cycle")
+    if tuple(level(cert.t, e) for e in cert.cycle) != cert.levels:
         raise CertificateError("stored levels do not match recomputation")
-    if max(levels) != cert.s:
+    if top != cert.s:
         raise CertificateError("threshold is not attained by the support")
-    below = _mask(k for k, e in enumerate(tables.even) if level(cert.t, e) < cert.s)
-    if tables.feasible(below):
-        raise CertificateError("a cycle in the h0 class exists below the threshold")
 
 
 def _check_exact(value, name: str) -> None:
@@ -282,6 +276,19 @@ class _DirectChecker:
         if not in_span(self.d_odd, zmask ^ self.h0_mask):
             raise CertificateError(f"{label} is not homologous to the h0 class")
         return zmask
+
+    def least_class_cycle(self, elems, keys: list, label: str) -> tuple[int, object, int]:
+        """Mask of ``elems``, its top key and the even positions at or below it.
+
+        ``keys[k]`` orders even element k.  CertificateError unless ``elems``
+        is a cycle in the h0 class and no such cycle lies on the positions
+        whose key is strictly below the top key of ``elems``.
+        """
+        zmask = self.class_cycle(elems, label)
+        top = max(keys[k] for k in _bits(zmask))
+        if self.feasible(_mask(k for k, key in enumerate(keys) if key < top)):
+            raise CertificateError(f"a cycle in the h0 class lies below {label}")
+        return zmask, top, _mask(k for k, key in enumerate(keys) if key <= top)
 
     def feasible(self, allowed: int) -> bool:
         """Does a cycle on the even positions in ``allowed`` represent the h0 class?

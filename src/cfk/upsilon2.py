@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 
-from .complexes import BifilteredComplex, _mask
+from .complexes import BifilteredComplex
 from .exactnum import PiecewiseLinear, check_parameter
 from .f2linalg import first_entry
 from .upsilon import (
@@ -85,10 +85,6 @@ def _sides(c: BifilteredComplex, t0, ups: PiecewiseLinear | None):
     return engine, t0, minus, plus
 
 
-def _elements(engine: _SectorEngine, mask: int) -> frozenset[SectorElement]:
-    return frozenset(engine.elements(engine.even_ids, _bits(mask)))
-
-
 def gamma2_at(c: BifilteredComplex, t0,
               ups: PiecewiseLinear | None = None) -> Gamma2Certificate:
     """Minimal threshold at which the two side classes merge, with witness.
@@ -123,9 +119,9 @@ def gamma2_at(c: BifilteredComplex, t0,
     for j in _bits(wmask):
         zp ^= engine.d_odd[j]
     witness = MergeWitness(
-        z_minus=_elements(engine, zm),
-        z_plus=_elements(engine, zp),
-        w=frozenset(engine.elements(engine.odd_ids, _bits(wmask))),
+        z_minus=frozenset(engine.elements(engine.even_ids, zm)),
+        z_plus=frozenset(engine.elements(engine.even_ids, zp)),
+        w=frozenset(engine.elements(engine.odd_ids, wmask)),
     )
     return Gamma2Certificate(t0=t0, gamma=gamma0, gamma2=Fraction(r_star, scale),
                              witness=witness)
@@ -158,14 +154,11 @@ def verify_gamma2_certificate(c: BifilteredComplex, cert: Gamma2Certificate,
     jets = [(level(t0, e), level_slope(e)) for e in tables.even]
 
     def check_side(elems, sign, label):
-        zmask = tables.class_cycle(elems, label)
         keys = [(value, sign * slope) for value, slope in jets]
-        key = max(keys[k] for k in _bits(zmask))
+        zmask, key, admissible = tables.least_class_cycle(elems, keys, label)
         if key[0] != cert.gamma:
             raise CertificateError(f"the top level of {label} is not the stored gamma")
-        if tables.feasible(_mask(k for k, kk in enumerate(keys) if kk < key)):
-            raise CertificateError(f"a cycle in the h0 class lies below {label} on its side")
-        return zmask, _mask(k for k, kk in enumerate(keys) if kk <= key), sign * key[1]
+        return zmask, admissible, sign * key[1]
 
     zm, adm_m, slope_minus = check_side(cert.witness.z_minus, -1, "z_minus")
     zp, adm_p, slope_plus = check_side(cert.witness.z_plus, +1, "z_plus")

@@ -18,10 +18,17 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import reduce
 from itertools import combinations, groupby
+from math import gcd
 
-from cfk import Generator, UnsupportedComplexError, alexander_torus, sector, step_vector
+from cfk import (
+    Generator,
+    InvalidTorusKnotError,
+    UnsupportedComplexError,
+    alexander_torus,
+    sector,
+    step_vector,
+)
 from cfk.complexes import _mask, parse_knot_factors
-from cfk.semigroup import _validate_pq
 from cfk.upsilon import _DirectChecker, level, level_slope
 from cfk.upsilon2 import Gamma2Certificate, MergeWitness
 
@@ -155,7 +162,8 @@ def conductor(p: int, q: int) -> int:
 
 def semigroup_elements(p: int, q: int, bound: int) -> list[int]:
     """All elements np + mq <= bound with n, m >= 0, sorted and deduplicated."""
-    _validate_pq(p, q)
+    if not 2 <= p < q or gcd(p, q) != 1:
+        raise InvalidTorusKnotError(f"need coprime 2 <= p < q, got ({p}, {q})")
     if bound < 0:
         raise ValueError("bound must be non-negative")
     elements = set()

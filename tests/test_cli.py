@@ -5,6 +5,7 @@ import time
 
 import pytest
 
+from cfk import InvalidTorusKnotError
 from cfk.cli import SCHEMA_VERSION, build_invariant_report, distinguish_report, recursion_report, run
 
 
@@ -405,6 +406,13 @@ class TestReportHelpers:
     def test_recursion_report_gap_zero(self):
         report = recursion_report(5, 7)
         assert report["equal"] and report["max_breakpoint_gap"] == "0"
+
+    @pytest.mark.parametrize("p, q", [
+        (True, 3), (2, True), (2.0, 3), (2, "5"), (0, 3), (4, 6), (5, 3), (1, 1),
+    ], ids=repr)
+    def test_recursion_report_refuses_a_pair_out_of_scope(self, p, q):
+        with pytest.raises(InvalidTorusKnotError):
+            recursion_report(p, q)
 
     def test_build_report_counts(self):
         report = build_invariant_report("T(2,5) # T(5,6)")

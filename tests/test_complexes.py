@@ -408,6 +408,14 @@ class TestParser:
         with pytest.raises(InvalidTorusKnotError):
             parse_knot_expression("T(4,6)")
 
+    @pytest.mark.parametrize("p, q", [
+        (5, True), (True, 5), (False, 3), (2.0, 3), (2, Fraction(3)), ("2", 3), (0, 3),
+    ], ids=repr)
+    def test_torus_parameters_must_be_positive_ints(self, p, q):
+        # True would otherwise pass as 1 and give the unknot complex
+        with pytest.raises(InvalidTorusKnotError, match="must be positive integers"):
+            torus_knot_complex(p, q)
+
     def test_syntax_error_position(self):
         with pytest.raises(KnotExpressionError) as info:
             parse_knot_expression("T(2,3) # K(4,5)")

@@ -154,6 +154,20 @@ class TestFirstEntry:
         batches = list(by_threshold([3, 1, 3, 1], ["a", "b", "c", "d"]))
         assert batches == [(1, ["b", "d"]), (3, ["a", "c"])]
 
+    def test_columns_below_the_floor_are_never_read(self):
+        read = []
+
+        class Columns:
+            def __getitem__(self, k):
+                read.append(k)
+                return "abcdef"[k]
+
+        thresholds = [3, 0, 2, 3, 1, 2]
+        batches = list(by_threshold(thresholds, Columns(), floor=2))
+        assert batches == [(2, ["c", "f"]), (3, ["a", "d"])]
+        assert read == [2, 5, 0, 3]
+        assert list(by_threshold(thresholds, "abcdef", floor=4)) == []
+
 
 def test_randomised_kernel_tags_match_exhaustive_solutions():
     # On random small column sets, the kernel tags span exactly the

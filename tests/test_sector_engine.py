@@ -225,9 +225,9 @@ def test_integer_tables_match_the_sectors(seed):
         even, odd = oracle.even, oracle.odd
         assert list(zip(*engine.even_grades)) == [(e.alex, e.alg) for e in even], expr
         assert list(zip(*engine.odd_grades)) == [(e.alex, e.alg) for e in odd], expr
-        assert engine.elements(engine.even_ids, range(len(even))) == list(even), expr
-        assert engine.elements(engine.odd_ids, range(len(odd))) == list(odd), expr
-        assert engine.elements(engine.even_ids, [2, 0]) == [even[2], even[0]], expr
+        assert engine.elements(engine.even_ids, (1 << len(even)) - 1) == list(even), expr
+        assert engine.elements(engine.odd_ids, (1 << len(odd)) - 1) == list(odd), expr
+        assert engine.elements(engine.even_ids, 0b101) == [even[0], even[2]], expr
         d_even = [oracle_mask(row) for row in oracle.d_even]
         d_odd = [oracle_mask(row) for row in oracle.d_odd]
         # the engine builds a row on first lookup: materialise every position

@@ -64,6 +64,13 @@ class TestAlexander:
         with pytest.raises(InvalidTorusKnotError):
             alexander_torus(4, 6)
 
+    @pytest.mark.parametrize("p, q", [
+        (2, True), (True, 3), (2.0, 3), (2, Fraction(3)), ("2", 3), (3, 2), (1, 2),
+    ], ids=repr)
+    def test_rejects_a_pair_out_of_scope(self, p, q):
+        with pytest.raises(InvalidTorusKnotError):
+            alexander_torus(p, q)
+
     def test_agrees_with_telescoping(self):
         pairs = [(p, q) for q in range(3, 80) for p in range(2, q) if gcd(p, q) == 1]
         assert len(pairs) == 1855

@@ -12,7 +12,6 @@ from cfk import (
 from cfk.upsilon import CertificateError, _SectorEngine, upsilon
 from cfk.upsilon2 import (
     NotApplicableError,
-    _elements,
     gamma2_at,
     upsilon2_at,
     verify_gamma2_certificate,
@@ -28,7 +27,7 @@ def side_pass(c, t0, sign):
     """gamma jet, class cycle (as sector elements) and null cycles beside t0."""
     engine = _SectorEngine(c)
     jet, z0, null_cycles = engine.side(t0, sign)
-    return jet, _elements(engine, z0), null_cycles
+    return jet, engine.elements(engine.even_ids, z0), null_cycles
 
 
 class TestSideCycles:
@@ -147,6 +146,20 @@ class TestGamma2:
         )
         with pytest.raises(CertificateError):
             verify_gamma2_certificate(c, inflated)
+
+    def test_side_cycle_that_is_not_least_rejected(self):
+        # T(3,4) at 2/3: z_minus = x0 and z_plus = x2 merge through w = x1.
+        # Each is a class cycle at level gamma on the other side too, but
+        # there the other one's slope puts it strictly below
+        from dataclasses import replace
+
+        c = torus_knot_complex(3, 4)
+        cert = gamma2_at(c, F(2, 3))
+        w = cert.witness
+        for side, other in (("z_minus", w.z_plus), ("z_plus", w.z_minus)):
+            tampered = replace(cert, witness=replace(w, **{side: other}, w=frozenset()))
+            with pytest.raises(CertificateError, match=f"class lies below {side}"):
+                verify_gamma2_certificate(c, tampered)
 
     def test_swapped_sides_rejected(self):
         from cfk.upsilon2 import Gamma2Certificate, MergeWitness
