@@ -26,7 +26,7 @@ from collections import namedtuple
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import reduce
-from operator import eq, index, lt, sub
+from operator import eq, index, lt
 
 from .exactnum import check_integer
 from .f2linalg import Echelon, first_entry
@@ -266,15 +266,14 @@ class BifilteredComplex:
         }
 
 
-class SectorLayout(namedtuple("SectorLayout", "ids grades position spread")):
+class SectorLayout(namedtuple("SectorLayout", "ids grades position")):
     """Where each generator's U-translate sits in the grading-0 and grading-1 sectors.
 
     Index 0 of ``ids`` and ``grades`` is the grading-0 sector, index 1 the
     grading-1 sector: its element k is generator ``ids[p][k]`` shifted by
     U^(maslov // 2), with Alexander and algebraic grades ``grades[p][0][k]``
     and ``grades[p][1][k]``.  ``position[i]`` is the place of generator i
-    within its sector, and ``spread`` the largest |Alex - alg| over the
-    grading-0 sector.  Each sequence is the narrowest int array that holds
+    within its sector.  Each sequence is the narrowest int array that holds
     its values, or a tuple past 64 bits.
     """
 
@@ -301,7 +300,7 @@ def _extended(values, extra):
     return _compact([*values, *extra])
 
 
-_NO_SECTORS = SectorLayout(((), ()), (((), ()), ((), ())), (), 0)
+_NO_SECTORS = SectorLayout(((), ()), (((), ()), ((), ())), ())
 
 
 def _sector_layout(alg, alex, maslov, start: int = 0,
@@ -319,12 +318,11 @@ def _sector_layout(alg, alex, maslov, start: int = 0,
         ids[parity].append(i)
         alexs[parity].append(x - shift)
         algs[parity].append(a - shift)
-    spread = max(base.spread, max(map(abs, map(sub, alexs[0], algs[0])), default=0))
     return SectorLayout(
         tuple(map(_extended, base.ids, ids)),
         tuple((_extended(x0, x), _extended(y0, y))
               for (x0, y0), x, y in zip(base.grades, alexs, algs)),
-        _extended(base.position, position), spread)
+        _extended(base.position, position))
 
 
 def _mask(indices) -> int:

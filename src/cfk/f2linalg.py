@@ -12,7 +12,7 @@ first enters a filtered span; :func:`first_entry` answers it on one tagged
 
 from __future__ import annotations
 
-from itertools import groupby
+from itertools import groupby, islice
 from typing import Iterable, Optional, Sequence
 
 
@@ -63,6 +63,22 @@ class Echelon:
     def contains(self, vec: int) -> bool:
         return self._reduce(vec, 0)[0] == 0
 
+    @property
+    def rank(self) -> int:
+        return len(self._rows)
+
+    def prefix(self, rows: int, kernel: int) -> Echelon:
+        """A new echelon as this one stood when it held ``rows`` rows and ``kernel`` kernel tags.
+
+        A stored row never changes, so the first ``rows`` rows in the order
+        they were stored, with the first ``kernel`` kernel tags, are that
+        earlier echelon.  Adding to the copy leaves this one alone.
+        """
+        ech = Echelon()
+        ech._rows = dict(islice(self._rows.items(), rows))
+        ech.kernel = self.kernel[:kernel]
+        return ech
+
 
 def in_span(vectors: Iterable[int], target: int) -> bool:
     """Membership of target in the GF(2) span of vectors."""
@@ -92,6 +108,7 @@ def by_threshold(thresholds: Sequence, columns, floor=None):
 
 
 def first_entry(batches: Iterable[tuple[object, list[Column]]], target: int,
+                ech: Optional[Echelon] = None,
                 ) -> tuple[Optional[object], Optional[int], list[int]]:
     """First threshold at which target enters a filtered GF(2) span.
 
@@ -101,17 +118,22 @@ def first_entry(batches: Iterable[tuple[object, list[Column]]], target: int,
     witness is the XOR of the tags of columns that sum to target, and kernel
     holds the tags of the columns fed so far that reduced to zero, a basis of
     their linear relations when the tags are independent.  threshold and
-    witness are None when target never enters.
+    witness are None when target never enters.  Given ``ech``, the search
+    resumes from it, as if the columns that built it came ahead of the first
+    batch: its rows count towards the witness and its kernel leads the one
+    returned.  The columns go into ``ech`` itself.
 
-    The residue of target is kept reduced as rows arrive: it holds no bit at
-    any pivot, and a new row with pivot p holds none at an earlier pivot, so
-    XORing the row in exactly when bit p is set keeps that true.  The rows
+    The residue of target starts reduced against the rows already held and
+    is kept reduced as rows arrive: it holds no bit at any pivot, a new row
+    with pivot p holds none at an earlier pivot, so XORing the row in
+    exactly when bit p is set keeps that true.  The rows
     have distinct pivots, so the rows that sum to target, and the witness,
     are the ones a reduction from scratch would find.
     """
-    ech = Echelon()
+    if ech is None:
+        ech = Echelon()
     rows = ech._rows
-    residue, witness = target, 0
+    residue, witness = ech._reduce(target, 0)
     for threshold, columns in batches:
         for vec, tag in columns:
             pivot = ech.add(vec, tag)

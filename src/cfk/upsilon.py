@@ -19,7 +19,7 @@ from itertools import combinations
 
 from .complexes import BifilteredComplex, Generator, _bits, _mask
 from .exactnum import PiecewiseLinear, _collinear, check_parameter
-from .f2linalg import by_threshold, first_entry, in_span
+from .f2linalg import Echelon, by_threshold, first_entry, in_span
 
 
 class CertificateError(RuntimeError):
@@ -123,7 +123,7 @@ class _SectorEngine:
 
     def __init__(self, c: BifilteredComplex):
         self.generators = c.generators
-        (even_ids, odd_ids), (self.even_grades, self.odd_grades), position, spread = c.layout
+        (even_ids, odd_ids), (self.even_grades, self.odd_grades), position = c.layout
         self.even_ids, self.odd_ids = even_ids, odd_ids
         get, rows = position.__getitem__, c.boundary
         self.d_even = d_even = _Memo(lambda k: _mask(map(get, rows[even_ids[k]])))
@@ -132,7 +132,6 @@ class _SectorEngine:
         self.class_columns = _Memo(
             lambda k: (d_even[k] | last if lam >> even_ids[k] & 1 else d_even[k], 1 << k))
         self.odd_columns = _Memo(lambda j: (d_odd[j], 1 << j))
-        self._spread = spread  # bounds the slope part of the packed side keys
 
     def elements(self, ids, mask: int) -> list[SectorElement]:
         """The elements of the sector of ``ids`` set in ``mask``, in sector order.
@@ -162,34 +161,50 @@ class _SectorEngine:
         half = check_parameter(t) / 2
         return self.entry([half * x + (1 - half) * y for x, y in zip(*self.even_grades)])[:2]
 
-    def side(self, t0: Fraction, sign: int):
-        """Gamma jet, class cycle and null cycles at t0 + sign*delta.
+    def sides(self, t0: Fraction):
+        """Null cycles below gamma at t0, then (jet, class cycle, null cycles) for each side.
 
-        Elements enter in (level, sign*slope) order at t0, the order of their
-        levels just beside t0, so the entry key is the side gamma jet.  At
-        t0 = a/b that pair, scaled by (2b, 2), is (a*Alex + (2b - a)*alg,
-        sign*(Alex - alg)); it is packed into the one int level*W + slope,
-        which orders the same way because |slope| < W/2.
+        One pass feeds the class columns a level at a time, in order of level
+        at t0 with ties in sector order, until the class enters at gamma.
+        Each side t0 + sign*delta then resumes from the echelon as it stood
+        below gamma and feeds the elements at gamma in sign*slope order, the
+        order of their levels just beside t0, so its entry key is the side
+        gamma jet.  On both sides every element below gamma goes in before
+        any at gamma, and the class enters at gamma, so each side's jet and
+        the spans of its cycles are those of a pass in (level, sign*slope)
+        order, while the elements below gamma are fed once.  A side's null
+        cycles are the ones it adds to those below gamma.
         """
-        spread = self._spread  # max |Alex - alg| over the sector
-        width = 2 * spread + 1
-        a, b = t0.numerator, t0.denominator
-        u, v = a * width + sign, (2 * b - a) * width - sign
-        keys = [u * x + v * y for x, y in zip(*self.even_grades)]
-        key, z0, null_cycles = self.entry(keys)
-        scaled, slope = divmod(key + spread, width)
-        jet = (Fraction(scaled, 2 * b), Fraction(sign * (slope - spread), 2))
-        return jet, z0, null_cycles
+        levels = _scaled_levels(t0, self.even_grades)
+        target, ech = 1 << len(self.odd_ids), Echelon()
+        for gamma, batch in by_threshold(levels, self.class_columns):
+            rows, shared = ech.rank, len(ech.kernel)
+            if first_entry([(gamma, batch)], target, ech)[0] is not None:
+                break
+        else:
+            raise AssertionError("the distinguished class was not reachable at any level")
+        alex, alg = self.even_grades
+        slopes = [alex[k] - alg[k] for k, lv in enumerate(levels) if lv == gamma]
+        out = [ech.kernel[:shared]]
+        for sign in (-1, 1):
+            slope, z0, null_cycles = first_entry(
+                by_threshold([sign * s for s in slopes], batch), target, ech.prefix(rows, shared))
+            jet = (Fraction(gamma, 2 * t0.denominator), Fraction(sign * slope, 2))
+            out.append((jet, z0, null_cycles[shared:]))
+        return tuple(out)
 
     def odd_batches(self, t0: Fraction, floor: int):
-        """Grading-1 columns batched by 2b times their level at t0 = a/b, from floor up.
+        """Grading-1 columns batched by their scaled level at t0, from floor up.
 
-        The scaled level is a*Alex + (2b - a)*alg; ties keep sector order.
         Elements below floor are left out, and their columns never built.
         """
-        a, c = t0.numerator, 2 * t0.denominator - t0.numerator
-        levels = [a * x + c * y for x, y in zip(*self.odd_grades)]
-        return by_threshold(levels, self.odd_columns, floor)
+        return by_threshold(_scaled_levels(t0, self.odd_grades), self.odd_columns, floor)
+
+
+def _scaled_levels(t0: Fraction, grades) -> list[int]:
+    """2b times the level at t0 = a/b of each element: a*Alex + (2b - a)*alg."""
+    a, c = t0.numerator, 2 * t0.denominator - t0.numerator
+    return [a * x + c * y for x, y in zip(*grades)]
 
 
 def gamma_at(c: BifilteredComplex, t) -> GammaCertificate:

@@ -63,7 +63,7 @@ def _check_upsilon(ups: PiecewiseLinear, t0: Fraction, gamma0: Fraction,
 
 
 def _sides(c: BifilteredComplex, t0, ups: PiecewiseLinear | None):
-    """Engine, t0 and both side passes at a singularity where gamma's slope drops.
+    """Engine, t0 and its sides (see ``_SectorEngine.sides``) where gamma's slope drops.
 
     The side gamma jets decide whether t0 is such a singularity; ``ups``,
     when given, is only checked against them.
@@ -72,7 +72,7 @@ def _sides(c: BifilteredComplex, t0, ups: PiecewiseLinear | None):
     if not 0 < t0 < 2:
         raise NotApplicableError("t0 must lie in the open interval (0, 2)")
     engine = _SectorEngine(c)
-    minus, plus = engine.side(t0, -1), engine.side(t0, 1)
+    null_below, minus, plus = engine.sides(t0)
     (gamma0, slope_minus), (_, slope_plus) = minus[0], plus[0]
     if ups is not None:
         _check_upsilon(ups, t0, gamma0, slope_minus, slope_plus)
@@ -82,7 +82,7 @@ def _sides(c: BifilteredComplex, t0, ups: PiecewiseLinear | None):
         raise NotApplicableError(
             f"slope jump at t={t0} is negative; only positive jumps are supported"
         )
-    return engine, t0, minus, plus
+    return engine, t0, null_below, minus, plus
 
 
 def gamma2_at(c: BifilteredComplex, t0,
@@ -92,21 +92,22 @@ def gamma2_at(c: BifilteredComplex, t0,
     Merging at threshold r asks for z_minus, z_plus in the side cycle spaces
     and w supported on grading-1 elements of level at most r with
     dw = z_minus + z_plus.  One pass feeds the boundaries of the grading-1
-    elements in level order, seeded at gamma with both sides' null cycles,
-    until z0_minus + z0_plus enters their span.  The minus-side null cycles
-    are tagged with their own mask above the odd bits, so the witness tag
-    gives w and z_minus, and z_plus = z_minus + dw.
+    elements in level order, seeded at gamma with the null cycles below
+    gamma, which both sides share, and then each side's own null cycles,
+    until z0_minus + z0_plus enters their span.  The shared and the
+    minus-side null cycles are tagged with their own mask above the odd
+    bits, so the witness tag gives w and z_minus, and z_plus = z_minus + dw.
 
     Grading-1 elements below gamma are never fed: the boundary of such an
-    element o lies below gamma, where the minus pass fed every element, and
+    element o lies below gamma, where the shared pass fed every element, and
     is a relation among their class columns (d(do) = 0, and lam vanishes on
     boundaries).  So do is in the span of the seeded null cycles, the column
     of o would only join the kernel, and the rows, gamma2 and the witness do
     not change.
     """
-    engine, t0, ((gamma0, _), z0m, null_m), (_, z0p, null_p) = _sides(c, t0, ups)
+    engine, t0, null_below, ((gamma0, _), z0m, null_m), (_, z0p, null_p) = _sides(c, t0, ups)
     n_odd = len(engine.odd_ids)
-    seed = [(v, v << n_odd) for v in null_m] + [(v, 0) for v in null_p]
+    seed = [(v, v << n_odd) for v in chain(null_below, null_m)] + [(v, 0) for v in null_p]
     scale = 2 * t0.denominator  # thresholds are levels times 2b, in integers
     floor = int(gamma0 * scale)
     batches = chain([(floor, seed)], engine.odd_batches(t0, floor))

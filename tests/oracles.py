@@ -360,7 +360,9 @@ def brute_gamma2(c, t0, ups) -> Fraction:
 # the eager side and gamma2 passes that the lazy sector engine replaced:
 # whole integer tables, tuple keys, every batch built by one full sort, every
 # grading-1 column fed (those below gamma at gamma) and target reduced after
-# every batch.  Same elimination order, so same pivots and tags.
+# every batch.  Same elimination order, so same pivots and tags: below gamma
+# the elements go in by level, at gamma by side slope, and the null cycles
+# below gamma seed the gamma2 pass once.
 
 
 def _eager_batches(thresholds, columns):
@@ -374,10 +376,12 @@ def _positions(mask):
 
 
 def eager_side(c, t0, sign):
-    """(jet, class cycle, null cycles) at t0 + sign*delta.
+    """(jet, class cycle, null cycles below gamma, null cycles at gamma) at t0 + sign*delta.
 
-    Keys are (2b*level, 2*sign*slope) tuples at t0 = a/b; the columns
-    [d(e); lam(e)] of every even element are built before the search.
+    gamma comes from a pass on the levels 2b*level at t0 = a/b alone.  The
+    side's keys are (2b*level, 0) below gamma and (2b*gamma, 2*sign*slope)
+    at it, so ties below gamma keep sector order.  The columns [d(e); lam(e)]
+    of every even element are built before the search.
     """
     tables = _DirectChecker(c)
     # c.lam is indexed by generator; U-translates keep the generator order
@@ -386,20 +390,27 @@ def eager_side(c, t0, sign):
     columns = [(d | last if c.lam >> i & 1 else d, 1 << k)
                for k, (i, d) in enumerate(zip(even_ids, tables.d_even))]
     a, b = t0.numerator, t0.denominator
-    keys = [(a * e.alex + (2 * b - a) * e.alg, sign * (e.alex - e.alg)) for e in sector(c, 0)]
+    even = sector(c, 0)
+    levels = [a * e.alex + (2 * b - a) * e.alg for e in even]
+    gamma, _, _ = first_entry_per_batch(_eager_batches(levels, columns), last)
+    below_gamma = [batch for batch in _eager_batches(levels, columns) if batch[0] < gamma]
+    entered, _, below = first_entry_per_batch(below_gamma, last)
+    assert entered is None
+    keys = [(lv, sign * (e.alex - e.alg) if lv == gamma else 0) for lv, e in zip(levels, even)]
     key, z0, null_cycles = first_entry_per_batch(_eager_batches(keys, columns), last)
+    assert key[0] == gamma and null_cycles[:len(below)] == below
     jet = (Fraction(key[0], 2 * b), Fraction(sign * key[1], 2))
-    return jet, z0, null_cycles
+    return jet, z0, below, null_cycles[len(below):]
 
 
 def eager_gamma2(c, t0) -> Gamma2Certificate:
     """gamma2 at a positive singularity t0, every grading-1 column built first."""
-    (gamma0, _), z0m, null_m = eager_side(c, t0, -1)
-    _, z0p, null_p = eager_side(c, t0, 1)
+    (gamma0, _), z0m, below, null_m = eager_side(c, t0, -1)
+    _, z0p, _, null_p = eager_side(c, t0, 1)
     tables = _DirectChecker(c)
     even, odd = sector(c, 0), sector(c, 1)
     n_odd = len(odd)
-    seed = [(v, v << n_odd) for v in null_m] + [(v, 0) for v in null_p]
+    seed = [(v, v << n_odd) for v in below + null_m] + [(v, 0) for v in null_p]
     scale = 2 * t0.denominator
     floor = int(gamma0 * scale)
     thresholds = [max(level(t0, e) * scale, floor) for e in odd]
@@ -426,12 +437,12 @@ def eager_gamma2(c, t0) -> Gamma2Certificate:
 
 
 def sector_layout(c):
-    """(even_ids, odd_ids), (even_grades, odd_grades), position and spread.
+    """(even_ids, odd_ids), (even_grades, odd_grades) and position.
 
     Element k of the grading-0 sector is generator ``even_ids[k]`` shifted
     by U^(maslov // 2), with (Alex, alg) ``even_grades[k]`` (likewise for
     grading 1); ``position[i]`` is the position of generator i within its
-    sector and ``spread`` the largest |Alex - alg| over the grading-0 sector.
+    sector.
     """
     ids, grades = ([], []), ([], [])  # by parity of the grading
     position = []
@@ -440,8 +451,7 @@ def sector_layout(c):
         position.append(len(ids[parity]))
         ids[parity].append(i)
         grades[parity].append((g.alex - shift, g.alg - shift))
-    spread = max(abs(x - y) for x, y in grades[0])
-    return ids, grades, position, spread
+    return ids, grades, position
 
 
 # ---------------------------------------------------------------------------

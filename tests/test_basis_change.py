@@ -20,7 +20,7 @@ from hypothesis import assume, given, seed, settings, strategies as st
 from cfk import BifilteredComplex, Generator, direct_sum_with_box, parse_knot_expression
 from cfk.upsilon import SectorElement, gamma_at, level, upsilon, verify_gamma_certificate
 from cfk.upsilon2 import gamma2_at, upsilon2_at, verify_gamma2_certificate
-from oracles import eager_gamma2
+from oracles import brute_gamma2, eager_gamma2
 
 FACTORS = ["T(2,3)", "T(2,5)", "T(3,4)", "T(2,7)", "-T(2,3)", "-T(2,5)", "-T(3,4)"]
 
@@ -81,6 +81,10 @@ def test_upsilon2_survives_boxes_and_filtered_changes_of_basis(factors, boxes, d
         assert cert.upsilon2() == value, (expr, boxes, t0)
         assert cert == eager_gamma2(changed, t0), (expr, boxes, t0)
         verify_gamma2_certificate(changed, cert, ups=ups)
+        try:
+            assert cert.gamma2 == brute_gamma2(changed, t0, ups), (expr, boxes, t0)
+        except ValueError:  # beyond the oracle's size limits
+            pass
     # Upsilon at a few points, without a search over the changed complex
     for t in (F(1, 3), F(1), F(8, 5)):
         cert = gamma_at(changed, t)

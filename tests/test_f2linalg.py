@@ -2,6 +2,8 @@ import random
 from fractions import Fraction as F
 from itertools import combinations
 
+from hypothesis import given, settings, strategies as st
+
 from cfk.f2linalg import Echelon, by_threshold, first_entry, in_span
 
 
@@ -290,3 +292,54 @@ def test_tracked_target_matches_the_per_batch_reduction():
         entered += got[0] is not None
         never += got[0] is None
     assert entered > 100 and never > 50
+
+
+COLUMN = st.integers(0, (1 << 10) - 1)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(head=st.lists(COLUMN, max_size=16), extra=st.lists(COLUMN, max_size=8),
+       rest=st.lists(st.tuples(COLUMN, st.integers(0, 3)), min_size=1, max_size=16),
+       picks=st.integers(0, (1 << 32) - 1), outside=COLUMN)
+def test_resuming_from_a_prefix_matches_feeding_from_scratch(head, extra, rest, picks, outside):
+    # an echelon fed head and then extra columns, cut back to where head
+    # ended: resuming from it must answer as if head went in ahead of rest
+    columns = [(v, 1 << i) for i, v in enumerate(head + [v for v, _ in rest])]
+    head_columns, rest_columns = columns[:len(head)], columns[len(head):]
+    target = outside
+    for k, (v, _) in enumerate(columns):
+        target ^= v if picks >> k & 1 else 0
+    ech = Echelon()
+    for v, tag in head_columns:
+        ech.add(v, tag)
+    size = ech.rank, len(ech.kernel)
+    for i, v in enumerate(extra):
+        ech.add(v, 1 << (len(columns) + i))
+    held = dict(ech._rows), list(ech.kernel)
+
+    batches = list(by_threshold([t for _, t in rest], rest_columns))
+    got = first_entry(batches, target, ech.prefix(*size))
+    (first, batch), *later = batches
+    expected = first_entry([(first, head_columns + batch)] + later, target)
+    assert got == expected
+    assert _span(got[2]) == _span(expected[2])
+    # the resumed search adds to the prefix, never to the echelon it came from
+    assert (ech._rows, ech.kernel) == held
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(head=st.lists(COLUMN, max_size=16), extra=st.lists(COLUMN, max_size=8))
+def test_a_prefix_is_the_echelon_as_it_stood(head, extra):
+    ech, alone = Echelon(), Echelon()
+    for i, v in enumerate(head):
+        ech.add(v, 1 << i)
+        alone.add(v, 1 << i)
+    size = ech.rank, len(ech.kernel)
+    for i, v in enumerate(extra, len(head)):
+        ech.add(v, 1 << i)
+    cut = ech.prefix(*size)
+    assert (cut._rows, cut.kernel) == (alone._rows, alone.kernel)
+    # the prefix of a full echelon is the echelon itself, in a copy
+    full = ech.prefix(ech.rank, len(ech.kernel))
+    assert (full._rows, full.kernel) == (ech._rows, ech.kernel)
+    assert full._rows is not ech._rows and full.kernel is not ech.kernel

@@ -30,12 +30,14 @@ from cfk import (
     tensor,
     torus_knot_complex,
 )
+from cfk.f2linalg import Echelon
 from cfk.upsilon import (
     CertificateError,
     _DirectChecker,
     _SectorEngine,
     gamma_at,
     level,
+    level_slope,
     sector,
     upsilon,
     verify_gamma_certificate,
@@ -132,7 +134,9 @@ class TestFunctionalOncePerComplex:
         assert repr(c) == repr(fresh) and "lam" not in repr(c)
         # and so is the layout
         assert c.layout == fresh.layout
-        object.__setattr__(fresh, "layout", fresh.layout._replace(spread=c.layout.spread + 1))
+        reversed_layout = fresh.layout._replace(position=c.layout.position[::-1])
+        object.__setattr__(fresh, "layout", reversed_layout)
+        assert c.layout != fresh.layout
         assert c == fresh and hash(c) == hash(fresh)
         assert repr(c) == repr(fresh) and "layout" not in repr(c)
 
@@ -254,21 +258,31 @@ def test_gamma2_matches_exhaustive_triples_on_random_complexes():
 
 @pytest.mark.parametrize("seed", [5, 6])
 def test_lazy_engine_matches_the_eager_passes(seed):
-    # the engine builds rows and columns on first use and packs its side
-    # keys into ints; the eager passes build everything and sort tuples
+    # the engine builds rows and columns on first use, feeds the elements
+    # below gamma once for both sides and resumes each side from them; the
+    # eager passes build everything, sort tuples and run each side whole
     pairs = [(2, 3), (2, 5), (3, 4), (3, 5), (2, 7), (4, 5), (3, 7), (5, 6)]
-    singular = 0
+    singular = brute = 0
     for expr, c in random_complexes(seed, 10, pairs, max_boxes=3):
         ups = upsilon(c)
         t0s = positive_singularities(ups)
         for t0 in t0s + [F(97, 113), F(1, 977), F(1999, 1000), F(355, 226), F(7919, 7920)]:
-            engine = _SectorEngine(c)
-            for sign in (-1, 1):
-                assert engine.side(t0, sign) == eager_side(c, t0, sign), (expr, t0, sign)
+            null_below, *sides = _SectorEngine(c).sides(t0)
+            for sign, side in zip((-1, 1), sides):
+                jet, z0, below, own = eager_side(c, t0, sign)
+                assert (null_below, side) == (below, (jet, z0, own)), (expr, t0, sign)
         for t0 in t0s:
-            assert gamma2_at(c, t0, ups=ups) == eager_gamma2(c, t0), (expr, t0)
+            cert = gamma2_at(c, t0, ups=ups)
+            assert cert == eager_gamma2(c, t0), (expr, t0)
+            verify_gamma2_certificate(c, cert, ups=ups)
             singular += 1
-    assert singular >= 10
+            try:
+                expected = brute_gamma2(c, t0, ups)
+            except ValueError:  # beyond the oracle's size limits
+                continue
+            assert cert.gamma2 == expected, (expr, t0)
+            brute += 1
+    assert singular >= 10 and brute >= 5
 
 
 def test_a_query_builds_at_most_half_of_each_sector(monkeypatch):
@@ -295,9 +309,66 @@ def test_a_query_builds_at_most_half_of_each_sector(monkeypatch):
         assert 2 * len(engine.d_odd) <= len(engine.odd_ids), t0
 
 
+def test_each_class_column_below_gamma_goes_into_one_echelon(monkeypatch):
+    # counts Echelon.add per class column, never time: in one upsilon2_at call
+    # the grading-0 elements below gamma go in once, for both sides, and those
+    # at gamma once in the shared pass and at most once more for each side
+    adds, in_sides = [], []
+    add = Echelon.add
+
+    def counted(ech, vec, tag=0):
+        if in_sides:
+            adds.append((ech, tag))
+        return add(ech, vec, tag)
+
+    class Recording(_SectorEngine):
+        def sides(self, t0):
+            in_sides.append(t0)
+            try:
+                return super().sides(t0)
+            finally:
+                in_sides.pop()
+
+    monkeypatch.setattr(Echelon, "add", counted)
+    monkeypatch.setattr(UPSILON2, "_SectorEngine", Recording)
+    tied = fed_below = 0
+    for expr in ("T(3,5) # -T(2,5) # T(4,5)", "-T(3,4) # T(3,7)", "T(4,5) # -T(2,7)",
+                 "T(2,5) # -T(2,3) # T(3,4)"):
+        knot = parse_knot_expression(expr)
+        boxed = direct_sum_with_box(direct_sum_with_box(knot, 1, 2, 2, 1, 1), 0, 0, 1, 3, 3)
+        ups = upsilon(knot)
+        for c in (knot, boxed):
+            even = sector(c, 0)
+            for t0 in positive_singularities(ups):
+                adds.clear()
+                value = upsilon2_at(c, t0, ups=ups)
+                fed = adds[:]
+                cert = gamma2_at(c, t0, ups=ups)
+                assert cert.upsilon2() == value
+                verify_gamma2_certificate(c, cert, ups=ups)
+                levels = [level(t0, e) for e in even]
+                echelons, count = {}, [0] * len(even)
+                for ech, tag in fed:
+                    k = tag.bit_length() - 1
+                    assert tag == 1 << k and levels[k] <= cert.gamma, (expr, t0)
+                    count[k] += 1
+                    echelons.setdefault(k, set()).add(id(ech))
+                below = [k for k, lv in enumerate(levels) if lv < cert.gamma]
+                assert all(count[k] == len(echelons[k]) == 1 for k in below), (expr, t0)
+                assert max(count) <= 3, (expr, t0)
+                fed_below += len(below)
+                # below gamma, a level shared by elements of different slopes
+                # is where the witness basis may differ from a (level, slope) pass
+                slopes = {}
+                for k in below:
+                    slopes.setdefault(levels[k], set()).add(level_slope(even[k]))
+                tied += any(len(s) > 1 for s in slopes.values())
+    assert tied >= 10 and fed_below >= 100
+
+
 def test_gamma2_builds_no_grading1_row_below_gamma(monkeypatch):
-    # an element below gamma has its boundary in the span of the minus side's null
-    # cycles, so its column could only join the kernel: it is never built
+    # an element below gamma has its boundary in the span of the null cycles below
+    # gamma, so its column could only join the kernel: it is never built
     engines = []
 
     class Recording(_SectorEngine):
@@ -329,12 +400,12 @@ def test_gamma2_builds_no_grading1_row_below_gamma(monkeypatch):
 
 def walked(layout):
     """A carried layout in the form of the oracle's walk: lists and (Alex, alg) pairs."""
-    ids, grades, position, spread = layout
-    return tuple(map(list, ids)), tuple(list(zip(*g)) for g in grades), list(position), spread
+    ids, grades, position = layout
+    return tuple(map(list, ids)), tuple(list(zip(*g)) for g in grades), list(position)
 
 
 def sequences(layout):
-    ids, grades, position, _ = layout
+    ids, grades, position = layout
     return [*ids, *(s for pair in grades for s in pair), position]
 
 

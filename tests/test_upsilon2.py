@@ -16,7 +16,7 @@ from cfk.upsilon2 import (
     upsilon2_at,
     verify_gamma2_certificate,
 )
-from oracles import brute_gamma2
+from oracles import brute_gamma2, eager_side
 
 
 def points(elems):
@@ -24,10 +24,16 @@ def points(elems):
 
 
 def side_pass(c, t0, sign):
-    """gamma jet, class cycle (as sector elements) and null cycles beside t0."""
+    """gamma jet, class cycle (as sector elements) and null cycles beside t0.
+
+    The engine's one pass below gamma and its resumed side must give
+    exactly what the eager oracle's whole side pass gives.
+    """
     engine = _SectorEngine(c)
-    jet, z0, null_cycles = engine.side(t0, sign)
-    return jet, engine.elements(engine.even_ids, z0), null_cycles
+    null_below, *sides = engine.sides(t0)
+    jet, z0, own = sides[sign > 0]
+    assert (jet, z0, null_below, own) == eager_side(c, t0, sign)
+    return jet, engine.elements(engine.even_ids, z0), null_below + own
 
 
 class TestSideCycles:
@@ -278,9 +284,10 @@ class TestStability:
 
 
 def test_integer_side_keys_match_fraction_levels():
-    # _SectorEngine.side orders the even sector on integer keys scaled by
-    # (2b, 2) at t0 = a/b.  The Fraction definition, keys (level,
-    # sign * level_slope), must give the same jet, class cycle and null
+    # _SectorEngine.sides orders the even sector on integer levels scaled by
+    # 2b at t0 = a/b, and the elements at gamma on integer slopes scaled by
+    # 2.  The Fraction definition, keys (level, 0) below gamma and (gamma,
+    # sign * level_slope) at it, must give the same jet, class cycle and null
     # cycles, at every breakpoint of upsilon and at points with large
     # denominators.
     import random
@@ -303,10 +310,12 @@ def test_integer_side_keys_match_fraction_levels():
         t0s = [t for t, _ in upsilon(c).breakpoints if 0 < t < 2]
         t0s += [F(97, 113), F(1, 977), F(1999, 1000), F(355, 226)]
         for t0 in t0s:
-            for sign in (-1, 1):
-                keys = [(level(t0, e), sign * level_slope(e)) for e in sector(c, 0)]
-                key, z0, null_cycles = engine.entry(keys)
-                expected = ((key[0], sign * key[1]), z0, null_cycles)
-                got = engine.side(t0, sign)
-                assert got == expected, (expr, t0, sign)
-                assert all(type(x) is F for x in got[0])
+            gamma = engine.gamma(t0)[0]
+            null_below, *sides = engine.sides(t0)
+            for sign, (jet, z0, own) in zip((-1, 1), sides):
+                keys = [(lv, sign * level_slope(e) if lv == gamma else 0)
+                        for lv, e in ((level(t0, e), e) for e in sector(c, 0))]
+                key, cycle, null_cycles = engine.entry(keys)
+                expected = ((key[0], sign * key[1]), cycle, null_cycles)
+                assert (jet, z0, null_below + own) == expected, (expr, t0, sign)
+                assert all(type(x) is F for x in jet)
