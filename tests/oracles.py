@@ -392,8 +392,9 @@ def eager_side(c, t0, sign):
     a, b = t0.numerator, t0.denominator
     even = sector(c, 0)
     levels = [a * e.alex + (2 * b - a) * e.alg for e in even]
-    gamma, _, _ = first_entry_per_batch(_eager_batches(levels, columns), last)
-    below_gamma = [batch for batch in _eager_batches(levels, columns) if batch[0] < gamma]
+    by_level = _eager_batches(levels, columns)
+    gamma, _, _ = first_entry_per_batch(by_level, last)
+    below_gamma = [batch for batch in by_level if batch[0] < gamma]
     entered, _, below = first_entry_per_batch(below_gamma, last)
     assert entered is None
     keys = [(lv, sign * (e.alex - e.alg) if lv == gamma else 0) for lv, e in zip(levels, even)]

@@ -309,12 +309,14 @@ def test_integer_side_keys_match_fraction_levels():
         engine = _SectorEngine(c)
         t0s = [t for t, _ in upsilon(c).breakpoints if 0 < t < 2]
         t0s += [F(97, 113), F(1, 977), F(1999, 1000), F(355, 226)]
+        even = sector(c, 0)
         for t0 in t0s:
             gamma = engine.gamma(t0)[0]
+            levels = [level(t0, e) for e in even]
             null_below, *sides = engine.sides(t0)
             for sign, (jet, z0, own) in zip((-1, 1), sides):
                 keys = [(lv, sign * level_slope(e) if lv == gamma else 0)
-                        for lv, e in ((level(t0, e), e) for e in sector(c, 0))]
+                        for lv, e in zip(levels, even)]
                 key, cycle, null_cycles = engine.entry(keys)
                 expected = ((key[0], sign * key[1]), cycle, null_cycles)
                 assert (jet, z0, null_below + own) == expected, (expr, t0, sign)
