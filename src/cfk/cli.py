@@ -77,6 +77,10 @@ def _fmt(x: Fraction) -> str:
     return str(Fraction(x))
 
 
+def _breakpoints(ups: PiecewiseLinear) -> list[list[str]]:
+    return [[_fmt(t), _fmt(v)] for t, v in ups.breakpoints]
+
+
 def build_invariant_report(expression: str) -> dict:
     """Invariant report for a knot expression, without the timing field."""
     canonical = canonical_expression(expression)
@@ -95,9 +99,7 @@ def build_invariant_report(expression: str) -> dict:
         "schema_version": SCHEMA_VERSION,
         "expression": canonical,
         "generator_count": len(complex_.generators),
-        "upsilon": {
-            "breakpoints": [[_fmt(t), _fmt(v)] for t, v in ups.breakpoints]
-        },
+        "upsilon": {"breakpoints": _breakpoints(ups)},
         "singularities": entries,
     }
 
@@ -192,8 +194,8 @@ def recursion_report(p: int, q: int, max_generators: int = DEFAULT_MAX_GENERATOR
         "q": q,
         "equal": lhs == rhs,
         "max_breakpoint_gap": _fmt(gap),
-        "lhs_breakpoints": [[_fmt(t), _fmt(v)] for t, v in lhs.breakpoints],
-        "rhs_breakpoints": [[_fmt(t), _fmt(v)] for t, v in rhs.breakpoints],
+        "lhs_breakpoints": _breakpoints(lhs),
+        "rhs_breakpoints": _breakpoints(rhs),
     }
 
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
-from .complexes import BifilteredComplex, Generator, _bits, _mask
+from .complexes import BifilteredComplex, _bits, _mask
 from .exactnum import PiecewiseLinear, _collinear, check_parameter
 from .f2linalg import Echelon, by_threshold, first_entry, in_span
 
@@ -36,22 +36,17 @@ class BreakpointVerificationError(RuntimeError):
 
 @dataclass(frozen=True)
 class SectorElement:
-    """A U-translate of a generator, pinned to one homological grading."""
+    """A U-translate of a generator, pinned to one homological grading.
 
-    generator: Generator
-    u_power: int
+    ``index`` is the generator's index in its complex and ``alg``, ``alex``
+    and ``maslov`` are the grades of the translate.  The generator is
+    ``c.generators[index]``, shifted by U^((its maslov - maslov) // 2).
+    """
 
-    @property
-    def alg(self) -> int:
-        return self.generator.alg - self.u_power
-
-    @property
-    def alex(self) -> int:
-        return self.generator.alex - self.u_power
-
-    @property
-    def maslov(self) -> int:
-        return self.generator.maslov - 2 * self.u_power
+    index: int
+    alg: int
+    alex: int
+    maslov: int
 
 
 def sector(c: BifilteredComplex, m: int) -> tuple[SectorElement, ...]:
@@ -59,13 +54,13 @@ def sector(c: BifilteredComplex, m: int) -> tuple[SectorElement, ...]:
 
     Each generator whose grading differs from m by an even number contributes
     exactly one translate, so the sector is finite and listed in generator
-    order.
+    order.  Only the grade columns are read.
     """
     out = []
-    for g in c.generators:
-        shift = g.maslov - m
-        if shift % 2 == 0:
-            out.append(SectorElement(g, shift // 2))
+    for i, (a, x, g) in enumerate(zip(*c.generators.columns)):
+        shift, odd = divmod(g - m, 2)
+        if not odd:
+            out.append(SectorElement(i, a - shift, x - shift, m))
     return tuple(out)
 
 
@@ -122,7 +117,6 @@ class _SectorEngine:
     """
 
     def __init__(self, c: BifilteredComplex):
-        self.generators = c.generators
         (even_ids, odd_ids), (self.even_grades, self.odd_grades), position = c.layout
         self.even_ids, self.odd_ids = even_ids, odd_ids
         get, rows = position.__getitem__, c.boundary
@@ -133,14 +127,11 @@ class _SectorEngine:
             lambda k: (d_even[k] | last if lam >> even_ids[k] & 1 else d_even[k], 1 << k))
         self.odd_columns = _Memo(lambda j: (d_odd[j], 1 << j))
 
-    def elements(self, ids, mask: int) -> list[SectorElement]:
-        """The elements of the sector of ``ids`` set in ``mask``, in sector order.
-
-        They are built on demand, each with its generator and that
-        generator's name.
-        """
-        gens = self.generators
-        return [SectorElement(g, g.maslov >> 1) for g in (gens[ids[k]] for k in _bits(mask))]
+    def elements(self, parity: int, mask: int) -> list[SectorElement]:
+        """The elements of the grading-``parity`` sector set in ``mask``, in sector order."""
+        ids = (self.even_ids, self.odd_ids)[parity]
+        alex, alg = (self.even_grades, self.odd_grades)[parity]
+        return [SectorElement(ids[k], alg[k], alex[k], parity) for k in _bits(mask)]
 
     def entry(self, keys: list):
         """First key at which the class is reachable, a cycle in it, and null cycles.
@@ -212,7 +203,7 @@ def gamma_at(c: BifilteredComplex, t) -> GammaCertificate:
     engine = _SectorEngine(c)
     t = check_parameter(t)
     s, combo = engine.gamma(t)
-    elems = tuple(engine.elements(engine.even_ids, combo))
+    elems = tuple(engine.elements(0, combo))
     levels = tuple(level(t, e) for e in elems)
     assert max(levels) == s
     return GammaCertificate(t=t, s=s, cycle=elems, levels=levels)
@@ -263,19 +254,13 @@ class _DirectChecker:
     """
 
     def __init__(self, c: BifilteredComplex):
-        # (generator index, translate) of the grading-0 and grading-1 sectors,
-        # each generator built once, in generator order as in sector()
-        parts = ([], [])
-        for i, g in enumerate(c.generators):
-            parts[g.maslov & 1].append((i, SectorElement(g, g.maslov >> 1)))
-        self.even = tuple(e for _, e in parts[0])
-        self.odd = tuple(e for _, e in parts[1])
+        self.even, self.odd = sector(c, 0), sector(c, 1)
         self.even_pos = {e: k for k, e in enumerate(self.even)}
         self.odd_pos = {e: j for j, e in enumerate(self.odd)}
         # generator index -> position of its translate within its sector
-        pos = {i: k for part in parts for k, (i, _) in enumerate(part)}
-        self.d_even = [_mask(pos[j] for j in c.boundary[i]) for i, _ in parts[0]]
-        self.d_odd = [_mask(pos[j] for j in c.boundary[i]) for i, _ in parts[1]]
+        pos = {e.index: k for part in (self.even, self.odd) for k, e in enumerate(part)}
+        self.d_even = [_mask(pos[j] for j in c.boundary[e.index]) for e in self.even]
+        self.d_odd = [_mask(pos[j] for j in c.boundary[e.index]) for e in self.odd]
         self.h0_mask = _mask(pos[i] for i in c.h0_rep)
 
     def class_cycle(self, elems, label: str) -> int:

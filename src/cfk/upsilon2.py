@@ -120,9 +120,9 @@ def gamma2_at(c: BifilteredComplex, t0,
     for j in _bits(wmask):
         zp ^= engine.d_odd[j]
     witness = MergeWitness(
-        z_minus=frozenset(engine.elements(engine.even_ids, zm)),
-        z_plus=frozenset(engine.elements(engine.even_ids, zp)),
-        w=frozenset(engine.elements(engine.odd_ids, wmask)),
+        z_minus=frozenset(engine.elements(0, zm)),
+        z_plus=frozenset(engine.elements(0, zp)),
+        w=frozenset(engine.elements(1, wmask)),
     )
     return Gamma2Certificate(t0=t0, gamma=gamma0, gamma2=Fraction(r_star, scale),
                              witness=witness)

@@ -278,12 +278,6 @@ class SectorTables:
             out = list_xor(out, self.d_even[k])
         return out
 
-    def boundary_of_odd_subset(self, subset):
-        out = [0] * len(self.even)
-        for j in subset:
-            out = list_xor(out, self.d_odd[j])
-        return out
-
     def class_cycles(self, positions):
         """All subsets of the given even positions that are cycles in the
         distinguished class, each returned as a 0/1 vector."""
@@ -326,7 +320,7 @@ def brute_gamma2(c, t0, ups) -> Fraction:
     levels = [level(t0, e) for e in tables.even]
     slopes = [level_slope(e) for e in tables.even]
 
-    sums = set()
+    sums = set()  # z_minus + z_plus as masks over the even sector
     for sign in (-1, 1):
         key = (gamma0, sign * gamma_slopes[sign])
         adm = [k for k in range(len(tables.even))
@@ -341,19 +335,31 @@ def brute_gamma2(c, t0, ups) -> Fraction:
             plus_cycles = side
     for zm in minus_cycles:
         for zp in plus_cycles:
-            sums.add(tuple(list_xor(zm, zp)))
+            sums.add(_vector_mask(list_xor(zm, zp)))
 
+    # every subset w of the admissible grading-1 elements, in Gray-code order:
+    # the i-th subset differs from the one before it by the element at the
+    # lowest set bit of i, so dw takes one XOR of that element's boundary mask
+    d_odd = [_vector_mask(row) for row in tables.d_odd]
     odd_levels = [level(t0, e) for e in tables.odd]
     thresholds = sorted({gamma0} | {lv for lv in odd_levels if lv > gamma0})
     for r in thresholds:
         allowed = [j for j, lv in enumerate(odd_levels) if lv <= r]
         if len(allowed) > 16:
             raise ValueError("too many admissible grading-1 elements to enumerate")
-        for size in range(len(allowed) + 1):
-            for subset in combinations(allowed, size):
-                if tuple(tables.boundary_of_odd_subset(subset)) in sums:
-                    return r
+        dw = 0
+        if dw in sums:
+            return r
+        for i in range(1, 1 << len(allowed)):
+            dw ^= d_odd[allowed[(i & -i).bit_length() - 1]]
+            if dw in sums:
+                return r
     raise AssertionError("the sides never merged; this cannot happen")
+
+
+def _vector_mask(vec) -> int:
+    """The 0/1 list vec as a bitmask, entry k at bit k."""
+    return sum(bit << k for k, bit in enumerate(vec))
 
 
 # ---------------------------------------------------------------------------

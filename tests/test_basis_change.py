@@ -126,7 +126,9 @@ def test_a_pair_at_gamma_joined_by_an_arrow_of_length_zero(expr, t0, k, grades):
     changed = change_basis(c, [(k, n)])
     ups, expected = invariants(expr)
     cert = gamma2_at(changed, t0, ups=ups)
-    assert level(t0, SectorElement(pair[0], g.maslov >> 1)) == cert.gamma
+    shift = g.maslov >> 1  # o's translate into grading 0 or 1
+    o = SectorElement(n, alg - shift, alex - shift, g.maslov - 2 * shift)
+    assert level(t0, o) == cert.gamma
     assert cert.upsilon2() == expected[t0]
     assert cert == eager_gamma2(changed, t0)
     verify_gamma2_certificate(changed, cert, ups=ups)

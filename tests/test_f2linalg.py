@@ -30,12 +30,11 @@ class TestInSpan:
         t = F(4, 5)
         admissible = [e for e in odd if level(t, e) <= F(23, 5)]
         assert len(admissible) == 4
-        name_to_index = {g.name: i for i, g in enumerate(c.generators)}
         cols = []
         for e in admissible:
             m = 0
-            for j in c.boundary[name_to_index[e.generator.name]]:
-                target = next(x for x in even if x.generator.name == c.generators[j].name)
+            for j in c.boundary[e.index]:
+                target = next(x for x in even if x.index == j)
                 m |= 1 << even_pos[target]
             cols.append(m)
         pivots = [e for e in even if level(t, e) == F(19, 5)]
@@ -93,13 +92,12 @@ def _even_and_odd_columns(c):
 
     even = sector(c, 0)
     odd = sector(c, 1)
-    even_pos = {e.generator.name: k for k, e in enumerate(even)}
-    name_to_index = {g.name: i for i, g in enumerate(c.generators)}
+    even_pos = {e.index: k for k, e in enumerate(even)}
     cols = []
     for e in odd:
         m = 0
-        for j in c.boundary[name_to_index[e.generator.name]]:
-            m |= 1 << even_pos[c.generators[j].name]
+        for j in c.boundary[e.index]:
+            m |= 1 << even_pos[j]
         cols.append(m)
     return even, odd, cols
 

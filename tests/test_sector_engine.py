@@ -184,18 +184,30 @@ def search_outcomes(c, t0s):
     return out
 
 
+def forge(e):
+    """e with its own index and alg + 1, and with its own index and grades but not its maslov.
+
+    An element is its index with its grades, so both name no element of the
+    complex, though each has the index of one.
+    """
+    return replace(e, alg=e.alg + 1), replace(e, maslov=e.maslov + 2)
+
+
 def test_verifiers_never_read_the_memoised_functional():
     c = parse_knot_expression("T(2,5) # T(5,6)")
     ups = upsilon(c)
     t0s = positive_singularities(ups)
     genuine = search_outcomes(c, t0s)
     even = sector(c, 0)
-    checks = []
+    checks, forgeries = [], []
     for t in (F(1, 3), F(1), F(8, 5)):
         cert = gamma_at(c, t)
         checks.append(lambda cert=cert: verify_gamma_certificate(c, cert))
         lowered = replace(cert, s=cert.s - F(1, 5))
         checks.append(lambda cert=lowered: verify_gamma_certificate(c, cert))
+        for e in forge(cert.cycle[0]):
+            forged = replace(cert, cycle=(e, *cert.cycle[1:]))
+            forgeries.append(lambda cert=forged: verify_gamma_certificate(c, cert))
     for cert in genuine:
         w = cert.witness
         extra = next(e for e in even if e not in w.z_minus)
@@ -207,6 +219,15 @@ def test_verifiers_never_read_the_memoised_functional():
             replace(cert, witness=replace(w, z_minus=w.z_minus | {extra})),
         ):
             checks.append(lambda cert=tampered: verify_gamma2_certificate(c, cert, ups=ups))
+        for field in ("z_minus", "z_plus", "w"):
+            elems = getattr(w, field)
+            e = min(elems, key=lambda e: e.index)
+            for bad in forge(e):
+                forged = replace(cert, witness=replace(w, **{field: elems - {e} | {bad}}))
+                forgeries.append(lambda cert=forged: verify_gamma2_certificate(c, cert, ups=ups))
+    assert len(forgeries) == 6 + 6 * len(genuine)
+    assert all("leaves the grading-" in verdict(check) for check in forgeries)
+    checks += forgeries
     before = [verdict(check) for check in checks]
     assert before.count("accepted") == 3 + len(genuine)
 
@@ -229,9 +250,9 @@ def test_integer_tables_match_the_sectors(seed):
         even, odd = oracle.even, oracle.odd
         assert list(zip(*engine.even_grades)) == [(e.alex, e.alg) for e in even], expr
         assert list(zip(*engine.odd_grades)) == [(e.alex, e.alg) for e in odd], expr
-        assert engine.elements(engine.even_ids, (1 << len(even)) - 1) == list(even), expr
-        assert engine.elements(engine.odd_ids, (1 << len(odd)) - 1) == list(odd), expr
-        assert engine.elements(engine.even_ids, 0b101) == [even[0], even[2]], expr
+        assert engine.elements(0, (1 << len(even)) - 1) == list(even), expr
+        assert engine.elements(1, (1 << len(odd)) - 1) == list(odd), expr
+        assert engine.elements(0, 0b101) == [even[0], even[2]], expr
         d_even = [oracle_mask(row) for row in oracle.d_even]
         d_odd = [oracle_mask(row) for row in oracle.d_odd]
         # the engine builds a row on first lookup: materialise every position
@@ -457,6 +478,27 @@ def test_a_query_walks_no_generator(monkeypatch):
         gamma2_at(c, t0, ups=ups)
     gamma_at(c, F(1, 3))
     assert walks == []
+
+
+def test_no_name_is_read_when_computing_or_checking_a_certificate(monkeypatch):
+    # a certificate element is a generator index with its grades: neither the
+    # searches nor the verifiers build a generator's name
+    def unread(i):
+        raise AssertionError(f"the name of generator {i} was read")
+
+    c = direct_sum_with_box(parse_knot_expression("T(2,5) # T(5,6)"), 3, 4, 1, 2, 1)
+    ups = upsilon(c)
+    t0s = positive_singularities(ups)
+    monkeypatch.setattr(c.generators, "name", unread)
+    with pytest.raises(AssertionError, match="name of generator 0 was read"):
+        c.generators[0]
+    for t in (F(1, 3), F(1), F(8, 5)):
+        verify_gamma_certificate(c, gamma_at(c, t))
+    assert len(t0s) >= 4
+    for t0 in t0s:
+        cert = gamma2_at(c, t0, ups=ups)
+        verify_gamma2_certificate(c, cert, ups=ups)
+        assert upsilon2_at(c, t0) == cert.upsilon2()
 
 
 def test_a_query_leaves_no_reference_cycle():
