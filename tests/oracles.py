@@ -65,6 +65,11 @@ def list_in_span(vectors, target):
     return not any(list_reduce(list_echelon(vectors), target))
 
 
+def oracle_mask(vec) -> int:
+    """The 0/1 list vec as a bitmask, entry k at bit k."""
+    return sum(bit << k for k, bit in enumerate(vec))
+
+
 class SortedEchelon:
     """Reference for ``cfk.f2linalg.Echelon``: rows kept in a list sorted by pivot.
 
@@ -335,12 +340,12 @@ def brute_gamma2(c, t0, ups) -> Fraction:
             plus_cycles = side
     for zm in minus_cycles:
         for zp in plus_cycles:
-            sums.add(_vector_mask(list_xor(zm, zp)))
+            sums.add(oracle_mask(list_xor(zm, zp)))
 
     # every subset w of the admissible grading-1 elements, in Gray-code order:
     # the i-th subset differs from the one before it by the element at the
     # lowest set bit of i, so dw takes one XOR of that element's boundary mask
-    d_odd = [_vector_mask(row) for row in tables.d_odd]
+    d_odd = [oracle_mask(row) for row in tables.d_odd]
     odd_levels = [level(t0, e) for e in tables.odd]
     thresholds = sorted({gamma0} | {lv for lv in odd_levels if lv > gamma0})
     for r in thresholds:
@@ -355,11 +360,6 @@ def brute_gamma2(c, t0, ups) -> Fraction:
             if dw in sums:
                 return r
     raise AssertionError("the sides never merged; this cannot happen")
-
-
-def _vector_mask(vec) -> int:
-    """The 0/1 list vec as a bitmask, entry k at bit k."""
-    return sum(bit << k for k, bit in enumerate(vec))
 
 
 # ---------------------------------------------------------------------------

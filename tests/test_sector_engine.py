@@ -55,6 +55,7 @@ from oracles import (
     brute_gamma2,
     eager_gamma2,
     eager_side,
+    oracle_mask,
     sector_layout,
 )
 from test_basis_change import change_basis, filtered_moves
@@ -185,11 +186,7 @@ def search_outcomes(c, t0s):
 
 
 def forge(e):
-    """e with its own index and alg + 1, and with its own index and grades but not its maslov.
-
-    An element is its index with its grades, so both name no element of the
-    complex, though each has the index of one.
-    """
+    """Two elements with e's index that are not in e's complex: alg + 1, and maslov + 2."""
     return replace(e, alg=e.alg + 1), replace(e, maslov=e.maslov + 2)
 
 
@@ -235,10 +232,6 @@ def test_verifiers_never_read_the_memoised_functional():
     object.__setattr__(c, "lam", c.lam ^ 1)
     assert search_outcomes(c, t0s) != genuine
     assert [verdict(check) for check in checks] == before
-
-
-def oracle_mask(row):
-    return sum(bit << k for k, bit in enumerate(row))
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
