@@ -25,10 +25,17 @@ class DomainError(ValueError):
     """A parameter value fell outside the interval [0, 2]."""
 
 
+def is_exact(x) -> bool:
+    """Is x an int or a Fraction?  A bool is neither here."""
+    return isinstance(x, (int, Fraction)) and not isinstance(x, bool)
+
+
 def as_fraction(x) -> Fraction:
-    """Coerce to Fraction, rejecting floats (exactness is non-negotiable)."""
+    """x as a Fraction; TypeError unless it is exact (floats and strings never are)."""
     if isinstance(x, float):
         raise TypeError("floating point values are not accepted; pass a Fraction")
+    if not is_exact(x):
+        raise TypeError(f"expected an int or a Fraction, got {type(x).__name__}")
     return Fraction(x)
 
 

@@ -15,10 +15,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import chain, combinations
 
 from .complexes import BifilteredComplex, _bits, _mask
-from .exactnum import PiecewiseLinear, _collinear, check_parameter
+from .exactnum import PiecewiseLinear, _collinear, check_parameter, is_exact
 from .f2linalg import Echelon, by_threshold, first_entry, in_span
 
 
@@ -153,18 +153,19 @@ class _SectorEngine:
         return self.entry([half * x + (1 - half) * y for x, y in zip(*self.even_grades)])[:2]
 
     def sides(self, t0: Fraction):
-        """Null cycles below gamma at t0, then (jet, class cycle, null cycles) for each side.
+        """gamma, null cycles below it, then (slope, class cycle, null cycles) for each side.
 
+        gamma is 2b times the level at t0 = a/b and a slope is Alex - alg.
         One pass feeds the class columns a level at a time, in order of level
         at t0 with ties in sector order, until the class enters at gamma.
         Each side t0 + sign*delta then resumes from the echelon as it stood
         below gamma and feeds the elements at gamma in sign*slope order, the
         order of their levels just beside t0, so its entry key is the side
-        gamma jet.  On both sides every element below gamma goes in before
-        any at gamma, and the class enters at gamma, so each side's jet and
-        the spans of its cycles are those of a pass in (level, sign*slope)
-        order, while the elements below gamma are fed once.  A side's null
-        cycles are the ones it adds to those below gamma.
+        slope.  On both sides every element below gamma goes in before any at
+        gamma, and the class enters at gamma, so each side's slope and the
+        spans of its cycles are those of a pass in (level, sign*slope) order,
+        while the elements below gamma are fed once.  A side's null cycles
+        are the ones it adds to those below gamma.
         """
         levels = _scaled_levels(t0, self.even_grades)
         target, ech = 1 << len(self.odd_ids), Echelon()
@@ -176,20 +177,43 @@ class _SectorEngine:
             raise AssertionError("the distinguished class was not reachable at any level")
         alex, alg = self.even_grades
         slopes = [alex[k] - alg[k] for k, lv in enumerate(levels) if lv == gamma]
-        out = [ech.kernel[:shared]]
+        out = [gamma, ech.kernel[:shared]]
         for sign in (-1, 1):
-            slope, z0, null_cycles = first_entry(
+            key, z0, null_cycles = first_entry(
                 by_threshold([sign * s for s in slopes], batch), target, ech.prefix(rows, shared))
-            jet = (Fraction(gamma, 2 * t0.denominator), Fraction(sign * slope, 2))
-            out.append((jet, z0, null_cycles[shared:]))
+            out.append((sign * key, z0, null_cycles[shared:]))
         return tuple(out)
 
-    def odd_batches(self, t0: Fraction, floor: int):
-        """Grading-1 columns batched by their scaled level at t0, from floor up.
+    def merge(self, t0: Fraction, gamma: int, null_below: list, minus, plus):
+        """Scaled gamma2 and the z_minus, z_plus and w masks at which the side classes merge.
 
-        Elements below floor are left out, and their columns never built.
+        The arguments after t0 are what ``sides(t0)`` returned.  One pass
+        feeds the boundaries of the grading-1 elements in order of scaled
+        level, seeded at gamma with the null cycles below gamma, which both
+        sides share, and then each side's own null cycles, until
+        z0_minus + z0_plus enters their span.  The shared and the minus-side
+        null cycles are tagged with their own mask above the odd bits, so the
+        witness tag gives w and z_minus, and z_plus = z_minus + dw.
+
+        Grading-1 elements below gamma are never fed: the boundary of such an
+        element o lies below gamma, where the shared pass fed every element,
+        and is a relation among their class columns (d(do) = 0, and lam
+        vanishes on boundaries).  So do is in the span of the seeded null
+        cycles, the column of o would only join the kernel, and the rows,
+        gamma2 and the witness do not change.
         """
-        return by_threshold(_scaled_levels(t0, self.odd_grades), self.odd_columns, floor)
+        (_, z0m, null_m), (_, z0p, null_p) = minus, plus
+        n_odd = len(self.odd_ids)
+        seed = [(v, v << n_odd) for v in null_below + null_m] + [(v, 0) for v in null_p]
+        odd = by_threshold(_scaled_levels(t0, self.odd_grades), self.odd_columns, gamma)
+        gamma2, tag, _ = first_entry(chain([(gamma, seed)], odd), z0m ^ z0p)
+        if gamma2 is None:
+            raise AssertionError("side classes must merge once every element is admissible")
+        w = tag & ((1 << n_odd) - 1)
+        zm = zp = z0m ^ (tag >> n_odd)
+        for j in _bits(w):
+            zp ^= self.d_odd[j]
+        return gamma2, zm, zp, w
 
 
 def _scaled_levels(t0: Fraction, grades) -> list[int]:
@@ -237,7 +261,7 @@ def verify_gamma_certificate(c: BifilteredComplex, cert: GammaCertificate) -> No
 
 def _check_exact(value, name: str) -> None:
     """CertificateError unless value is an int or a Fraction (a bool is neither here)."""
-    if isinstance(value, bool) or not isinstance(value, (int, Fraction)):
+    if not is_exact(value):
         raise CertificateError(
             f"{name} must be an int or a Fraction, got {type(value).__name__}")
 

@@ -14,17 +14,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
 
 from .complexes import BifilteredComplex
 from .exactnum import PiecewiseLinear, check_parameter
-from .f2linalg import first_entry
 from .upsilon import (
     CertificateError,
     SectorElement,
     _DirectChecker,
     _SectorEngine,
-    _bits,
     _check_exact,
     level,
     level_slope,
@@ -62,69 +59,38 @@ def _check_upsilon(ups: PiecewiseLinear, t0: Fraction, gamma0: Fraction,
         raise ValueError("the provided upsilon function does not belong to this complex")
 
 
-def _sides(c: BifilteredComplex, t0, ups: PiecewiseLinear | None):
-    """Engine, t0 and its sides (see ``_SectorEngine.sides``) where gamma's slope drops.
-
-    The side gamma jets decide whether t0 is such a singularity; ``ups``,
-    when given, is only checked against them.
-    """
-    t0 = check_parameter(t0)
-    if not 0 < t0 < 2:
-        raise NotApplicableError("t0 must lie in the open interval (0, 2)")
-    engine = _SectorEngine(c)
-    null_below, minus, plus = engine.sides(t0)
-    (gamma0, slope_minus), (_, slope_plus) = minus[0], plus[0]
-    if ups is not None:
-        _check_upsilon(ups, t0, gamma0, slope_minus, slope_plus)
-    if slope_minus == slope_plus:
-        raise NotApplicableError(f"upsilon has no singularity at t={t0}")
-    if slope_minus < slope_plus:
-        raise NotApplicableError(
-            f"slope jump at t={t0} is negative; only positive jumps are supported"
-        )
-    return engine, t0, null_below, minus, plus
-
-
 def gamma2_at(c: BifilteredComplex, t0,
               ups: PiecewiseLinear | None = None) -> Gamma2Certificate:
     """Minimal threshold at which the two side classes merge, with witness.
 
     Merging at threshold r asks for z_minus, z_plus in the side cycle spaces
     and w supported on grading-1 elements of level at most r with
-    dw = z_minus + z_plus.  One pass feeds the boundaries of the grading-1
-    elements in level order, seeded at gamma with the null cycles below
-    gamma, which both sides share, and then each side's own null cycles,
-    until z0_minus + z0_plus enters their span.  The shared and the
-    minus-side null cycles are tagged with their own mask above the odd
-    bits, so the witness tag gives w and z_minus, and z_plus = z_minus + dw.
-
-    Grading-1 elements below gamma are never fed: the boundary of such an
-    element o lies below gamma, where the shared pass fed every element, and
-    is a relation among their class columns (d(do) = 0, and lam vanishes on
-    boundaries).  So do is in the span of the seeded null cycles, the column
-    of o would only join the kernel, and the rows, gamma2 and the witness do
-    not change.
+    dw = z_minus + z_plus; ``_SectorEngine.merge`` finds them.  The side
+    slopes decide first whether t0 is a singularity with a positive slope
+    jump; ``ups``, when given, is only checked against them.
     """
-    engine, t0, null_below, ((gamma0, _), z0m, null_m), (_, z0p, null_p) = _sides(c, t0, ups)
-    n_odd = len(engine.odd_ids)
-    seed = [(v, v << n_odd) for v in chain(null_below, null_m)] + [(v, 0) for v in null_p]
-    scale = 2 * t0.denominator  # thresholds are levels times 2b, in integers
-    floor = int(gamma0 * scale)
-    batches = chain([(floor, seed)], engine.odd_batches(t0, floor))
-    r_star, tag, _ = first_entry(batches, z0m ^ z0p)
-    if r_star is None:
-        raise AssertionError("side classes must merge once every element is admissible")
-    wmask = tag & ((1 << n_odd) - 1)
-    zm = z0m ^ (tag >> n_odd)
-    zp = zm
-    for j in _bits(wmask):
-        zp ^= engine.d_odd[j]
+    t0 = check_parameter(t0)
+    if not 0 < t0 < 2:
+        raise NotApplicableError("t0 must lie in the open interval (0, 2)")
+    engine = _SectorEngine(c)
+    gamma, null_below, minus, plus = engine.sides(t0)
+    scale = 2 * t0.denominator  # the engine's levels are 2b times those at t0 = a/b
+    gamma0 = Fraction(gamma, scale)
+    if ups is not None:
+        _check_upsilon(ups, t0, gamma0, Fraction(minus[0], 2), Fraction(plus[0], 2))
+    if minus[0] == plus[0]:
+        raise NotApplicableError(f"upsilon has no singularity at t={t0}")
+    if minus[0] < plus[0]:
+        raise NotApplicableError(
+            f"slope jump at t={t0} is negative; only positive jumps are supported"
+        )
+    gamma2, zm, zp, w = engine.merge(t0, gamma, null_below, minus, plus)
     witness = MergeWitness(
         z_minus=frozenset(engine.elements(0, zm)),
         z_plus=frozenset(engine.elements(0, zp)),
-        w=frozenset(engine.elements(1, wmask)),
+        w=frozenset(engine.elements(1, w)),
     )
-    return Gamma2Certificate(t0=t0, gamma=gamma0, gamma2=Fraction(r_star, scale),
+    return Gamma2Certificate(t0=t0, gamma=gamma0, gamma2=Fraction(gamma2, scale),
                              witness=witness)
 
 

@@ -198,6 +198,53 @@ def alexander_by_telescoping(p: int, q: int) -> tuple[int, ...]:
 
 
 # ---------------------------------------------------------------------------
+# Upsilon in closed form: of T(p, q) from its staircase vertices, of a sum
+# from its signed factors
+
+
+def staircase_vertices(p: int, q: int) -> list[tuple[int, int]]:
+    """(alg, alex) of the grading-0 vertices of the staircase of T(p, q).
+
+    The steps are the gaps between consecutive Alexander exponents; the path
+    starts at (0, g) and alternates a step right with a step down.
+    """
+    exps = alexander_by_telescoping(p, q)
+    steps = [b - a for a, b in zip(exps, exps[1:])]
+    alg, alex = 0, sum(steps[1::2])
+    vertices = [(alg, alex)]
+    for right, down in zip(steps[::2], steps[1::2]):
+        alg, alex = alg + right, alex - down
+        vertices.append((alg, alex))
+    return vertices
+
+
+def closed_form_upsilon(factors) -> tuple[tuple[Fraction, Fraction], ...]:
+    """Canonical breakpoints of Upsilon of the sum of the factors (sign, p, q), 2 <= p < q.
+
+    Upsilon of T(p, q) is -2 times the lower envelope of its vertex lines
+    (t/2)*Alex + (1 - t/2)*alg, a mirror negates it and a sum adds, so every
+    breakpoint lies where two vertex lines of one factor cross.
+    """
+    ts, parts = {Fraction(0), Fraction(2)}, []
+    for sign, p, q in factors:
+        lines = [(Fraction(alex - alg, 2), Fraction(alg)) for alg, alex in staircase_vertices(p, q)]
+        parts.append((sign, lines))
+        for (s1, c1), (s2, c2) in combinations(lines, 2):
+            if s1 != s2 and 0 < (c2 - c1) / (s1 - s2) < 2:
+                ts.add((c2 - c1) / (s1 - s2))
+    points = [(t, sum(-2 * sign * min(c + s * t for s, c in lines) for sign, lines in parts))
+              for t in sorted(ts)]
+    out = points[:2]
+    for t, v in points[2:]:
+        (t0, v0), (t1, v1) = out[-2], out[-1]
+        if (v1 - v0) * (t - t1) == (v - v1) * (t1 - t0):
+            out[-1] = (t, v)  # collinear: drop the middle point
+        else:
+            out.append((t, v))
+    return tuple(out)
+
+
+# ---------------------------------------------------------------------------
 # Alexander polynomial by exact polynomial division:
 # (t^(pq) - 1)(t - 1) / ((t^p - 1)(t^q - 1))
 

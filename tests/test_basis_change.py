@@ -23,6 +23,7 @@ from cfk.upsilon2 import gamma2_at, upsilon2_at, verify_gamma2_certificate
 from oracles import brute_gamma2, eager_gamma2
 
 FACTORS = ["T(2,3)", "T(2,5)", "T(3,4)", "T(2,7)", "-T(2,3)", "-T(2,5)", "-T(3,4)"]
+MAX_GENERATORS = 53  # T(2,7) # T(2,7) and two boxes
 
 
 @cache
@@ -85,7 +86,9 @@ def test_upsilon2_survives_boxes_and_filtered_changes_of_basis(factors, boxes, d
             assert cert.gamma2 == brute_gamma2(changed, t0, ups), (expr, boxes, t0)
         except ValueError:  # beyond the oracle's size limits
             pass
-    # Upsilon at a few points, without a search over the changed complex
+    # Upsilon by a full search over the changed complex, and certified at a few points
+    assert len(changed.generators) <= MAX_GENERATORS
+    assert upsilon(changed) == ups, (expr, boxes)
     for t in (F(1, 3), F(1), F(8, 5)):
         cert = gamma_at(changed, t)
         assert -2 * cert.s == ups.evaluate(t), (expr, boxes, t)

@@ -3,7 +3,10 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, strategies as st
 
+from cfk import parse_knot_expression, torus_knot_complex
 from cfk.exactnum import CSV_HEADER, DomainError, PiecewiseLinear
+from cfk.upsilon import gamma_at
+from cfk.upsilon2 import upsilon2_at
 
 
 def tent(depth=F(-1)):
@@ -146,3 +149,18 @@ def test_negation_is_pointwise(f):
     g = -f
     for t, v in f.breakpoints:
         assert g(t) == -v
+
+
+# each value stands for t = 1 or t = 2/5 and is refused for its type alone, as
+# the verifiers refuse it in a certificate
+@pytest.mark.parametrize("t", [1.0, 0.4, True, "2/5", None], ids=repr)
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda t: gamma_at(torus_knot_complex(3, 4), t), id="gamma_at"),
+    pytest.param(lambda t: upsilon2_at(parse_knot_expression("T(2,5) # T(3,4)"), t),
+                 id="upsilon2_at"),
+    pytest.param(lambda t: tent().evaluate(t), id="evaluate"),
+])
+def test_inexact_parameter_refused(call, t):
+    with pytest.raises(TypeError, match="floating point" if isinstance(t, float)
+                       else "expected an int or a Fraction"):
+        call(t)

@@ -281,10 +281,10 @@ def test_lazy_engine_matches_the_eager_passes(seed):
         ups = upsilon(c)
         t0s = positive_singularities(ups)
         for t0 in t0s + [F(97, 113), F(1, 977), F(1999, 1000), F(355, 226), F(7919, 7920)]:
-            null_below, *sides = _SectorEngine(c).sides(t0)
-            for sign, side in zip((-1, 1), sides):
-                jet, z0, below, own = eager_side(c, t0, sign)
-                assert (null_below, side) == (below, (jet, z0, own)), (expr, t0, sign)
+            gamma, null_below, *sides = _SectorEngine(c).sides(t0)
+            for sign, (slope, z0, own) in zip((-1, 1), sides):
+                jet = (F(gamma, 2 * t0.denominator), F(slope, 2))  # from 2b*level and Alex - alg
+                assert (jet, z0, null_below, own) == eager_side(c, t0, sign), (expr, t0, sign)
         for t0 in t0s:
             cert = gamma2_at(c, t0, ups=ups)
             assert cert == eager_gamma2(c, t0), (expr, t0)

@@ -5,6 +5,7 @@ from fractions import Fraction as F
 from math import gcd
 
 import pytest
+from hypothesis import assume, given, seed, settings, strategies as st
 
 from cfk import (
     BifilteredComplex,
@@ -30,7 +31,7 @@ from cfk.upsilon import (
     upsilon,
     verify_gamma_certificate,
 )
-from oracles import brute_gamma
+from oracles import brute_gamma, closed_form_upsilon
 
 
 class TestLevel:
@@ -260,3 +261,25 @@ def test_box_anywhere_leaves_upsilon_unchanged():
             rng.randrange(-2, 4),
         )
         assert upsilon(boxed) == base
+
+
+MAX_CLOSED_FORM_GENERATORS = 150
+
+signed_torus_knot = st.tuples(st.sampled_from([1, -1]), st.sampled_from(POOL[:12]))
+box = st.tuples(st.integers(-6, 8), st.integers(-6, 8), st.integers(1, 3),
+                st.integers(1, 3), st.integers(-2, 3))
+
+
+@seed(2)
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(knots=st.lists(signed_torus_knot, min_size=1, max_size=3), boxes=st.lists(box, max_size=2))
+def test_upsilon_matches_the_closed_form(knots, boxes):
+    # the search knows nothing of staircases, mirrors or sums; the oracle
+    # knows nothing else
+    expr = " # ".join(("-" if sign < 0 else "") + f"T({p},{q})" for sign, (p, q) in knots)
+    c = parse_knot_expression(expr)
+    for args in boxes:
+        c = direct_sum_with_box(c, *args)
+    assume(len(c.generators) <= MAX_CLOSED_FORM_GENERATORS)
+    expected = closed_form_upsilon([(sign, p, q) for sign, (p, q) in knots])
+    assert upsilon(c).breakpoints == expected, (expr, boxes)

@@ -30,8 +30,9 @@ def side_pass(c, t0, sign):
     exactly what the eager oracle's whole side pass gives.
     """
     engine = _SectorEngine(c)
-    null_below, *sides = engine.sides(t0)
-    jet, z0, own = sides[sign > 0]
+    gamma, null_below, *sides = engine.sides(t0)
+    slope, z0, own = sides[sign > 0]
+    jet = (F(gamma, 2 * t0.denominator), F(slope, 2))  # the engine's are 2b*level and Alex - alg
     assert (jet, z0, null_below, own) == eager_side(c, t0, sign)
     return jet, engine.elements(0, z0), null_below + own
 
@@ -98,6 +99,27 @@ class TestSideCycles:
         foreign = upsilon(parse_knot_expression("T(3,4) # T(3,4)"))
         with pytest.raises(ValueError, match="does not belong"):
             gamma2_at(torus_knot_complex(3, 4), F(2, 3), ups=foreign)
+
+    def test_refusals_come_before_the_merge_pass(self, monkeypatch):
+        # the side slopes alone decide each refusal, so a merge pass that
+        # raises is never reached
+        def merge(*args):
+            raise AssertionError("the merge pass ran")
+
+        monkeypatch.setattr(_SectorEngine, "merge", merge)
+        c = torus_knot_complex(3, 4)
+        foreign = upsilon(parse_knot_expression("T(3,4) # T(3,4)"))
+        for call in (gamma2_at, upsilon2_at):
+            with pytest.raises(ValueError, match="does not belong"):
+                call(c, F(2, 3), ups=foreign)
+            with pytest.raises(NotApplicableError, match="no singularity"):
+                call(c, F(1, 2))
+            with pytest.raises(NotApplicableError, match="negative"):
+                call(dual(c), F(2, 3))
+            with pytest.raises(NotApplicableError, match="open interval"):
+                call(c, 2)
+            with pytest.raises(AssertionError, match="the merge pass ran"):
+                call(c, F(2, 3))
 
 
 class TestGamma2:
@@ -313,11 +335,12 @@ def test_integer_side_keys_match_fraction_levels():
         for t0 in t0s:
             gamma = engine.gamma(t0)[0]
             levels = [level(t0, e) for e in even]
-            null_below, *sides = engine.sides(t0)
-            for sign, (jet, z0, own) in zip((-1, 1), sides):
+            scaled, null_below, *sides = engine.sides(t0)
+            for sign, (slope, z0, own) in zip((-1, 1), sides):
                 keys = [(lv, sign * level_slope(e) if lv == gamma else 0)
                         for lv, e in zip(levels, even)]
                 key, cycle, null_cycles = engine.entry(keys)
                 expected = ((key[0], sign * key[1]), cycle, null_cycles)
+                jet = (F(scaled, 2 * t0.denominator), F(slope, 2))
                 assert (jet, z0, null_below + own) == expected, (expr, t0, sign)
-                assert all(type(x) is F for x in jet)
+                assert type(scaled) is type(slope) is int  # the engine builds no Fraction
