@@ -90,14 +90,25 @@ class PiecewiseLinear:
     def _ts(self) -> list[Fraction]:
         return [t for t, _ in self.breakpoints]
 
+    def value_and_slopes(self, t) -> tuple[Fraction, Optional[Fraction], Optional[Fraction]]:
+        """Exact value at t and the one-sided derivatives there, from one search.
+
+        Between breakpoints the value is interpolated linearly.  A derivative
+        is None on the closed side at an endpoint.
+        """
+        t = check_parameter(t)
+        slopes = self._slopes
+        i = bisect_right(self._ts, t) - 1
+        if i == len(slopes):  # t = 2
+            return self.breakpoints[i][1], slopes[-1], None
+        ti, vi = self.breakpoints[i]
+        if ti == t:
+            return vi, slopes[i - 1] if i else None, slopes[i]
+        return vi + slopes[i] * (t - ti), slopes[i], slopes[i]
+
     def evaluate(self, t) -> Fraction:
         """Exact value at t (linear interpolation between breakpoints)."""
-        t = check_parameter(t)
-        i = bisect_right(self._ts, t) - 1
-        if i == len(self.breakpoints) - 1:
-            i -= 1
-        (t0, v0), (t1, v1) = self.breakpoints[i], self.breakpoints[i + 1]
-        return v0 + (v1 - v0) * (t - t0) / (t1 - t0)
+        return self.value_and_slopes(t)[0]
 
     __call__ = evaluate
 
@@ -117,16 +128,7 @@ class PiecewiseLinear:
 
     def slopes_at(self, t) -> tuple[Optional[Fraction], Optional[Fraction]]:
         """One-sided derivatives at t; None on the closed side at an endpoint."""
-        t = check_parameter(t)
-        slopes = self._slopes
-        if t == _LO:
-            return None, slopes[0]
-        if t == _HI:
-            return slopes[-1], None
-        i = bisect_right(self._ts, t) - 1
-        if self._ts[i] == t:
-            return slopes[i - 1], slopes[i]
-        return slopes[i], slopes[i]
+        return self.value_and_slopes(t)[1:]
 
     def singularities(self) -> list[tuple[Fraction, Fraction]]:
         """Interior breakpoints where the slope jumps, as (t, right - left)."""

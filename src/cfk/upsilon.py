@@ -104,12 +104,13 @@ class _SectorEngine:
     The sectors come from the complex's own ``c.layout``, so setting up an
     engine walks no generator: ``even_ids`` and ``even_grades`` (the pair of
     Alexander and algebraic grade sequences) are its grading-0 part,
-    ``odd_ids`` and ``odd_grades`` its grading-1 part.  Boundary rows
-    (``d_even[k]``, ``d_odd[j]``, as in :class:`_DirectChecker`) and the
-    columns the searches feed, ``class_columns[k]`` = ([d(e); lam(e)],
-    1 << k) for even element k and ``odd_columns[j]`` = (d_odd[j], 1 << j),
-    are built on first lookup and kept on this engine, so a query pays only
-    for the elements that enter its filtrations.
+    ``odd_ids`` and ``odd_grades`` its grading-1 part.  The columns the
+    searches feed, ``class_columns[k]`` = ([d(e); lam(e)], 1 << k) for even
+    element k and ``odd_columns[j]`` = (d(o), 1 << j) for odd element j, with
+    each boundary a mask over the other sector as in :class:`_DirectChecker`,
+    are built in one step from ``c.boundary`` on first lookup and kept on
+    this engine, so a query pays only for the elements that enter its
+    filtrations.
 
     The functional lam is the complex's own ``c.lam``.  Every complex has
     completed grading-0 homology of rank one, so a cycle z represents the
@@ -119,13 +120,20 @@ class _SectorEngine:
     def __init__(self, c: BifilteredComplex):
         (even_ids, odd_ids), (self.even_grades, self.odd_grades), position = c.layout
         self.even_ids, self.odd_ids = even_ids, odd_ids
-        get, rows = position.__getitem__, c.boundary
-        self.d_even = d_even = _Memo(lambda k: _mask(map(get, rows[even_ids[k]])))
-        self.d_odd = d_odd = _Memo(lambda j: _mask(map(get, rows[odd_ids[j]])))
-        lam, last = c.lam, 1 << len(odd_ids)  # lam is indexed by generator
-        self.class_columns = _Memo(
-            lambda k: (d_even[k] | last if lam >> even_ids[k] & 1 else d_even[k], 1 << k))
-        self.odd_columns = _Memo(lambda j: (d_odd[j], 1 << j))
+        rows, last = c.boundary, 1 << len(odd_ids)
+
+        def columns(ids, lam):
+            # column k: the boundary of element k, with bit ``last`` set where
+            # lam (indexed by generator) is 1, tagged 1 << k
+            def column(k):
+                i, d = ids[k], 0
+                for j in rows[i]:
+                    d |= 1 << position[j]
+                return (d | last if lam >> i & 1 else d), 1 << k
+            return _Memo(column)
+
+        self.class_columns = columns(even_ids, c.lam)
+        self.odd_columns = columns(odd_ids, 0)
 
     def elements(self, parity: int, mask: int) -> list[SectorElement]:
         """The elements of the grading-``parity`` sector set in ``mask``, in sector order."""
@@ -168,15 +176,21 @@ class _SectorEngine:
         are the ones it adds to those below gamma.
         """
         levels = _scaled_levels(t0, self.even_grades)
-        target, ech = 1 << len(self.odd_ids), Echelon()
-        for gamma, batch in by_threshold(levels, self.class_columns):
-            rows, shared = ech.rank, len(ech.kernel)
-            if first_entry([(gamma, batch)], target, ech)[0] is not None:
-                break
-        else:
+        target, ech, before = 1 << len(self.odd_ids), Echelon(), []
+
+        def batches():
+            # the last batch yielded is the one at gamma: keep it, and the
+            # echelon's size below it
+            for lv, batch in by_threshold(levels, self.class_columns):
+                before[:] = batch, ech.rank, len(ech.kernel)
+                yield lv, batch
+
+        gamma = first_entry(batches(), target, ech)[0]
+        if gamma is None:
             raise AssertionError("the distinguished class was not reachable at any level")
+        batch, rows, shared = before
         alex, alg = self.even_grades
-        slopes = [alex[k] - alg[k] for k, lv in enumerate(levels) if lv == gamma]
+        slopes = [alex[k] - alg[k] for k in (tag.bit_length() - 1 for _, tag in batch)]
         out = [gamma, ech.kernel[:shared]]
         for sign in (-1, 1):
             key, z0, null_cycles = first_entry(
@@ -212,7 +226,7 @@ class _SectorEngine:
         w = tag & ((1 << n_odd) - 1)
         zm = zp = z0m ^ (tag >> n_odd)
         for j in _bits(w):
-            zp ^= self.d_odd[j]
+            zp ^= self.odd_columns[j][0]
         return gamma2, zm, zp, w
 
 

@@ -54,8 +54,7 @@ class Gamma2Certificate:
 def _check_upsilon(ups: PiecewiseLinear, t0: Fraction, gamma0: Fraction,
                    slope_minus: Fraction, slope_plus: Fraction) -> None:
     """ValueError unless ups is -2 * gamma at t0 with the given one-sided slopes."""
-    left, right = ups.slopes_at(t0)
-    if (ups.evaluate(t0), left, right) != (-2 * gamma0, -2 * slope_minus, -2 * slope_plus):
+    if ups.value_and_slopes(t0) != (-2 * gamma0, -2 * slope_minus, -2 * slope_plus):
         raise ValueError("the provided upsilon function does not belong to this complex")
 
 

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -89,6 +90,44 @@ class TestSlopes:
             mid = (t0 + t1) / 2
             slope = (v1 - v0) / (t1 - t0)
             assert f.slopes_at(mid) == (slope, slope)
+
+
+def segment_jet(f, t):
+    """Value and one-sided slopes at t from the breakpoints by a linear scan."""
+    pts = f.breakpoints
+    segments = [(t0, v0, (v1 - v0) / (t1 - t0)) for (t0, v0), (t1, v1) in zip(pts, pts[1:])]
+    left = next((s for t0, _, s in reversed(segments) if t0 < t), None)
+    t0, v0, right = next((seg for seg in reversed(segments) if seg[0] <= t), segments[-1])
+    return v0 + right * (t - t0), left, right if t < 2 else None
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_one_lookup_gives_the_value_and_both_slopes(seed):
+    rng = random.Random(seed)
+    checked = 0
+    for _ in range(40):
+        inner = rng.sample(range(1, 60), rng.randrange(0, 8))
+        ts = [F(0)] + [F(k, 30) for k in sorted(inner)] + [F(2)]
+        f = PiecewiseLinear(tuple((t, F(rng.randrange(-40, 40), rng.randrange(1, 7))) for t in ts))
+        points = [t for t, _ in f.breakpoints]
+        points += [F(rng.randrange(1, 1000), 500) for _ in range(10)]
+        assert {F(0), F(2)} <= set(points)
+        for t in points:
+            got = f.value_and_slopes(t)
+            assert got == (f.evaluate(t), *f.slopes_at(t)) == segment_jet(f, t), (f, t)
+            checked += 1
+    assert checked >= 400
+
+
+@pytest.mark.parametrize("t", [1.0, 0.0, True, False, F(-1, 10), F(21, 10), 3, -1], ids=repr)
+def test_the_lookup_refuses_what_evaluate_refuses(t):
+    f = PiecewiseLinear(((0, 0), (F(2, 3), -2), (F(4, 3), -2), (2, 0)))
+    errors = []
+    for call in (f.evaluate, f.value_and_slopes):
+        with pytest.raises((TypeError, DomainError)) as info:
+            call(t)
+        errors.append((type(info.value), str(info.value)))
+    assert errors[0] == errors[1]
 
 
 class TestSingularities:

@@ -9,6 +9,7 @@ from cfk import (
     parse_knot_expression,
     torus_knot_complex,
 )
+from cfk.exactnum import PiecewiseLinear
 from cfk.upsilon import CertificateError, _SectorEngine, upsilon
 from cfk.upsilon2 import (
     NotApplicableError,
@@ -99,6 +100,34 @@ class TestSideCycles:
         foreign = upsilon(parse_knot_expression("T(3,4) # T(3,4)"))
         with pytest.raises(ValueError, match="does not belong"):
             gamma2_at(torus_knot_complex(3, 4), F(2, 3), ups=foreign)
+
+    def test_each_component_of_upsilon_at_t0_is_checked(self):
+        # forgeries that match upsilon at t0 in all but one of the value, the
+        # left slope and the right slope
+        c = parse_knot_expression("T(2,5) # T(5,6)")
+        ups = upsilon(c)
+        t0s = [t0 for t0, jump in ups.singularities() if jump > 0]
+        assert len(t0s) >= 4
+        for t0 in t0s:
+            pts = list(ups.breakpoints)
+            i = [t for t, _ in pts].index(t0)
+            left, right = (pts[i - 1][0] + t0) / 2, (t0 + pts[i + 1][0]) / 2
+            forgeries = [
+                PiecewiseLinear(tuple((t, v + 1) for t, v in pts)),
+                PiecewiseLinear((*pts[:i], (left, ups(left) + 1), *pts[i:])),
+                PiecewiseLinear((*pts[:i + 1], (right, ups(right) + 1), *pts[i + 1:])),
+            ]
+            genuine = (ups(t0), *ups.slopes_at(t0))
+            cert = gamma2_at(c, t0, ups=ups)
+            for k, forged in enumerate(forgeries):
+                jet = (forged(t0), *forged.slopes_at(t0))
+                assert [a != b for a, b in zip(jet, genuine)] == [j == k for j in range(3)]
+                with pytest.raises(ValueError, match="does not belong"):
+                    gamma2_at(c, t0, ups=forged)
+                with pytest.raises(ValueError, match="does not belong"):
+                    upsilon2_at(c, t0, ups=forged)
+                with pytest.raises(ValueError, match="does not belong"):
+                    verify_gamma2_certificate(c, cert, ups=forged)
 
     def test_refusals_come_before_the_merge_pass(self, monkeypatch):
         # the side slopes alone decide each refusal, so a merge pass that
