@@ -117,11 +117,11 @@ class TestSideCycles:
                 PiecewiseLinear((*pts[:i], (left, ups(left) + 1), *pts[i:])),
                 PiecewiseLinear((*pts[:i + 1], (right, ups(right) + 1), *pts[i + 1:])),
             ]
-            genuine = (ups(t0), *ups.slopes_at(t0))
+            genuine = ups.value_and_slopes(t0)
             cert = gamma2_at(c, t0, ups=ups)
             for k, forged in enumerate(forgeries):
-                jet = (forged(t0), *forged.slopes_at(t0))
-                assert [a != b for a, b in zip(jet, genuine)] == [j == k for j in range(3)]
+                differs = [a != b for a, b in zip(forged.value_and_slopes(t0), genuine)]
+                assert differs == [j == k for j in range(3)], (t0, k)
                 with pytest.raises(ValueError, match="does not belong"):
                     gamma2_at(c, t0, ups=forged)
                 with pytest.raises(ValueError, match="does not belong"):
