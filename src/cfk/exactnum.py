@@ -126,10 +126,6 @@ class PiecewiseLinear:
         pts = self.breakpoints
         return tuple((v1 - v0) / (t1 - t0) for (t0, v0), (t1, v1) in zip(pts, pts[1:]))
 
-    def slopes_at(self, t) -> tuple[Optional[Fraction], Optional[Fraction]]:
-        """One-sided derivatives at t; None on the closed side at an endpoint."""
-        return self.value_and_slopes(t)[1:]
-
     def singularities(self) -> list[tuple[Fraction, Fraction]]:
         """Interior breakpoints where the slope jumps, as (t, right - left)."""
         slopes = self._slopes

@@ -141,16 +141,16 @@ class _SectorEngine:
         alex, alg = (self.even_grades, self.odd_grades)[parity]
         return [SectorElement(ids[k], alg[k], alex[k], parity) for k in _bits(mask)]
 
-    def entry(self, keys: list):
+    def entry(self, batches, ech: Echelon):
         """First key at which the class is reachable, a cycle in it, and null cycles.
 
-        Columns [d(e); lam(e)] enter in the order of ``keys`` (one per even
-        element) until the pure-lam target reduces to zero.  The witness tag
-        is the cycle and the kernel tags are cycles with lam = 0: boundaries.
-        Cycles are bitmasks over the even sector.
+        ``batches`` yields (key, class columns [d(e); lam(e)]) in key order,
+        and they go into ``ech`` after the columns it already holds, until
+        the pure-lam target reduces to zero.  The witness tag is the cycle and
+        the kernel tags are cycles with lam = 0: boundaries.  Cycles are
+        bitmasks over the even sector.
         """
-        key, cycle, null_cycles = first_entry(by_threshold(keys, self.class_columns),
-                                              1 << len(self.odd_ids))
+        key, cycle, null_cycles = first_entry(batches, 1 << len(self.odd_ids), ech)
         if key is None:
             raise AssertionError("the distinguished class was not reachable at any level")
         return key, cycle, null_cycles
@@ -158,7 +158,8 @@ class _SectorEngine:
     def gamma(self, t) -> tuple[Fraction, int]:
         """Minimal threshold and a witness cycle (bitmask over the even sector)."""
         half = check_parameter(t) / 2
-        return self.entry([half * x + (1 - half) * y for x, y in zip(*self.even_grades)])[:2]
+        keys = [half * x + (1 - half) * y for x, y in zip(*self.even_grades)]
+        return self.entry(by_threshold(keys, self.class_columns), Echelon())[:2]
 
     def sides(self, t0: Fraction):
         """gamma, null cycles below it, then (slope, class cycle, null cycles) for each side.
@@ -176,7 +177,7 @@ class _SectorEngine:
         are the ones it adds to those below gamma.
         """
         levels = _scaled_levels(t0, self.even_grades)
-        target, ech, before = 1 << len(self.odd_ids), Echelon(), []
+        ech, before = Echelon(), []
 
         def batches():
             # the last batch yielded is the one at gamma: keep it, and the
@@ -185,16 +186,14 @@ class _SectorEngine:
                 before[:] = batch, ech.rank, len(ech.kernel)
                 yield lv, batch
 
-        gamma = first_entry(batches(), target, ech)[0]
-        if gamma is None:
-            raise AssertionError("the distinguished class was not reachable at any level")
+        gamma = self.entry(batches(), ech)[0]
         batch, rows, shared = before
         alex, alg = self.even_grades
         slopes = [alex[k] - alg[k] for k in (tag.bit_length() - 1 for _, tag in batch)]
         out = [gamma, ech.kernel[:shared]]
         for sign in (-1, 1):
-            key, z0, null_cycles = first_entry(
-                by_threshold([sign * s for s in slopes], batch), target, ech.prefix(rows, shared))
+            key, z0, null_cycles = self.entry(
+                by_threshold([sign * s for s in slopes], batch), ech.prefix(rows, shared))
             out.append((sign * key, z0, null_cycles[shared:]))
         return tuple(out)
 
@@ -324,28 +323,20 @@ class _DirectChecker:
         """
         zmask = self.class_cycle(elems, label)
         top = max(keys[k] for k in _bits(zmask))
-        if self.feasible(_mask(k for k, key in enumerate(keys) if key < top)):
+        below = _mask(k for k, key in enumerate(keys) if key < top)
+        if self.merges(below, below, 0):
             raise CertificateError(f"a cycle in the h0 class lies below {label}")
         return zmask, top, _mask(k for k, key in enumerate(keys) if key <= top)
 
-    def feasible(self, allowed: int) -> bool:
-        """Does a cycle on the even positions in ``allowed`` represent the h0 class?
-
-        Unknowns z on those positions and u on the whole odd sector; the
-        equations z + du = h0 (low bits) and dz = 0 (high bits).
-        """
-        shift = len(self.even)
-        columns = [(1 << k) | (self.d_even[k] << shift) for k in _bits(allowed)]
-        return in_span(columns + self.d_odd, self.h0_mask)
-
-    def merges(self, minus: int, plus: int, odd_levels: list[Fraction],
-               r: Fraction) -> bool:
-        """Do the class cycles on two admissible sets meet within level r?
+    def merges(self, minus: int, plus: int, odd: int) -> bool:
+        """Do class cycles on the even positions in ``minus`` and ``plus`` meet through ``odd``?
 
         Unknowns x on the even positions in ``minus``, u on the whole odd
-        sector and y on the odd elements of level at most r; the equations
-        x + du = h0, dx = 0, and x + dy = 0 outside ``plus``.  A solution
-        gives z_minus = x and z_plus = x + dy with w = y.
+        sector and y on the odd positions in ``odd``; the equations
+        x + du = h0 (low bits), dx = 0 (middle bits), and x + dy = 0 outside
+        ``plus`` (high bits).  A solution gives z_minus = x and z_plus = x + dy
+        with w = y.  With ``minus == plus`` and no ``odd``, it asks whether a
+        cycle on those positions represents the h0 class.
         """
         ne, no = len(self.even), len(self.odd)
         outside = ((1 << ne) - 1) & ~plus
@@ -354,9 +345,7 @@ class _DirectChecker:
             for k in _bits(minus)
         ]
         columns += self.d_odd
-        columns += [
-            (d & outside) << (ne + no) for d, lv in zip(self.d_odd, odd_levels) if lv <= r
-        ]
+        columns += [(self.d_odd[j] & outside) << (ne + no) for j in _bits(odd)]
         return in_span(columns, self.h0_mask)
 
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .complexes import BifilteredComplex
+from .complexes import BifilteredComplex, _mask
 from .exactnum import PiecewiseLinear, check_parameter
 from .upsilon import (
     CertificateError,
@@ -148,5 +148,6 @@ def verify_gamma2_certificate(c: BifilteredComplex, cert: Gamma2Certificate,
     if cert.gamma2 not in thresholds:
         raise CertificateError("threshold is not a grading-1 level at or above gamma")
     below = [r for r in thresholds if r < cert.gamma2]
-    if below and tables.merges(adm_m, adm_p, odd_levels, below[-1]):
+    if below and tables.merges(adm_m, adm_p,
+                               _mask(j for j, lv in enumerate(odd_levels) if lv <= below[-1])):
         raise CertificateError("the side classes already merge below the threshold")

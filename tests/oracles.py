@@ -366,8 +366,8 @@ def brute_gamma(c, t) -> Fraction:
 def brute_gamma2(c, t0, ups) -> Fraction:
     """Exhaustive minimal merge threshold over all (z-, z+, w) triples."""
     tables = SectorTables(c)
-    left, right = ups.slopes_at(t0)
-    gamma0 = -ups.evaluate(t0) / 2
+    value, left, right = ups.value_and_slopes(t0)
+    gamma0 = -value / 2
     gamma_slopes = {-1: -left / 2, 1: -right / 2}
     levels = [level(t0, e) for e in tables.even]
     slopes = [level_slope(e) for e in tables.even]

@@ -30,6 +30,7 @@ from cfk import (
     tensor,
     torus_knot_complex,
 )
+from cfk.complexes import _bits, _mask
 from cfk.f2linalg import Echelon
 from cfk.upsilon import (
     CertificateError,
@@ -258,6 +259,34 @@ def test_integer_tables_match_the_sectors(seed):
         assert (tables.d_even, tables.d_odd) == (d_even, d_odd), expr
         assert tables.h0_mask == oracle_mask(oracle.h0), expr
 
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_a_class_cycle_exists_exactly_when_brute_force_finds_one(seed):
+    # merges(A, A, 0) is the existence question the gamma verifier asks:
+    # does a cycle on the positions in A represent the h0 class?  The oracle
+    # tries every subset of A.
+    rng = random.Random(seed)
+    verdicts = []
+    while len(verdicts) < 120:
+        expr = " # ".join(("-" if rng.random() < 0.3 else "") + "T(%d,%d)" % rng.choice(
+            [(2, 3), (2, 5), (3, 4)]) for _ in range(rng.randrange(1, 3)))
+        c = parse_knot_expression(expr)
+        for _ in range(rng.randrange(0, 3)):
+            c = direct_sum_with_box(c, rng.randrange(-5, 8), rng.randrange(-5, 8),
+                                    rng.randrange(1, 3), rng.randrange(1, 3),
+                                    rng.randrange(-1, 3))
+        n = len(sector(c, 0))
+        if n > 14:
+            continue
+        checker, oracle = _DirectChecker(c), SectorTables(c)
+        for _ in range(4):
+            density = rng.choice((0.2, 0.5, 0.8))
+            allowed = _mask(k for k in range(n) if rng.random() < density)
+            exists = checker.merges(allowed, allowed, 0)
+            assert exists == bool(oracle.class_cycles(_bits(allowed))), (expr, bin(allowed))
+            verdicts.append(exists)
+    assert 20 <= sum(verdicts) <= 100, sum(verdicts)
 
 def test_gamma2_matches_exhaustive_triples_on_random_complexes():
     compared = 0

@@ -167,7 +167,7 @@ class TestUpsilon:
     def test_t57_singularity(self):
         ups = upsilon(torus_knot_complex(5, 7))
         assert F(4, 5) in {t for t, _ in ups.singularities()}
-        left, right = ups.slopes_at(F(4, 5))
+        _, left, right = ups.value_and_slopes(F(4, 5))
         assert left != right
 
     def test_recursion_instance(self):

@@ -343,6 +343,7 @@ def test_integer_side_keys_match_fraction_levels():
     # denominators.
     import random
 
+    from cfk.f2linalg import Echelon, by_threshold
     from cfk.upsilon import _SectorEngine, level, level_slope, sector
 
     rng = random.Random(9731)
@@ -368,7 +369,8 @@ def test_integer_side_keys_match_fraction_levels():
             for sign, (slope, z0, own) in zip((-1, 1), sides):
                 keys = [(lv, sign * level_slope(e) if lv == gamma else 0)
                         for lv, e in zip(levels, even)]
-                key, cycle, null_cycles = engine.entry(keys)
+                key, cycle, null_cycles = engine.entry(
+                    by_threshold(keys, engine.class_columns), Echelon())
                 expected = ((key[0], sign * key[1]), cycle, null_cycles)
                 jet = (F(scaled, 2 * t0.denominator), F(slope, 2))
                 assert (jet, z0, null_below + own) == expected, (expr, t0, sign)

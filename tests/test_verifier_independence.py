@@ -1,0 +1,60 @@
+"""The certificate verifiers read nothing of the searches they check."""
+
+import ast
+from pathlib import Path
+
+SOURCES = Path(__file__).resolve().parents[1] / "src" / "cfk"
+
+# the top-level definitions of each module that make up the verifiers
+VERIFIERS = {
+    "upsilon.py": {"_DirectChecker", "verify_gamma_certificate", "sector", "level",
+                   "level_slope"},
+    "upsilon2.py": {"verify_gamma2_certificate"},
+}
+SEARCH_NAMES = {"_SectorEngine", "_Memo", "first_entry", "by_threshold", "_scaled_levels"}
+SEARCH_ATTRIBUTES = {"lam", "layout", "class_columns", "odd_columns"}
+
+
+def search_references(tree: ast.Module, scope: set[str]) -> tuple[list[str], set[str]]:
+    """What the top-level definitions in ``scope`` read of the searches.
+
+    Returns the search names and attributes they read, each with its line,
+    and the names of every function and class defined within them, nested
+    ones included.
+    """
+    found, defined = [], set()
+    for top in tree.body:
+        if not (isinstance(top, (ast.FunctionDef, ast.ClassDef)) and top.name in scope):
+            continue
+        for node in ast.walk(top):
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.add(node.name)
+            elif isinstance(node, ast.Name) and node.id in SEARCH_NAMES:
+                found.append(f"{node.id} (line {node.lineno})")
+            elif (isinstance(node, ast.Attribute)
+                  and node.attr in SEARCH_NAMES | SEARCH_ATTRIBUTES):
+                found.append(f".{node.attr} (line {node.lineno})")
+    return found, defined
+
+
+def test_the_verifiers_read_nothing_of_the_searches():
+    nested = set()
+    for name, scope in VERIFIERS.items():
+        path = SOURCES / name
+        found, defined = search_references(ast.parse(path.read_text(), str(path)), scope)
+        assert found == [], name
+        assert scope <= defined, name  # a renamed verifier is not skipped silently
+        nested |= defined
+    assert {"check_side", "least_class_cycle", "merges"} <= nested
+
+
+def test_a_search_reference_is_found():
+    tree = ast.parse("def level(e):\n    return e.alg\n"
+                     "class _DirectChecker:\n"
+                     "    def f(self, c):\n        return c.lam, first_entry\n"
+                     "def verify(c):\n"
+                     "    def check_side():\n        return c.layout.position\n"
+                     "def gamma(c):\n    return _SectorEngine(c).class_columns\n")
+    found, defined = search_references(tree, {"level", "_DirectChecker", "verify"})
+    assert found == [".lam (line 5)", "first_entry (line 5)", ".layout (line 8)"]
+    assert defined == {"level", "_DirectChecker", "f", "verify", "check_side"}
