@@ -260,7 +260,6 @@ def test_integer_tables_match_the_sectors(seed):
         assert tables.h0_mask == oracle_mask(oracle.h0), expr
 
 
-
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_a_class_cycle_exists_exactly_when_brute_force_finds_one(seed):
     # merges(A, A, 0) is the existence question the gamma verifier asks:
@@ -287,6 +286,7 @@ def test_a_class_cycle_exists_exactly_when_brute_force_finds_one(seed):
             assert exists == bool(oracle.class_cycles(_bits(allowed))), (expr, bin(allowed))
             verdicts.append(exists)
     assert 20 <= sum(verdicts) <= 100, sum(verdicts)
+
 
 def test_gamma2_matches_exhaustive_triples_on_random_complexes():
     compared = 0
