@@ -81,19 +81,24 @@ def _breakpoints(ups: PiecewiseLinear) -> list[list[str]]:
     return [[_fmt(t), _fmt(v)] for t, v in ups.breakpoints]
 
 
+def _upsilon2s(complex_, ups: PiecewiseLinear):
+    """(t0, jump, upsilon2 if jump > 0 else None) at each singularity of ups, lazily."""
+    for t0, jump in ups.singularities():
+        yield t0, jump, upsilon2_at(complex_, t0, ups=ups) if jump > 0 else None
+
+
 def build_invariant_report(expression: str) -> dict:
     """Invariant report for a knot expression, without the timing field."""
     canonical = canonical_expression(expression)
     complex_ = parse_knot_expression(canonical)
     ups = upsilon(complex_)
     entries = []
-    for t0, jump in ups.singularities():
+    for t0, jump, value in _upsilon2s(complex_, ups):
         entry = {"t": _fmt(t0), "slope_jump": _fmt(jump)}
-        if jump > 0:
-            entry["upsilon2"] = _fmt(upsilon2_at(complex_, t0, ups=ups))
+        if value is None:
+            entry.update(upsilon2=None, reason="slope jump is not positive")
         else:
-            entry["upsilon2"] = None
-            entry["reason"] = "slope jump is not positive"
+            entry["upsilon2"] = _fmt(value)
         entries.append(entry)
     return {
         "schema_version": SCHEMA_VERSION,
@@ -186,8 +191,7 @@ def recursion_report(p: int, q: int, max_generators: int = DEFAULT_MAX_GENERATOR
         _check_size(expression, max_generators)
     lhs = upsilon(torus_knot_complex(p, q))
     rhs = upsilon(torus_knot_complex(p, q - p)) + upsilon(torus_knot_complex(p, p + 1))
-    ts = sorted({t for t, _ in lhs.breakpoints} | {t for t, _ in rhs.breakpoints})
-    gap = max(abs(lhs.evaluate(t) - rhs.evaluate(t)) for t in ts)
+    gap = max(abs(v) for _, v in (lhs + -rhs).breakpoints)  # peaks at a breakpoint
     return {
         "schema_version": SCHEMA_VERSION,
         "p": p,
@@ -236,14 +240,9 @@ def distinguish_report(expr1: str, expr2: str) -> dict:
             values=[_fmt(ups1.evaluate(witness)), _fmt(ups2.evaluate(witness))],
         )
         return report
-    separating = []
-    for t0, jump in ups1.singularities():
-        if jump <= 0:
-            continue
-        v1 = upsilon2_at(complex1, t0, ups=ups1)
-        v2 = upsilon2_at(complex2, t0, ups=ups2)
-        if v1 != v2:
-            separating.append({"t": _fmt(t0), "values": [_fmt(v1), _fmt(v2)]})
+    pairs = zip(_upsilon2s(complex1, ups1), _upsilon2s(complex2, ups2))  # ups1 == ups2
+    separating = [{"t": _fmt(t0), "values": [_fmt(v1), _fmt(v2)]}
+                  for (t0, _, v1), (_, _, v2) in pairs if v1 != v2]
     if separating:
         report.update(
             distinguished=True,

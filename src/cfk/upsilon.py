@@ -261,6 +261,7 @@ def verify_gamma_certificate(c: BifilteredComplex, cert: GammaCertificate) -> No
         _check_exact(lv, "every level")
     if not 0 <= cert.t <= 2:
         raise CertificateError("t must lie in [0, 2]")
+    _check_elements(cert.cycle, tuple, "cycle")
     if len(set(cert.cycle)) != len(cert.cycle):
         raise CertificateError("certificate cycle repeats an element")
     tables = _DirectChecker(c)
@@ -277,6 +278,12 @@ def _check_exact(value, name: str) -> None:
     if not is_exact(value):
         raise CertificateError(
             f"{name} must be an int or a Fraction, got {type(value).__name__}")
+
+
+def _check_elements(elems, kind: type, name: str) -> None:
+    """CertificateError unless elems is a kind (tuple or frozenset) of SectorElements."""
+    if not isinstance(elems, kind) or not all(isinstance(e, SectorElement) for e in elems):
+        raise CertificateError(f"{name} must be a {kind.__name__} of SectorElements")
 
 
 class _DirectChecker:

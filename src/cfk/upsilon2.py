@@ -22,6 +22,7 @@ from .upsilon import (
     SectorElement,
     _DirectChecker,
     _SectorEngine,
+    _check_elements,
     _check_exact,
     level,
     level_slope,
@@ -116,6 +117,10 @@ def verify_gamma2_certificate(c: BifilteredComplex, cert: Gamma2Certificate,
     _check_exact(cert.gamma2, "gamma2")
     if not 0 < t0 < 2:
         raise CertificateError("t0 must lie in the open interval (0, 2)")
+    if not isinstance(cert.witness, MergeWitness):
+        raise CertificateError("witness must be a MergeWitness")
+    for name in ("z_minus", "z_plus", "w"):
+        _check_elements(getattr(cert.witness, name), frozenset, name)
     tables = _DirectChecker(c)
     jets = [(level(t0, e), level_slope(e)) for e in tables.even]
 

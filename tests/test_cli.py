@@ -1,11 +1,15 @@
+import ast
 import json
 import os
+import random
 import sys
 import time
+from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
-from cfk import InvalidTorusKnotError
+from cfk import InvalidTorusKnotError, PiecewiseLinear, parse_knot_expression, upsilon
 from cfk.cli import SCHEMA_VERSION, build_invariant_report, distinguish_report, recursion_report, run
 
 
@@ -441,6 +445,115 @@ class TestReportHelpers:
         report = distinguish_report("T(5,7)", "T(2,5) # T(5,6)")
         assert report["by"] == "upsilon2"
         assert solved == []
+
+
+def _record_upsilon2_calls(monkeypatch):
+    """A list that grows by (generator count, t0) each time the CLI computes an upsilon2."""
+    cli = sys.modules["cfk.cli"]
+    calls = []
+    original = cli.upsilon2_at
+
+    def recording(c, t0, ups=None):
+        calls.append((len(c.generators), t0))
+        return original(c, t0, ups=ups)
+
+    monkeypatch.setattr(cli, "upsilon2_at", recording)
+    return calls
+
+
+class TestOneSingularityPass:
+    def test_invariants_computes_upsilon2_at_each_positive_jump_in_order(self, monkeypatch):
+        expression = "-T(2,3) # T(5,6)"
+        calls = _record_upsilon2_calls(monkeypatch)
+        report = build_invariant_report(expression)
+        jumps = {F(s["t"]): F(s["slope_jump"]) for s in report["singularities"]}
+        assert min(jumps.values()) < 0 < max(jumps.values())  # both kinds of jump
+        positive = [t0 for t0, jump in jumps.items() if jump > 0]
+        assert positive == sorted(positive)
+        assert calls == [(report["generator_count"], t0) for t0 in positive]
+
+    def test_distinguish_alternates_the_two_complexes(self, monkeypatch):
+        calls = _record_upsilon2_calls(monkeypatch)
+        report = distinguish_report("T(5,7)", "T(2,5) # T(5,6)")
+        assert report["by"] == "upsilon2"
+        c1 = parse_knot_expression("T(5,7)")
+        n1 = len(c1.generators)
+        positive = [t0 for t0, jump in upsilon(c1).singularities() if jump > 0]
+        assert len(positive) >= 2 and n1 != 45
+        assert calls == [call for t0 in positive for call in ((n1, t0), (45, t0))]
+
+    @pytest.mark.parametrize("expr1, expr2, by", [
+        ("T(2,3)", "T(2,5)", "upsilon"),  # upsilon differs
+        ("-T(2,3)", "-T(2,3)", None),  # no positive jump
+    ])
+    def test_distinguish_makes_no_call_without_a_positive_jump_to_compare(
+            self, monkeypatch, expr1, expr2, by):
+        calls = _record_upsilon2_calls(monkeypatch)
+        report = distinguish_report(expr1, expr2)
+        assert report.get("by") == by
+        assert calls == []
+
+    @pytest.mark.parametrize("expr1, expr2", [
+        ("T(5,7)", "T(2,5) # T(5,6)"),
+        ("-T(5,7)", "-T(2,5) # -T(5,6)"),
+        ("T(5,7) # -T(3,4)", "T(2,5) # T(5,6) # -T(3,4)"),  # null at 2/3 and 4/3
+        ("T(3,4) # -T(2,5)", "-T(2,5) # T(3,4)"),
+    ])
+    def test_distinguish_lists_where_the_invariant_reports_differ(self, expr1, expr2):
+        reports = [build_invariant_report(e) for e in (expr1, expr2)]
+        assert reports[0]["upsilon"] == reports[1]["upsilon"]
+        values = [{s["t"]: s["upsilon2"] for s in r["singularities"]} for r in reports]
+        expected = [{"t": t, "values": [v, values[1][t]]} for t, v in values[0].items()
+                    if v is not None and v != values[1][t]]
+        report = distinguish_report(expr1, expr2)
+        assert report.get("separating_singularities", []) == expected
+        assert report["distinguished"] == bool(expected)
+
+    def test_recursion_gap_is_the_largest_difference_at_either_breakpoints(self, monkeypatch):
+        # the torus knot recursion always holds, so fake upsilons give a nonzero gap
+        rng = random.Random(1)
+
+        def random_function():
+            ts = sorted({F(rng.randint(1, 11), 6) for _ in range(rng.randint(0, 4))})
+            return PiecewiseLinear(tuple((t, F(rng.randint(-9, 9), rng.randint(1, 4)))
+                                         for t in [F(0), *ts, F(2)]))
+
+        cli = sys.modules["cfk.cli"]
+        for _ in range(40):
+            lhs, rhs1, rhs2 = (random_function() for _ in range(3))
+            fakes = iter([lhs, rhs1, rhs2])  # in the order recursion_report asks
+            monkeypatch.setattr(cli, "upsilon", lambda c: next(fakes))
+            rhs = rhs1 + rhs2
+            ts = {t for t, _ in lhs.breakpoints} | {t for t, _ in rhs.breakpoints}
+            report = recursion_report(2, 3)
+            assert report["max_breakpoint_gap"] == str(max(abs(lhs(t) - rhs(t)) for t in ts))
+            assert report["equal"] == (lhs == rhs)
+
+
+def _upsilon2_references(tree: ast.Module) -> list[str]:
+    """The top-level definition holding each reference to upsilon2_at, in order."""
+    found = []
+    for top in tree.body:
+        for node in ast.walk(top):
+            if (isinstance(node, ast.Name) and node.id == "upsilon2_at"
+                    or isinstance(node, ast.Attribute) and node.attr == "upsilon2_at"):
+                found.append(getattr(top, "name", "<module>"))
+    return found
+
+
+def test_the_cli_computes_upsilon2_in_one_place():
+    # the rule for which singularity gets an upsilon2 is written once
+    path = Path(__file__).resolve().parents[1] / "src" / "cfk" / "cli.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+    assert _upsilon2_references(tree) == ["_upsilon2s"]
+
+
+def test_an_upsilon2_reference_is_found():
+    tree = ast.parse("from .upsilon2 import upsilon2_at\n"
+                     "def a(c):\n    return [upsilon2_at(c, t) for t in (1, 2)]\n"
+                     "class B:\n    def f(self, m):\n        return m.upsilon2_at\n"
+                     "g = upsilon2_at\n")
+    assert _upsilon2_references(tree) == ["a", "B", "<module>"]
 
 
 TEN_TREFOILS = " # ".join(["T(2,3)"] * 10)

@@ -153,6 +153,16 @@ class TestGamma:
         with pytest.raises(CertificateError, match=message):
             verify_gamma_certificate(c, replace(cert, **{field: value}))
 
+    # the genuine cycle as a list holds the right elements in the wrong container
+    @pytest.mark.parametrize("cycle", [None, 5, [[1]], ((1, 0),), "list"], ids=repr)
+    def test_malformed_cycle_rejected(self, cycle):
+        c = torus_knot_complex(3, 4)
+        cert = gamma_at(c, F(1))
+        if cycle == "list":
+            cycle = list(cert.cycle)
+        with pytest.raises(CertificateError, match="cycle must be a tuple of SectorElements"):
+            verify_gamma_certificate(c, replace(cert, cycle=cycle))
+
 
 class TestUpsilon:
     def test_trefoil(self):

@@ -250,6 +250,27 @@ class TestGamma2:
         with pytest.raises(CertificateError, match=f"{field} must be an int or a Fraction"):
             verify_gamma2_certificate(c, replace(cert, **{field: value}))
 
+    # "set" stands for the genuine elements of that field in a set, not a frozenset
+    @pytest.mark.parametrize("field, value", [
+        ("witness", None), ("witness", (frozenset(),) * 3),
+        ("w", None), ("w", 7), ("w", frozenset({7})), ("w", "set"),
+        ("z_minus", None), ("z_minus", "set"), ("z_plus", (1,)), ("z_plus", "set"),
+    ], ids=repr)
+    def test_malformed_witness_rejected(self, field, value):
+        from dataclasses import replace
+
+        c = torus_knot_complex(3, 4)
+        cert = gamma2_at(c, F(2, 3))
+        if field == "witness":
+            tampered, message = replace(cert, witness=value), "witness must be a MergeWitness"
+        else:
+            if value == "set":
+                value = set(getattr(cert.witness, field))
+            tampered = replace(cert, witness=replace(cert.witness, **{field: value}))
+            message = f"{field} must be a frozenset of SectorElements"
+        with pytest.raises(CertificateError, match=message):
+            verify_gamma2_certificate(c, tampered)
+
 
 def test_secondary_invariant_needs_no_upsilon(monkeypatch):
     def forbidden(*args, **kwargs):
