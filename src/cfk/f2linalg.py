@@ -5,9 +5,9 @@ operation is a single big-int XOR over machine words.  Elimination uses
 deterministic first-nonzero pivoting, which makes every certificate produced
 downstream reproducible across runs.
 
-Every homology question in the package asks at which threshold a target
-first enters a filtered span; :func:`first_entry` answers it on one tagged
-:class:`Echelon`.
+At which threshold does a target first enter a filtered span?
+:func:`first_entry` answers every search's homology question of this kind on
+one tagged :class:`Echelon`; the certificate verifiers keep their own.
 """
 
 from __future__ import annotations
@@ -60,9 +60,6 @@ class Echelon:
         self._rows[pivot] = (vec, tag)
         return pivot
 
-    def contains(self, vec: int) -> bool:
-        return self._reduce(vec, 0)[0] == 0
-
     @property
     def rank(self) -> int:
         return len(self._rows)
@@ -78,14 +75,6 @@ class Echelon:
         ech._rows = dict(islice(self._rows.items(), rows))
         ech.kernel = self.kernel[:kernel]
         return ech
-
-
-def in_span(vectors: Iterable[int], target: int) -> bool:
-    """Membership of target in the GF(2) span of vectors."""
-    ech = Echelon()
-    for v in vectors:
-        ech.add(v)
-    return ech.contains(target)
 
 
 Column = tuple[int, int]  # (vector, tag)

@@ -19,7 +19,7 @@ from itertools import chain, combinations
 
 from .complexes import BifilteredComplex, _bits, _mask
 from .exactnum import PiecewiseLinear, _collinear, check_parameter, is_exact
-from .f2linalg import Echelon, by_threshold, first_entry, in_span
+from .f2linalg import Echelon, by_threshold, first_entry
 
 
 class CertificateError(RuntimeError):
@@ -253,6 +253,8 @@ def verify_gamma_certificate(c: BifilteredComplex, cert: GammaCertificate) -> No
     grading-1 sector, the level bound, and minimality over thresholds; none
     of it reuses the class functional that guided the original search.
     """
+    if not isinstance(cert, GammaCertificate):
+        raise CertificateError("certificate must be a GammaCertificate")
     _check_exact(cert.t, "t")
     _check_exact(cert.s, "s")
     if not isinstance(cert.levels, tuple):
@@ -280,6 +282,23 @@ def _check_exact(value, name: str) -> None:
             f"{name} must be an int or a Fraction, got {type(value).__name__}")
 
 
+def _residue(rows: dict[int, int], vec: int) -> int:
+    """vec less each row whose top bit it holds in turn: 0 exactly when in their span."""
+    while vec and vec.bit_length() - 1 in rows:
+        vec ^= rows[vec.bit_length() - 1]
+    return vec
+
+
+def _span(rows: dict[int, int], vectors) -> dict[int, int]:
+    """A copy of ``rows`` with vectors added, each row stored under its highest set bit."""
+    rows = dict(rows)
+    for vec in vectors:
+        vec = _residue(rows, vec)
+        if vec:
+            rows[vec.bit_length() - 1] = vec
+    return rows
+
+
 def _check_elements(elems, kind: type, name: str) -> None:
     """CertificateError unless elems is a kind (tuple or frozenset) of SectorElements."""
     if not isinstance(elems, kind) or not all(isinstance(e, SectorElement) for e in elems):
@@ -293,8 +312,8 @@ class _DirectChecker:
     grading-1 sectors is the fundamental one between even and odd
     generators: ``d_even[k]`` is the boundary of even element k over the odd
     sector and ``d_odd[j]`` that of odd element j over the even sector.
-    Every row is built up front, as the checks read them all, from the
-    sectors themselves and not from the searches' layout.
+    Every row, and ``boundaries``, the span of ``d_odd`` reduced once for all
+    checks, is built up front from the sectors, not from the searches' layout.
     """
 
     def __init__(self, c: BifilteredComplex):
@@ -306,6 +325,7 @@ class _DirectChecker:
         self.d_even = [_mask(pos[j] for j in c.boundary[e.index]) for e in self.even]
         self.d_odd = [_mask(pos[j] for j in c.boundary[e.index]) for e in self.odd]
         self.h0_mask = _mask(pos[i] for i in c.h0_rep)
+        self.boundaries = _span({}, self.d_odd)
 
     def class_cycle(self, elems, label: str) -> int:
         """Even-sector mask of ``elems``; CertificateError unless a cycle in the h0 class."""
@@ -317,7 +337,7 @@ class _DirectChecker:
             boundary ^= self.d_even[k]
         if boundary:
             raise CertificateError(f"{label} is not a cycle")
-        if not in_span(self.d_odd, zmask ^ self.h0_mask):
+        if _residue(self.boundaries, zmask ^ self.h0_mask):
             raise CertificateError(f"{label} is not homologous to the h0 class")
         return zmask
 
@@ -347,13 +367,10 @@ class _DirectChecker:
         """
         ne, no = len(self.even), len(self.odd)
         outside = ((1 << ne) - 1) & ~plus
-        columns = [
-            (1 << k) | (self.d_even[k] << ne) | ((outside >> k & 1) << (k + ne + no))
-            for k in _bits(minus)
-        ]
-        columns += self.d_odd
-        columns += [(self.d_odd[j] & outside) << (ne + no) for j in _bits(odd)]
-        return in_span(columns, self.h0_mask)
+        xs = ((1 << k) | (self.d_even[k] << ne) | ((outside >> k & 1) << (k + ne + no))
+              for k in _bits(minus))
+        ys = ((self.d_odd[j] & outside) << (ne + no) for j in _bits(odd))
+        return not _residue(_span(self.boundaries, chain(xs, ys)), self.h0_mask)
 
 
 def upsilon(c: BifilteredComplex) -> PiecewiseLinear:

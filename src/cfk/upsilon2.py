@@ -111,6 +111,8 @@ def verify_gamma2_certificate(c: BifilteredComplex, cert: Gamma2Certificate,
     the sides may not merge at the next lower threshold.  Only the sector
     tables are used: no class functional, no search step and no upsilon.
     """
+    if not isinstance(cert, Gamma2Certificate):
+        raise CertificateError("certificate must be a Gamma2Certificate")
     t0 = cert.t0
     _check_exact(t0, "t0")
     _check_exact(cert.gamma, "gamma")
@@ -138,6 +140,9 @@ def verify_gamma2_certificate(c: BifilteredComplex, cert: Gamma2Certificate,
     if ups is not None:
         _check_upsilon(ups, t0, cert.gamma, slope_minus, slope_plus)
 
+    odd_levels = [level(t0, e) for e in tables.odd]
+    if cert.gamma2 < cert.gamma or (cert.gamma2 > cert.gamma and cert.gamma2 not in odd_levels):
+        raise CertificateError("threshold is not a grading-1 level at or above gamma")
     acc = 0
     for e in cert.witness.w:
         if e not in tables.odd_pos:
@@ -147,12 +152,6 @@ def verify_gamma2_certificate(c: BifilteredComplex, cert: Gamma2Certificate,
         acc ^= tables.d_odd[tables.odd_pos[e]]
     if acc != zm ^ zp:
         raise CertificateError("dw does not equal z_minus + z_plus")
-
-    odd_levels = [level(t0, e) for e in tables.odd]
-    thresholds = sorted({cert.gamma} | {lv for lv in odd_levels if lv > cert.gamma})
-    if cert.gamma2 not in thresholds:
-        raise CertificateError("threshold is not a grading-1 level at or above gamma")
-    below = [r for r in thresholds if r < cert.gamma2]
-    if below and tables.merges(adm_m, adm_p,
-                               _mask(j for j, lv in enumerate(odd_levels) if lv <= below[-1])):
+    if cert.gamma2 > cert.gamma and tables.merges(
+            adm_m, adm_p, _mask(j for j, lv in enumerate(odd_levels) if lv < cert.gamma2)):
         raise CertificateError("the side classes already merge below the threshold")

@@ -4,7 +4,13 @@ from itertools import combinations
 
 from hypothesis import given, settings, strategies as st
 
-from cfk.f2linalg import Echelon, by_threshold, first_entry, in_span
+from cfk.f2linalg import Echelon, by_threshold, first_entry
+from cfk.upsilon import _residue, _span as top_bit_span
+
+
+def in_span(vectors, target):
+    """Membership of target in the span of vectors, by the verifiers' top-bit elimination."""
+    return _residue(top_bit_span({}, vectors), target) == 0
 
 
 class TestInSpan:
@@ -50,8 +56,8 @@ class TestEchelon:
         assert ech.add(0b110)
         assert not ech.add(0b101)
         assert len(ech._rows) == 2
-        assert ech.contains(0b110)
-        assert not ech.contains(0b100)
+        assert ech._reduce(0b110, 0)[0] == 0
+        assert ech._reduce(0b100, 0)[0] != 0
 
     def test_tag_tracking_recovers_combination(self):
         vecs = [0b011, 0b110, 0b100]
@@ -248,7 +254,7 @@ def test_pivot_indexed_echelon_matches_sorted_rows():
         assert fast._rows == {p: (v, tag) for p, v, tag in ref._rows}
         for probe in _random_vectors(rng, width, 20) + vectors[:5]:
             assert fast._reduce(probe, 0) == ref.reduce_with_tag(probe)
-            assert fast.contains(probe) == ref.contains(probe)
+            assert (fast._reduce(probe, 0)[0] == 0) == ref.contains(probe)
 
         thresholds = [rng.randrange(0, 6) for _ in range(n)]
         columns = list(zip(vectors, tags))
@@ -256,6 +262,42 @@ def test_pivot_indexed_echelon_matches_sorted_rows():
         got = first_entry(by_threshold(thresholds, columns), target)
         expected = first_entry_per_batch(by_threshold(thresholds, columns), target)
         assert got == expected
+
+
+def test_top_bit_span_matches_the_list_oracle():
+    # the verifiers' span against the 0/1-list elimination in tests/oracles.py:
+    # every row sits under its highest set bit, the rank agrees, membership
+    # agrees on targets in and out of the span, and a span extended from a
+    # copy of another is the span of both lists, the copied one left as it was
+    from oracles import list_echelon, list_in_span
+
+    rng = random.Random(2718)
+    inside = outside = 0
+    for trial in range(150):
+        width = rng.choice([1, 3, 8, 64, 65, 130]) if trial % 2 else rng.randrange(1, 40)
+
+        def bits(v):
+            return [v >> k & 1 for k in range(width)]
+
+        head = _random_vectors(rng, width, rng.randrange(0, 12))
+        tail = _random_vectors(rng, width, rng.randrange(0, 6))
+        rows = top_bit_span({}, head)
+        held = dict(rows)
+        extended = top_bit_span(rows, tail)
+        assert rows == held
+        assert all(row.bit_length() - 1 == top for top, row in extended.items())
+        assert len(extended) == len(list_echelon([bits(v) for v in head + tail]))
+        combined = 0
+        for v in rng.sample(head, rng.randrange(0, len(head) + 1)):
+            combined ^= v
+        for target in [combined, rng.getrandbits(width), 0] + head + tail:
+            expected = list_in_span([bits(v) for v in head + tail], bits(target))
+            assert (_residue(extended, target) == 0) == expected
+            assert (_residue(rows, target) == 0) == list_in_span([bits(v) for v in head],
+                                                                 bits(target))
+            inside += expected
+            outside += not expected
+    assert inside > 500 and outside > 50
 
 
 def test_tracked_target_matches_the_per_batch_reduction():

@@ -10,7 +10,13 @@ from cfk import (
     torus_knot_complex,
 )
 from cfk.exactnum import PiecewiseLinear
-from cfk.upsilon import CertificateError, _SectorEngine, upsilon
+from cfk.upsilon import (
+    CertificateError,
+    _SectorEngine,
+    gamma_at,
+    upsilon,
+    verify_gamma_certificate,
+)
 from cfk.upsilon2 import (
     NotApplicableError,
     gamma2_at,
@@ -218,6 +224,24 @@ class TestGamma2:
             with pytest.raises(CertificateError, match=f"class lies below {side}"):
                 verify_gamma2_certificate(c, tampered)
 
+    def test_threshold_that_is_no_level_at_or_above_gamma_rejected(self):
+        # T(5,7) at 4/5: gamma = 19/5, gamma2 = 23/5 and the grading-1
+        # levels from 22/5 up are 22/5, 23/5, 27/5, ...; a gamma2 below gamma,
+        # or strictly between two of these levels, is refused by name
+        from dataclasses import replace
+
+        c = torus_knot_complex(5, 7)
+        cert = gamma2_at(c, F(4, 5))
+        assert (cert.gamma, cert.gamma2) == (F(19, 5), F(23, 5))
+        for gamma2 in (F(18, 5), F(21, 5), F(9, 2), F(5)):
+            with pytest.raises(CertificateError,
+                               match="threshold is not a grading-1 level at or above gamma"):
+                verify_gamma2_certificate(c, replace(cert, gamma2=gamma2))
+        # gamma itself is a threshold though no grading-1 element sits there:
+        # this w, which reaches above it, is what refuses it
+        with pytest.raises(CertificateError, match="w uses an element above the threshold"):
+            verify_gamma2_certificate(c, replace(cert, gamma2=cert.gamma))
+
     def test_swapped_sides_rejected(self):
         from cfk.upsilon2 import Gamma2Certificate, MergeWitness
 
@@ -270,6 +294,25 @@ class TestGamma2:
             message = f"{field} must be a frozenset of SectorElements"
         with pytest.raises(CertificateError, match=message):
             verify_gamma2_certificate(c, tampered)
+
+
+# each verifier refuses anything but its own certificate before it reads a
+# field: None, a string, the other verifier's certificate, and a look-alike
+# holding the genuine certificate's fields
+@pytest.mark.parametrize("kind", ["gamma", "gamma2"])
+@pytest.mark.parametrize("value", [None, "x", "other", "look-alike"])
+def test_a_non_certificate_is_refused(kind, value):
+    from types import SimpleNamespace
+
+    c = torus_knot_complex(3, 4)
+    certs = {"gamma": gamma_at(c, F(2, 3)), "gamma2": gamma2_at(c, F(2, 3))}
+    verify, other, name = {
+        "gamma": (verify_gamma_certificate, "gamma2", "GammaCertificate"),
+        "gamma2": (verify_gamma2_certificate, "gamma", "Gamma2Certificate"),
+    }[kind]
+    fake = {"other": certs[other], "look-alike": SimpleNamespace(**vars(certs[kind]))}
+    with pytest.raises(CertificateError, match=f"^certificate must be a {name}$"):
+        verify(c, fake.get(value, value))
 
 
 def test_secondary_invariant_needs_no_upsilon(monkeypatch):

@@ -7,12 +7,13 @@ SOURCES = Path(__file__).resolve().parents[1] / "src" / "cfk"
 
 # the top-level definitions of each module that make up the verifiers
 VERIFIERS = {
-    "upsilon.py": {"_DirectChecker", "verify_gamma_certificate", "sector", "level",
-                   "level_slope"},
+    "upsilon.py": {"_DirectChecker", "verify_gamma_certificate", "_residue", "_span",
+                   "sector", "level", "level_slope"},
     "upsilon2.py": {"verify_gamma2_certificate"},
 }
-SEARCH_NAMES = {"_SectorEngine", "_Memo", "first_entry", "by_threshold", "_scaled_levels"}
-SEARCH_ATTRIBUTES = {"lam", "layout", "class_columns", "odd_columns"}
+SEARCH_NAMES = {"_SectorEngine", "_Memo", "first_entry", "by_threshold", "_scaled_levels",
+                "Echelon", "in_span", "f2linalg"}
+SEARCH_ATTRIBUTES = {"lam", "layout", "class_columns", "odd_columns", "_reduce", "_rows"}
 
 
 def search_references(tree: ast.Module, scope: set[str]) -> tuple[list[str], set[str]]:
@@ -54,7 +55,9 @@ def test_a_search_reference_is_found():
                      "    def f(self, c):\n        return c.lam, first_entry\n"
                      "def verify(c):\n"
                      "    def check_side():\n        return c.layout.position\n"
+                     "    return in_span(c.rows, 0), Echelon()\n"
                      "def gamma(c):\n    return _SectorEngine(c).class_columns\n")
     found, defined = search_references(tree, {"level", "_DirectChecker", "verify"})
-    assert found == [".lam (line 5)", "first_entry (line 5)", ".layout (line 8)"]
+    assert found == [".lam (line 5)", "first_entry (line 5)", ".layout (line 8)",
+                     "in_span (line 9)", "Echelon (line 9)"]
     assert defined == {"level", "_DirectChecker", "f", "verify", "check_side"}
