@@ -3,7 +3,10 @@
 All reports are deterministic: a fixed input produces byte-identical output
 except for the optional timing field, which --no-timing suppresses.  With
 --cache DIR invariant reports are stored keyed by the canonical form of the
-expression, so cached and fresh runs emit identical bytes.
+expression.  A report is encoded once, and the same text goes to the entry
+and to stdout; a hit writes the entry's text as stored, so a hit on an entry
+that cfk wrote emits the bytes of a fresh run, and a whole entry written by
+hand is served as it stands, layout included.
 """
 
 from __future__ import annotations
@@ -109,11 +112,17 @@ def build_invariant_report(expression: str) -> dict:
     }
 
 
-def _emit_json(payload: dict, timing_ms=None) -> None:
-    out = dict(payload)
+def _json_text(payload: dict) -> str:
+    return json.dumps(payload, indent=2, ensure_ascii=False)
+
+
+def _emit_text(text: str, timing_ms=None) -> None:
+    """Write a JSON object's text; timing_ms, if given, goes in as its last field."""
     if timing_ms is not None:
-        out["timing_ms"] = timing_ms
-    sys.stdout.write(json.dumps(out, indent=2, ensure_ascii=False) + "\n")
+        # in place of the closing brace: for indent-2 text, the bytes that
+        # encoding the object with "timing_ms" added last would give
+        text = f'{text.rstrip()[:-1].rstrip()},\n  "timing_ms": {timing_ms}\n}}'
+    sys.stdout.write(text + "\n")
 
 
 def _cache_path(cache_dir: str, canonical: str) -> str:
@@ -124,32 +133,35 @@ def _cache_path(cache_dir: str, canonical: str) -> str:
 
 
 def _read_cache(path: str, canonical: str):
-    """The cached report for canonical, or None for a miss.
+    """The text of the cached report for canonical, or None for a miss.
 
     An entry that cannot be read or parsed, is not a JSON object, has other
-    keys than a report, or another schema version or expression is a miss,
-    and gets rewritten.
+    keys than a report, another expression or a schema version that is not
+    the int SCHEMA_VERSION (true and 1.0 compare equal to 1) is a miss, and
+    gets rewritten.
     """
     try:
         with open(path, encoding="utf-8") as fh:
-            report = json.load(fh)
+            text = fh.read()
+        report = json.loads(text)
     except (OSError, ValueError):
         return None
     if (not isinstance(report, dict) or report.keys() != _REPORT_KEYS
-            or report.get("schema_version") != SCHEMA_VERSION
-            or report.get("expression") != canonical):
+            or type(report["schema_version"]) is not int
+            or report["schema_version"] != SCHEMA_VERSION
+            or report["expression"] != canonical):
         return None
-    return report
+    return text
 
 
-def _write_cache(path: str, report: dict) -> None:
+def _write_cache(path: str, text: str) -> None:
     """Write an entry whole or not at all: a temp file beside it, then os.replace."""
     directory = os.path.dirname(path)
     os.makedirs(directory, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            json.dump(report, fh, indent=2, ensure_ascii=False)
+            fh.write(text)
         os.replace(tmp, path)
     except OSError:
         os.unlink(tmp)
@@ -160,22 +172,22 @@ def cmd_invariants(args) -> int:
     started = time.perf_counter()
     canonical = canonical_expression(args.expression)
     cache_dir = args.cache or os.environ.get(CACHE_ENV_VAR)
-    report = None
+    text = None
     if cache_dir:
-        report = _read_cache(_cache_path(cache_dir, canonical), canonical)
-    if report is None:
+        text = _read_cache(_cache_path(cache_dir, canonical), canonical)
+    if text is None:
         _check_size(canonical, args.max_generators)
-        report = build_invariant_report(canonical)
+        text = _json_text(build_invariant_report(canonical))
         if cache_dir:
             try:
-                _write_cache(_cache_path(cache_dir, canonical), report)
+                _write_cache(_cache_path(cache_dir, canonical), text)
             except OSError as exc:
                 print(f"error: cannot write to cache {cache_dir}: {exc}", file=sys.stderr)
                 return EXIT_IO
     timing = None
     if not args.no_timing:
         timing = int((time.perf_counter() - started) * 1000)
-    _emit_json(report, timing)
+    _emit_text(text, timing)
     return EXIT_OK
 
 
@@ -206,7 +218,7 @@ def recursion_report(p: int, q: int, max_generators: int = DEFAULT_MAX_GENERATOR
 def cmd_verify_recursion(args) -> int:
     report = recursion_report(args.p, args.q, args.max_generators)
     if args.json:
-        _emit_json(report)
+        _emit_text(_json_text(report))
     else:
         verdict = "EQUAL" if report["equal"] else "UNEQUAL"
         print(
@@ -265,7 +277,7 @@ def _distinguish(expr1: str, expr2: str, args) -> int:
         _check_size(canonical_expression(expression), args.max_generators)
     report = distinguish_report(expr1, expr2)
     if args.json:
-        _emit_json(report)
+        _emit_text(_json_text(report))
     elif report["distinguished"]:
         print(
             f"DISTINGUISHED at t0={report['t']} via {report['by']}: "
@@ -341,15 +353,13 @@ def cmd_staircase(args) -> int:
     _check_size(f"T({args.p},{args.q})", args.max_generators)
     complex_ = torus_knot_complex(args.p, args.q)
     steps = [] if a == 1 else list(step_vector(alexander_torus(a, b)).steps)
-    _emit_json(
-        {
-            "schema_version": SCHEMA_VERSION,
-            "p": args.p,
-            "q": args.q,
-            "steps": steps,
-            "complex": complex_.to_json_dict(),
-        }
-    )
+    _emit_text(_json_text({
+        "schema_version": SCHEMA_VERSION,
+        "p": args.p,
+        "q": args.q,
+        "steps": steps,
+        "complex": complex_.to_json_dict(),
+    }))
     return EXIT_OK
 
 

@@ -123,11 +123,20 @@ class TestInvariants:
     def test_failed_cache_write_leaves_no_entry(self, capsys, tmp_path, monkeypatch):
         import cfk.cli
 
-        def dump_then_fail(obj, fh, **kwargs):
-            fh.write("{")
-            raise OSError(28, "No space left on device")
+        real_fdopen = os.fdopen
 
-        monkeypatch.setattr(cfk.cli.json, "dump", dump_then_fail)
+        def fdopen_write_then_fail(*args, **kwargs):
+            fh = real_fdopen(*args, **kwargs)
+            write = fh.write
+
+            def write_then_fail(text):
+                write("{")
+                raise OSError(28, "No space left on device")
+
+            fh.write = write_then_fail
+            return fh
+
+        monkeypatch.setattr(cfk.cli.os, "fdopen", fdopen_write_then_fail)
         cache = tmp_path / "cache"
         code, out, err = run_capture(
             capsys, ["invariants", "T(3,4)", "--no-timing", "--cache", str(cache)]
@@ -166,6 +175,44 @@ class TestInvariants:
     def test_cache_partial_report_is_a_miss(self, capsys, tmp_path):
         partial = {"schema_version": SCHEMA_VERSION, "expression": "T(3,4)"}
         self._bad_entry_is_a_miss(capsys, tmp_path, json.dumps(partial))
+
+    @pytest.mark.parametrize("version", [True, 1.0])
+    def test_cache_schema_version_of_another_type_is_a_miss(self, capsys, tmp_path, version):
+        # both compare equal to 1, but a hit would print them as stored
+        report = dict(build_invariant_report("T(3,4)"), schema_version=version)
+        self._bad_entry_is_a_miss(capsys, tmp_path, json.dumps(report, indent=2))
+
+    def test_timing_is_the_last_field_on_a_miss_and_on_a_hit(self, capsys, tmp_path):
+        expression = "T(3,4) # T(2,5)"
+        _, plain, _ = run_capture(capsys, ["invariants", expression, "--no-timing"])
+        for _ in ("miss", "hit"):
+            code, out, err = run_capture(
+                capsys, ["invariants", expression, "--cache", str(tmp_path)])
+            assert code == 0 and err == ""
+            assert len(list(tmp_path.iterdir())) == 1
+            report = json.loads(out)
+            # the bytes of the indent-2 encoding with timing_ms added last
+            assert out == json.dumps(report, indent=2, ensure_ascii=False) + "\n"
+            assert list(report)[-1] == "timing_ms"
+            timing = report.pop("timing_ms")
+            assert type(timing) is int and timing >= 0
+            assert json.dumps(report, indent=2, ensure_ascii=False) + "\n" == plain
+
+    def test_cache_compact_whole_entry_is_served_as_stored(self, capsys, tmp_path):
+        from cfk.cli import _cache_path
+
+        entry = Path(_cache_path(str(tmp_path), "T(3,4)"))
+        stored = json.dumps(build_invariant_report("T(3,4)"))
+        entry.write_text(stored, encoding="utf-8")
+        argv = ["invariants", "T(3,4)", "--cache", str(tmp_path)]
+        code, out, _ = run_capture(capsys, argv + ["--no-timing"])
+        assert code == 0 and out == stored + "\n"
+        code, out, _ = run_capture(capsys, argv)
+        assert code == 0
+        report = json.loads(out)
+        assert list(report)[-1] == "timing_ms" and type(report.pop("timing_ms")) is int
+        assert report == build_invariant_report("T(3,4)")
+        assert entry.read_text(encoding="utf-8") == stored
 
     def test_cache_whole_entry_is_a_hit(self, capsys, tmp_path):
         from cfk.cli import _cache_path
@@ -836,4 +883,21 @@ class TestParserReuse:
 
         for name in ("parse_knot_expression", "upsilon", "_check_size"):
             monkeypatch.setattr(cfk.cli, name, forbidden)
+        assert run_capture(capsys, argv) == (0, fresh, "")
+
+    def test_a_hit_encodes_nothing_and_prints_the_fresh_bytes(
+            self, capsys, tmp_path, monkeypatch):
+        import cfk.cli
+
+        argv = ["invariants", "T(3,4) # T(2,5)", "--no-timing", "--cache", str(tmp_path)]
+        code, fresh, _ = run_capture(capsys, argv)
+        assert code == 0
+        [entry] = tmp_path.iterdir()
+        assert entry.read_bytes() + b"\n" == fresh.encode("utf-8")
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a cache hit encoded a report")
+
+        for name in ("dumps", "dump"):
+            monkeypatch.setattr(cfk.cli.json, name, forbidden)
         assert run_capture(capsys, argv) == (0, fresh, "")
