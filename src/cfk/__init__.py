@@ -36,7 +36,6 @@ from .upsilon import (
     SectorElement,
     gamma_at,
     level,
-    level_slope,
     sector,
     upsilon,
     verify_gamma_certificate,
@@ -76,7 +75,6 @@ __all__ = [
     "gamma2_at",
     "gamma_at",
     "level",
-    "level_slope",
     "parse_knot_expression",
     "sector",
     "staircase_complex",

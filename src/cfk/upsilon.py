@@ -71,11 +71,6 @@ def level(t, e: SectorElement) -> Fraction:
     return half * e.alex + (1 - half) * e.alg
 
 
-def level_slope(e: SectorElement) -> Fraction:
-    """d(level)/dt, constant in t: (Alex - alg) / 2."""
-    return Fraction(e.alex - e.alg, 2)
-
-
 @dataclass(frozen=True)
 class GammaCertificate:
     """Witness for gamma(t) = s: a minimal-level cycle in the h0 class."""
@@ -267,11 +262,11 @@ def verify_gamma_certificate(c: BifilteredComplex, cert: GammaCertificate) -> No
     if len(set(cert.cycle)) != len(cert.cycle):
         raise CertificateError("certificate cycle repeats an element")
     tables = _DirectChecker(c)
-    keys = [level(cert.t, e) for e in tables.even]
+    scale, keys, _ = tables.keys(cert.t)
     _, top, _ = tables.least_class_cycle(cert.cycle, keys, "certificate cycle")
-    if tuple(level(cert.t, e) for e in cert.cycle) != cert.levels:
+    if tuple(Fraction(keys[tables.even_pos[e]], scale) for e in cert.cycle) != cert.levels:
         raise CertificateError("stored levels do not match recomputation")
-    if top != cert.s:
+    if top != cert.s * scale:
         raise CertificateError("threshold is not attained by the support")
 
 
@@ -326,6 +321,12 @@ class _DirectChecker:
         self.d_odd = [_mask(pos[j] for j in c.boundary[e.index]) for e in self.odd]
         self.h0_mask = _mask(pos[i] for i in c.h0_rep)
         self.boundaries = _span({}, self.d_odd)
+
+    def keys(self, t) -> tuple[int, list[int], list[int]]:
+        """2b and the keys a*Alex + (2b - a)*alg at t = a/b, 2b times each level, per sector."""
+        a, scale = t.numerator, 2 * t.denominator
+        return scale, *([a * e.alex + (scale - a) * e.alg for e in part]
+                        for part in (self.even, self.odd))
 
     def class_cycle(self, elems, label: str) -> int:
         """Even-sector mask of ``elems``; CertificateError unless a cycle in the h0 class."""

@@ -24,8 +24,6 @@ from .upsilon import (
     _SectorEngine,
     _check_elements,
     _check_exact,
-    level,
-    level_slope,
 )
 
 class NotApplicableError(ValueError):
@@ -54,7 +52,9 @@ class Gamma2Certificate:
 
 def _check_upsilon(ups: PiecewiseLinear, t0: Fraction, gamma0: Fraction,
                    slope_minus: Fraction, slope_plus: Fraction) -> None:
-    """ValueError unless ups is -2 * gamma at t0 with the given one-sided slopes."""
+    """TypeError unless ups is a PiecewiseLinear, ValueError unless -2 * gamma with these slopes."""
+    if not isinstance(ups, PiecewiseLinear):
+        raise TypeError(f"ups must be a PiecewiseLinear, got {type(ups).__name__}")
     if ups.value_and_slopes(t0) != (-2 * gamma0, -2 * slope_minus, -2 * slope_plus):
         raise ValueError("the provided upsilon function does not belong to this complex")
 
@@ -124,34 +124,34 @@ def verify_gamma2_certificate(c: BifilteredComplex, cert: Gamma2Certificate,
     for name in ("z_minus", "z_plus", "w"):
         _check_elements(getattr(cert.witness, name), frozenset, name)
     tables = _DirectChecker(c)
-    jets = [(level(t0, e), level_slope(e)) for e in tables.even]
+    scale, keys, odd_keys = tables.keys(t0)  # 2b times the levels at t0 = a/b
+    gamma, gamma2 = cert.gamma * scale, cert.gamma2 * scale
 
     def check_side(elems, sign, label):
-        keys = [(value, sign * slope) for value, slope in jets]
-        zmask, key, admissible = tables.least_class_cycle(elems, keys, label)
-        if key[0] != cert.gamma:
+        side_keys = [(key, sign * (e.alex - e.alg)) for key, e in zip(keys, tables.even)]
+        zmask, top, admissible = tables.least_class_cycle(elems, side_keys, label)
+        if top[0] != gamma:
             raise CertificateError(f"the top level of {label} is not the stored gamma")
-        return zmask, admissible, sign * key[1]
+        return zmask, admissible, sign * top[1]
 
     zm, adm_m, slope_minus = check_side(cert.witness.z_minus, -1, "z_minus")
     zp, adm_p, slope_plus = check_side(cert.witness.z_plus, +1, "z_plus")
     if slope_minus <= slope_plus:
         raise CertificateError("the slope of gamma does not drop at t0")
     if ups is not None:
-        _check_upsilon(ups, t0, cert.gamma, slope_minus, slope_plus)
+        _check_upsilon(ups, t0, cert.gamma, Fraction(slope_minus, 2), Fraction(slope_plus, 2))
 
-    odd_levels = [level(t0, e) for e in tables.odd]
-    if cert.gamma2 < cert.gamma or (cert.gamma2 > cert.gamma and cert.gamma2 not in odd_levels):
+    if gamma2 < gamma or (gamma2 > gamma and gamma2 not in odd_keys):
         raise CertificateError("threshold is not a grading-1 level at or above gamma")
     acc = 0
     for e in cert.witness.w:
         if e not in tables.odd_pos:
             raise CertificateError("w leaves the grading-1 sector")
-        if level(t0, e) > cert.gamma2:
+        if odd_keys[tables.odd_pos[e]] > gamma2:
             raise CertificateError("w uses an element above the threshold")
         acc ^= tables.d_odd[tables.odd_pos[e]]
     if acc != zm ^ zp:
         raise CertificateError("dw does not equal z_minus + z_plus")
-    if cert.gamma2 > cert.gamma and tables.merges(
-            adm_m, adm_p, _mask(j for j, lv in enumerate(odd_levels) if lv < cert.gamma2)):
+    if gamma2 > gamma and tables.merges(
+            adm_m, adm_p, _mask(j for j, key in enumerate(odd_keys) if key < gamma2)):
         raise CertificateError("the side classes already merge below the threshold")

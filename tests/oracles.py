@@ -29,7 +29,7 @@ from cfk import (
     step_vector,
 )
 from cfk.complexes import _mask, parse_knot_factors
-from cfk.upsilon import _DirectChecker, level, level_slope
+from cfk.upsilon import _DirectChecker, level
 from cfk.upsilon2 import Gamma2Certificate, MergeWitness
 
 
@@ -289,6 +289,11 @@ def alexander_by_division(p: int, q: int):
 
 # ---------------------------------------------------------------------------
 # exhaustive gamma
+
+
+def level_slope(e) -> Fraction:
+    """d(level)/dt of a sector element, constant in t: (Alex - alg) / 2."""
+    return Fraction(e.alex - e.alg, 2)
 
 
 class SectorTables:

@@ -38,7 +38,6 @@ from cfk.upsilon import (
     _SectorEngine,
     gamma_at,
     level,
-    level_slope,
     sector,
     upsilon,
     verify_gamma_certificate,
@@ -56,6 +55,7 @@ from oracles import (
     brute_gamma2,
     eager_gamma2,
     eager_side,
+    level_slope,
     oracle_mask,
     sector_layout,
 )
@@ -258,6 +258,54 @@ def test_integer_tables_match_the_sectors(seed):
         tables = _DirectChecker(c)
         assert (tables.d_even, tables.d_odd) == (d_even, d_odd), expr
         assert tables.h0_mask == oracle_mask(oracle.h0), expr
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_verifier_keys_are_scaled_levels(seed):
+    # _DirectChecker.keys, the verifiers' one key formula, gives 2b times the
+    # level at t = a/b of every element of both sectors, for an int t as well
+    pairs = [(2, 3), (2, 5), (3, 4), (3, 5), (2, 7), (4, 5), (3, 7)]
+    grid = [0, 1, 2, F(0), F(1, 3), F(2, 5), F(1), F(4, 7), F(97, 113), F(1999, 1000), F(2)]
+    for expr, c in random_complexes(seed, 6, pairs, max_boxes=3):
+        tables = _DirectChecker(c)
+        for t in grid:
+            scale, *keys = tables.keys(t)
+            assert scale == 2 * F(t).denominator, (expr, t)
+            assert keys == [[scale * level(t, e) for e in part]
+                            for part in (tables.even, tables.odd)], (expr, t)
+            assert {type(k) for part in keys for k in part} == {int}, (expr, t)
+
+
+# a stored value shifted by 1/(4b) up or down lies halfway between two keys
+# 2b*level at t = a/b: a verifier that truncated it onto that grid, toward
+# zero or down, would accept one of the two forgeries
+@pytest.mark.parametrize("expr", ["T(5,7)", "-T(2,5) # T(3,4)", "T(2,5) # -T(3,4)",
+                                  "-T(3,4) # T(2,7)"])
+def test_a_value_off_the_key_grid_is_refused(expr):
+    c = parse_knot_expression(expr)
+    for t0 in positive_singularities(upsilon(c)):
+        cert = gamma2_at(c, t0)
+        for sign in (-1, 1):
+            off = F(sign, 4 * t0.denominator)
+            for field, message in (
+                    ("gamma", "the top level of z_minus is not the stored gamma"),
+                    ("gamma2", "threshold is not a grading-1 level at or above gamma")):
+                forged = replace(cert, **{field: getattr(cert, field) + off})
+                with pytest.raises(CertificateError, match=f"^{message}$"):
+                    verify_gamma2_certificate(c, forged)
+    for t in (F(1, 3), F(2, 5), F(1), F(5, 3)):
+        cert = gamma_at(c, t)
+        for sign in (-1, 1):
+            off = F(sign, 4 * t.denominator)
+            with pytest.raises(CertificateError,
+                               match="^threshold is not attained by the support$"):
+                verify_gamma_certificate(c, replace(cert, s=cert.s + off))
+            levels = (cert.levels[0] + off, *cert.levels[1:])
+            with pytest.raises(CertificateError,
+                               match="^stored levels do not match recomputation$"):
+                verify_gamma_certificate(c, replace(cert, levels=levels))
+    # a parameter given as an int is a/b with b = 1
+    verify_gamma_certificate(c, replace(gamma_at(c, 1), t=1))
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])

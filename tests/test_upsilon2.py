@@ -135,6 +135,19 @@ class TestSideCycles:
                 with pytest.raises(ValueError, match="does not belong"):
                     verify_gamma2_certificate(c, cert, ups=forged)
 
+    # the genuine upsilon of T(3,4) as its tuple of breakpoints, a string and a float
+    @pytest.mark.parametrize("kind", ["breakpoints", "str", "float"])
+    def test_an_upsilon_that_is_not_piecewise_linear_is_refused(self, kind):
+        c = torus_knot_complex(3, 4)
+        ups = {"breakpoints": upsilon(c).breakpoints, "str": "upsilon", "float": -0.5}[kind]
+        cert = gamma2_at(c, F(2, 3))
+        message = f"^ups must be a PiecewiseLinear, got {type(ups).__name__}$"
+        for call in (lambda: gamma2_at(c, F(2, 3), ups=ups),
+                     lambda: upsilon2_at(c, F(2, 3), ups=ups),
+                     lambda: verify_gamma2_certificate(c, cert, ups=ups)):
+            with pytest.raises(TypeError, match=message):
+                call()
+
     def test_refusals_come_before_the_merge_pass(self, monkeypatch):
         # the side slopes alone decide each refusal, so a merge pass that
         # raises is never reached
@@ -408,7 +421,8 @@ def test_integer_side_keys_match_fraction_levels():
     import random
 
     from cfk.f2linalg import Echelon, by_threshold
-    from cfk.upsilon import _SectorEngine, level, level_slope, sector
+    from cfk.upsilon import _SectorEngine, level, sector
+    from oracles import level_slope
 
     rng = random.Random(9731)
     pairs = [(2, 3), (2, 5), (3, 4), (3, 5), (2, 7), (4, 5), (3, 7), (5, 6)]

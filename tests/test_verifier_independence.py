@@ -8,12 +8,16 @@ SOURCES = Path(__file__).resolve().parents[1] / "src" / "cfk"
 # the top-level definitions of each module that make up the verifiers
 VERIFIERS = {
     "upsilon.py": {"_DirectChecker", "verify_gamma_certificate", "_residue", "_span",
-                   "sector", "level", "level_slope"},
+                   "sector", "level"},
     "upsilon2.py": {"verify_gamma2_certificate"},
 }
 SEARCH_NAMES = {"_SectorEngine", "_Memo", "first_entry", "by_threshold", "_scaled_levels",
                 "Echelon", "in_span", "f2linalg"}
 SEARCH_ATTRIBUTES = {"lam", "layout", "class_columns", "odd_columns", "_reduce", "_rows"}
+# the verifiers' keys come from _DirectChecker.keys alone, never from a level recomputed
+KEY_FORMULA_HOME = {"upsilon.py": {"_DirectChecker", "verify_gamma_certificate"},
+                    "upsilon2.py": {"verify_gamma2_certificate"}}
+LEVEL_NAMES = {"level", "level_slope", "check_parameter"}
 
 
 def search_references(tree: ast.Module, scope: set[str]) -> tuple[list[str], set[str]]:
@@ -36,6 +40,29 @@ def search_references(tree: ast.Module, scope: set[str]) -> tuple[list[str], set
                   and node.attr in SEARCH_NAMES | SEARCH_ATTRIBUTES):
                 found.append(f".{node.attr} (line {node.lineno})")
     return found, defined
+
+
+def names_read(tree: ast.Module, scope: set[str]) -> set[str]:
+    """Every name that the top-level definitions in ``scope`` read, nested ones included."""
+    return {node.id for top in tree.body
+            if isinstance(top, (ast.FunctionDef, ast.ClassDef)) and top.name in scope
+            for node in ast.walk(top) if isinstance(node, ast.Name)}
+
+
+def test_the_verifiers_have_one_key_formula():
+    for name, scope in KEY_FORMULA_HOME.items():
+        path = SOURCES / name
+        tree = ast.parse(path.read_text(), str(path))
+        assert {top.name for top in tree.body if hasattr(top, "name")} >= scope, name
+        assert names_read(tree, scope) & LEVEL_NAMES == set(), name
+
+
+def test_a_level_call_is_found():
+    tree = ast.parse("def verify(c, t):\n"
+                     "    def side(e):\n        return level(t, e)\n"
+                     "    return side, check_parameter(t)\n"
+                     "def level(t, e):\n    return level_slope(e)\n")
+    assert names_read(tree, {"verify"}) & LEVEL_NAMES == {"level", "check_parameter"}
 
 
 def test_the_verifiers_read_nothing_of_the_searches():
