@@ -19,15 +19,16 @@ import sys
 import tempfile
 import time
 from fractions import Fraction
-from math import gcd, log10
+from gettext import gettext
+from math import gcd, log10, prod
 
 from .complexes import (
     KnotExpressionError,
     canonical_expression,
-    expression_size,
     parse_knot_expression,
     parse_knot_factors,
     torus_knot_complex,
+    torus_knot_size,
 )
 from .exactnum import PiecewiseLinear
 from .semigroup import InvalidTorusKnotError, _torus_pair, alexander_torus, step_vector
@@ -58,7 +59,8 @@ def _check_size(expression: str, limit: int) -> None:
     # T(p,q) with 2 <= p < q has at least q generators: refuse it before counting
     pairs = [_torus_pair(p, q) for _, p, q in parse_knot_factors(expression)]
     at_least = [b for a, b in pairs if a > max(limit, 1)]
-    count = f"at least {at_least[0]}" if at_least else expression_size(expression)
+    count = (f"at least {at_least[0]}" if at_least
+             else prod(torus_knot_size(a, b) for a, b in pairs))
     if at_least or count > limit:
         raise ComplexTooLargeError(
             f"{expression} has {_count_text(count)} generators, "
@@ -457,22 +459,43 @@ def _unpad_dash_expressions(args, argv) -> None:
 
 
 @functools.cache
-def _parser() -> argparse.ArgumentParser:
-    # built on the first run(), not at import, and reused by every later call:
-    # parse_args returns a fresh Namespace with every default reapplied, and
-    # help and usage text are formatted when printed.  The cmd_* functions are
-    # bound through set_defaults(func=...) when the parser is built, so a patch
-    # of a cmd_* name made after the first run() in a process is not seen; the
-    # names those functions call (upsilon, upsilon2_at, ...) are still looked
-    # up on each call
-    return build_parser()
+def _parser() -> tuple[argparse.ArgumentParser, dict]:
+    # the top parser and its subparsers by command name, built on the first
+    # run(), not at import, and reused by every later call: a parse returns a
+    # fresh Namespace with every default reapplied, and help and usage text
+    # are formatted when printed.  The cmd_* functions are bound through
+    # set_defaults(func=...) when the parser is built, so a patch of a cmd_*
+    # name made after the first run() in a process is not seen; the names
+    # those functions call (upsilon, upsilon2_at, ...) are still looked up on
+    # each call
+    parser = build_parser()
+    # argparse names no public way to the subparsers action
+    commands = next(a.choices for a in parser._actions if a.dest == "command")
+    return parser, commands
+
+
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """The top parser's parse_args(argv), in one parse where argv[0] is a command.
+
+    Like the top parser, hand all after a command word to its subparser and
+    refuse what that leaves over; any other argv goes through the top parser.
+    """
+    parser, commands = _parser()
+    command = commands.get(argv[0]) if argv else None
+    if command is None:
+        return parser.parse_args(argv)
+    args, extras = command.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+    if extras:
+        # argparse's own message, translated as argparse translates it
+        parser.error(gettext("unrecognized arguments: %s") % " ".join(extras))
+    return args
 
 
 def run(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     argv = list(argv)
-    args = _parser().parse_args(_pad_dash_expressions(argv))
+    args = _parse(_pad_dash_expressions(argv))
     _unpad_dash_expressions(args, argv)
     # the one boundary for bad input; anything else is a bug and propagates
     try:

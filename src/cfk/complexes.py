@@ -573,19 +573,15 @@ def parse_knot_expression(text: str) -> BifilteredComplex:
     return reduce(tensor, parts)
 
 
-def expression_size(text: str) -> int:
-    """Generator count of the complex of a knot expression, without building it.
+def torus_knot_size(p: int, q: int) -> int:
+    """Generator count of the staircase of T(p,q), without building it.
 
-    A staircase has one generator per term of the Alexander polynomial, counted
-    in O(min(p,q)) by dividing each exponent run's span by its step (len() of a
-    range overflows past sys.maxsize); tensor products multiply, mirrors keep.
+    One generator per term of the Alexander polynomial, counted in O(min(p,q))
+    by dividing each exponent run's span by its step (len() of a range
+    overflows past sys.maxsize).
     """
-    size = 1
-    for _, p, q in parse_knot_factors(text):
-        a, b = _torus_pair(p, q)
-        if a > 1:
-            size *= sum((run.stop - run.start) // a for run in _exponent_runs(a, b))
-    return size
+    a, b = _torus_pair(p, q)
+    return 1 if a == 1 else sum((run.stop - run.start) // a for run in _exponent_runs(a, b))
 
 
 def canonical_expression(text: str) -> str:

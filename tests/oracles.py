@@ -8,9 +8,10 @@ sorted-row echelon on bitmasks, kept as the reference for the pivot-indexed
 one; in ``first_entry_per_batch`` and ``_h0_from_parts``, which run on it;
 and in the eager passes near the end, which the lazy sector engine
 replaced.  Then comes the walk over the generators that the engine made on
-every call before each complex carried its sector layout, and last the
-builders' tuples of named Generator values from before a complex stored its
-generators as columns.
+every call before each complex carried its sector layout, the builders'
+tuples of named Generator values from before a complex stored its
+generators as columns, and last an expression's generator count as the size
+guard takes it, from its factors' counts.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import reduce
 from itertools import combinations, groupby
-from math import gcd
+from math import gcd, prod
 
 from cfk import (
     Generator,
@@ -28,7 +29,7 @@ from cfk import (
     sector,
     step_vector,
 )
-from cfk.complexes import _mask, parse_knot_factors
+from cfk.complexes import _mask, parse_knot_factors, torus_knot_size
 from cfk.upsilon import _DirectChecker, level
 from cfk.upsilon2 import Gamma2Certificate, MergeWitness
 
@@ -557,3 +558,12 @@ def eager_expression_generators(text: str) -> tuple[Generator, ...]:
               else eager_staircase_generators(step_vector(alexander_torus(a, b))))
         parts.append(eager_dual_generators(gs) if sign < 0 else gs)
     return reduce(eager_tensor_generators, parts)
+
+
+# ---------------------------------------------------------------------------
+# the generator count of an expression, without building its complex
+
+
+def expression_size(text: str) -> int:
+    """Generator count of the complex of text: tensor products multiply, mirrors keep."""
+    return prod(torus_knot_size(p, q) for _, p, q in parse_knot_factors(text))

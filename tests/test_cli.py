@@ -633,6 +633,27 @@ class TestSizeGuard:
             assert count in err
         assert not (tmp_path / "u.csv").exists()
 
+    def test_the_size_is_counted_from_one_parse(self, capsys, monkeypatch):
+        import cfk.cli
+        import cfk.complexes
+
+        parses = []
+
+        class Counting(cfk.complexes._ExpressionScanner):
+            def __init__(self, text):
+                parses.append(text)
+                super().__init__(text)
+
+        monkeypatch.setattr(cfk.complexes, "_ExpressionScanner", Counting)
+        cfk.cli._check_size("T(3,4) # T(2,5)", 25)
+        assert parses == ["T(3,4) # T(2,5)"]
+        with pytest.raises(cfk.cli.ComplexTooLargeError, match="has 25 generators"):
+            cfk.cli._check_size("T(3,4) # T(2,5)", 24)
+        parses.clear()
+        # a miss: canonical form, the size, the report's canonical form, the complex
+        code, _, _ = run_capture(capsys, ["invariants", "T(2,5) # T(4,3)", "--no-timing"])
+        assert code == 0 and len(parses) == 4
+
     def test_limit_is_inclusive(self, capsys):
         # T(2,5) # T(5,6) has 45 generators
         code, _, _ = run_capture(
@@ -831,6 +852,10 @@ class TestParserReuse:
             (["--help"], None),
             (["invariants", "--help"], None),
             (["invariants", "T(3,4)", "--no-timing"], None),
+            # refused after the subparser has filled in its arguments
+            (["invariants", "T(3,4)", "--no-timing", "extra"], None),
+            (["invariants", "-T(3,4)", "--no-timing", "--cache", str(cache), "-x"], None),
+            (["invariants", "T(3,4)", "--no-timing"], None),
         ]
 
         def run_step(argv, env):
@@ -855,10 +880,14 @@ class TestParserReuse:
         assert fresh_parser.cache_info().misses == 1
 
         codes = [code for code, _, _ in expected]
-        assert codes == [0, 0, 0, 0, 0, 0, 2, 2, 0, 0, 0]
+        assert codes == [0, 0, 0, 0, 0, 0, 2, 2, 0, 0, 0, 2, 2, 0]
         served = [json.loads(out)["generator_count"] for _, out, _ in expected[2:6]]
         assert served == [1, 5, 1, 5]
         assert expected[1][1] and expected[8][1].startswith("usage: cfk")
+        assert expected[10] == expected[13]
+        assert [err.splitlines()[-1] for _, _, err in expected[11:13]] == [
+            "cfk: error: unrecognized arguments: extra",
+            "cfk: error: unrecognized arguments: -x"]
         assert os.listdir(cache) == [os.path.basename(entry)]
 
     def test_import_builds_no_parser(self):
@@ -901,3 +930,93 @@ class TestParserReuse:
         for name in ("dumps", "dump"):
             monkeypatch.setattr(cfk.cli.json, name, forbidden)
         assert run_capture(capsys, argv) == (0, fresh, "")
+
+
+# argvs that end in the parser, with a usage error or with help
+PARSE_EXITS = [
+    *[[command, "--help"] for command in
+      ("invariants", "verify-recursion", "distinguish", "conjecture", "plot", "staircase")],
+    ["invariants"], ["verify-recursion", "5"], ["distinguish", "T(2,3)"],
+    ["conjecture", "5"], ["plot", "T(2,3)"], ["staircase"],
+    ["invariants", "T(2,3)", "extra"], ["staircase", "2", "3", "4"],
+    ["distinguish", "T(2,3)", "T(3,4)", "T(2,5)", "--json"],
+    ["invariants", "T(2,3)", "--bogus"], ["conjecture", "5", "2", "--x=1"],
+    ["invariants", "T(2,3)", "--bogus", "x", "y"],
+    ["-h"], ["invariants", "-h"], ["invariants", "T(2,3)", "--he"], [],
+    ["invariant", "T(2,3)"], ["bogus"], ["--", "invariants", "T(2,3)"],
+    ["--help", "invariants"], ["-h", "staircase", "2", "3"],
+    ["--no-timing", "invariants", "T(2,3)"],
+    ["invariants", "-T(2,3)", "-T(3,4)"], ["distinguish", "-T(2,3)"], ["-T(2,3)"],
+    ["invariants", "--", "-T(2,3)", "-(T(2,3))"],
+    ["staircase", "x", "3"], ["invariants", "T(2,3)", "--max-generators", "0"],
+    ["invariants", "T(2,3)", "--m", "many"], ["invariants", "T(2,3)", "--cache"],
+    ["plot", "T(2,3)", "--out", "u.csv", "--format", "png"],
+]
+
+# argvs that parse, with the Namespace each must give
+PARSES = [
+    ["invariants", "T(2,3)"], ["invariants", "invariants"],
+    ["invariants", "-T(2,3)", "--no-timing", "--cache", "d", "--max-generators", "7"],
+    ["invariants", "--no", "-(T(2,3) # T(3,4))"], ["invariants", "--", "-T(2,3)"],
+    ["verify-recursion", "3", "7", "--json"], ["distinguish", "T(2,3)", "-T(2,3)", "--json"],
+    ["conjecture", "5", "2", "--max-generators=9"],
+    ["plot", "T(2,3)", "--out=u.svg", "--format", "svg"], ["staircase", "-5", "3"],
+]
+
+
+def parent_parse(argv):
+    """The Namespace of a fresh top parser, which hands a command to its subparser."""
+    from cfk.cli import _pad_dash_expressions, build_parser
+
+    return build_parser().parse_args(_pad_dash_expressions(argv))
+
+
+@pytest.fixture
+def count_parses(monkeypatch):
+    """A list that gets one entry per ArgumentParser.parse_known_args call."""
+    import argparse
+
+    calls = []
+    real = argparse.ArgumentParser.parse_known_args
+
+    def counting(self, *args, **kwargs):
+        calls.append(self.prog)
+        return real(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", counting)
+    return calls
+
+
+class TestDirectDispatch:
+    @pytest.mark.parametrize("argv", PARSE_EXITS, ids=" ".join)
+    def test_a_parse_exit_is_the_top_parsers(self, capsys, argv):
+        with pytest.raises(SystemExit) as expected:
+            parent_parse(argv)
+        expected_out = capsys.readouterr()
+        with pytest.raises(SystemExit) as got:
+            run(argv)
+        assert got.value.code == expected.value.code
+        assert capsys.readouterr() == expected_out
+
+    @pytest.mark.parametrize("argv", PARSES, ids=" ".join)
+    def test_a_parse_gives_the_top_parsers_namespace(self, argv):
+        from cfk.cli import _pad_dash_expressions, _parse
+
+        args, expected = _parse(_pad_dash_expressions(argv)), parent_parse(argv)
+        assert args == expected and list(vars(args)) == list(vars(expected))
+
+    @pytest.mark.parametrize("argv", [
+        ["invariants", "T(2,3)", "--no-timing"],
+        ["verify-recursion", "2", "5"],
+        ["distinguish", "T(2,3)", "-T(2,3)"],
+        ["conjecture", "5", "2"],
+        ["plot", "T(2,3)", "--out", "{tmp}/u.csv"],
+        ["staircase", "2", "3"],
+    ], ids=lambda argv: argv[0])
+    def test_each_command_parses_once(self, capsys, tmp_path, count_parses, argv):
+        argv = [a.format(tmp=tmp_path) for a in argv]
+        parent_parse(argv)
+        assert count_parses == ["cfk", f"cfk {argv[0]}"]
+        count_parses.clear()
+        assert run(argv) in (0, 1)
+        assert count_parses == [f"cfk {argv[0]}"]

@@ -23,9 +23,9 @@ from cfk import (
     torus_knot_complex,
     trivial_complex,
 )
-from cfk.complexes import _MAX_NESTING, expression_size, parse_knot_factors
+from cfk.complexes import _MAX_NESTING, parse_knot_factors, torus_knot_size
 from cfk.semigroup import StepVector
-from oracles import _h0_from_parts
+from oracles import _h0_from_parts, expression_size
 
 
 def by_point(c):
@@ -530,6 +530,13 @@ def test_expression_size_counts_generators_without_building():
     assert expression_size(" # ".join(["T(2,3)"] * 10)) == 3 ** 10
     with pytest.raises(InvalidTorusKnotError, match="coprime"):
         expression_size("T(2,3) # T(4,6)")
+
+
+def test_torus_knot_size_counts_generators_without_building():
+    for p, q in [(1, 1), (1, 7), (7, 1), (2, 3), (3, 2), (3, 7), (5, 12), (8, 9)]:
+        assert torus_knot_size(p, q) == len(torus_knot_complex(p, q).generators)
+    with pytest.raises(InvalidTorusKnotError, match="coprime"):
+        torus_knot_size(4, 6)
 
 
 def test_expression_size_does_not_enumerate_the_semigroup():

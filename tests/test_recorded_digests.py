@@ -16,8 +16,8 @@ from pathlib import Path
 
 from cfk import canonical_expression, parse_knot_expression
 from cfk.cli import run
-from cfk.complexes import expression_size
 from cfk.upsilon2 import upsilon2_at
+from oracles import expression_size
 
 DIGESTS = json.loads(
     (Path(__file__).resolve().parents[1] / "perfbench" / "digests.json").read_text())
