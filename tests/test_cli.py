@@ -953,7 +953,7 @@ PARSE_EXITS = [
     ["plot", "T(2,3)", "--out", "u.csv", "--format", "png"],
 ]
 
-# argvs that parse, with the Namespace each must give
+# argvs that parse
 PARSES = [
     ["invariants", "T(2,3)"], ["invariants", "invariants"],
     ["invariants", "-T(2,3)", "--no-timing", "--cache", "d", "--max-generators", "7"],
@@ -964,8 +964,8 @@ PARSES = [
 ]
 
 
-def parent_parse(argv):
-    """The Namespace of a fresh top parser, which hands a command to its subparser."""
+def top_parse(argv):
+    """parse_args of a fresh top parser, which hands a command word to its subparser."""
     from cfk.cli import _pad_dash_expressions, build_parser
 
     return build_parser().parse_args(_pad_dash_expressions(argv))
@@ -991,7 +991,7 @@ class TestDirectDispatch:
     @pytest.mark.parametrize("argv", PARSE_EXITS, ids=" ".join)
     def test_a_parse_exit_is_the_top_parsers(self, capsys, argv):
         with pytest.raises(SystemExit) as expected:
-            parent_parse(argv)
+            top_parse(argv)
         expected_out = capsys.readouterr()
         with pytest.raises(SystemExit) as got:
             run(argv)
@@ -1002,7 +1002,7 @@ class TestDirectDispatch:
     def test_a_parse_gives_the_top_parsers_namespace(self, argv):
         from cfk.cli import _pad_dash_expressions, _parse
 
-        args, expected = _parse(_pad_dash_expressions(argv)), parent_parse(argv)
+        args, expected = _parse(_pad_dash_expressions(argv)), top_parse(argv)
         assert args == expected and list(vars(args)) == list(vars(expected))
 
     @pytest.mark.parametrize("argv", [
@@ -1015,7 +1015,7 @@ class TestDirectDispatch:
     ], ids=lambda argv: argv[0])
     def test_each_command_parses_once(self, capsys, tmp_path, count_parses, argv):
         argv = [a.format(tmp=tmp_path) for a in argv]
-        parent_parse(argv)
+        top_parse(argv)
         assert count_parses == ["cfk", f"cfk {argv[0]}"]
         count_parses.clear()
         assert run(argv) in (0, 1)
