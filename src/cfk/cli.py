@@ -24,9 +24,9 @@ from math import gcd, log10, prod
 
 from .complexes import (
     KnotExpressionError,
-    canonical_expression,
-    parse_knot_expression,
-    parse_knot_factors,
+    canonical_factors,
+    knot_complex,
+    spell_expression,
     torus_knot_complex,
     torus_knot_size,
 )
@@ -54,16 +54,16 @@ class ComplexTooLargeError(ValueError):
     """The complex of an expression has more generators than the limit."""
 
 
-def _check_size(expression: str, limit: int) -> None:
-    """ComplexTooLargeError if the complex of expression would exceed limit generators."""
+def _check_size(factors, limit: int) -> None:
+    """ComplexTooLargeError if the complex of factors (sign, p, q) would exceed limit generators."""
     # T(p,q) with 2 <= p < q has at least q generators: refuse it before counting
-    pairs = [_torus_pair(p, q) for _, p, q in parse_knot_factors(expression)]
+    pairs = [_torus_pair(p, q) for _, p, q in factors]
     at_least = [b for a, b in pairs if a > max(limit, 1)]
     count = (f"at least {at_least[0]}" if at_least
              else prod(torus_knot_size(a, b) for a, b in pairs))
     if at_least or count > limit:
         raise ComplexTooLargeError(
-            f"{expression} has {_count_text(count)} generators, "
+            f"{spell_expression(factors)} has {_count_text(count)} generators, "
             f"more than --max-generators {limit}"
         )
 
@@ -94,8 +94,11 @@ def _upsilon2s(complex_, ups: PiecewiseLinear):
 
 def build_invariant_report(expression: str) -> dict:
     """Invariant report for a knot expression, without the timing field."""
-    canonical = canonical_expression(expression)
-    complex_ = parse_knot_expression(canonical)
+    return _invariant_report(canonical_factors(expression))
+
+
+def _invariant_report(factors) -> dict:
+    complex_ = knot_complex(factors)
     ups = upsilon(complex_)
     entries = []
     for t0, jump, value in _upsilon2s(complex_, ups):
@@ -107,7 +110,7 @@ def build_invariant_report(expression: str) -> dict:
         entries.append(entry)
     return {
         "schema_version": SCHEMA_VERSION,
-        "expression": canonical,
+        "expression": spell_expression(factors),
         "generator_count": len(complex_.generators),
         "upsilon": {"breakpoints": _breakpoints(ups)},
         "singularities": entries,
@@ -137,14 +140,15 @@ def _cache_path(cache_dir: str, canonical: str) -> str:
 def _read_cache(path: str, canonical: str):
     """The text of the cached report for canonical, or None for a miss.
 
-    An entry that cannot be read or parsed, is not a JSON object, has other
-    keys than a report, another expression or a schema version that is not
-    the int SCHEMA_VERSION (true and 1.0 compare equal to 1) is a miss, and
-    gets rewritten.
+    One raw read gives the entry, as strict UTF-8 with CRLF and CR read as
+    LF, as in text mode.  An entry that cannot be read or parsed, is not a
+    JSON object, has other keys than a report, another expression or a schema
+    version that is not the int SCHEMA_VERSION (true and 1.0 compare equal
+    to 1) is a miss, and gets rewritten.
     """
     try:
-        with open(path, encoding="utf-8") as fh:
-            text = fh.read()
+        with open(path, "rb", buffering=0) as fh:
+            text = fh.readall().decode().replace("\r\n", "\n").replace("\r", "\n")
         report = json.loads(text)
     except (OSError, ValueError):
         return None
@@ -172,14 +176,15 @@ def _write_cache(path: str, text: str) -> None:
 
 def cmd_invariants(args) -> int:
     started = time.perf_counter()
-    canonical = canonical_expression(args.expression)
+    factors = canonical_factors(args.expression)
+    canonical = spell_expression(factors)
     cache_dir = args.cache or os.environ.get(CACHE_ENV_VAR)
     text = None
     if cache_dir:
         text = _read_cache(_cache_path(cache_dir, canonical), canonical)
     if text is None:
-        _check_size(canonical, args.max_generators)
-        text = _json_text(build_invariant_report(canonical))
+        _check_size(factors, args.max_generators)
+        text = _json_text(_invariant_report(factors))
         if cache_dir:
             try:
                 _write_cache(_cache_path(cache_dir, canonical), text)
@@ -201,8 +206,8 @@ def recursion_report(p: int, q: int, max_generators: int = DEFAULT_MAX_GENERATOR
     """
     if _torus_pair(p, q) != (p, q) or p == q:
         raise InvalidTorusKnotError(f"need coprime 1 <= p < q, got ({p}, {q})")
-    for expression in (f"T({p},{q})", f"T({p},{q - p})", f"T({p},{p + 1})"):
-        _check_size(expression, max_generators)
+    for pair in ((p, q), (p, q - p), (p, p + 1)):
+        _check_size(((1, *pair),), max_generators)
     lhs = upsilon(torus_knot_complex(p, q))
     rhs = upsilon(torus_knot_complex(p, q - p)) + upsilon(torus_knot_complex(p, p + 1))
     gap = max(abs(v) for _, v in (lhs + -rhs).breakpoints)  # peaks at a breakpoint
@@ -233,16 +238,16 @@ def cmd_verify_recursion(args) -> int:
 
 def distinguish_report(expr1: str, expr2: str) -> dict:
     """Compare upsilon and, where defined, secondary upsilon of two expressions."""
-    canon1 = canonical_expression(expr1)
-    canon2 = canonical_expression(expr2)
-    complex1 = parse_knot_expression(canon1)
-    complex2 = parse_knot_expression(canon2)
-    ups1 = upsilon(complex1)
-    ups2 = upsilon(complex2)
+    return _compare(canonical_factors(expr1), canonical_factors(expr2))
+
+
+def _compare(factors1, factors2) -> dict:
+    complex1, complex2 = knot_complex(factors1), knot_complex(factors2)
+    ups1, ups2 = upsilon(complex1), upsilon(complex2)
     report = {
         "schema_version": SCHEMA_VERSION,
-        "expression_1": canon1,
-        "expression_2": canon2,
+        "expression_1": spell_expression(factors1),
+        "expression_2": spell_expression(factors2),
     }
     if ups1 != ups2:
         ts = sorted({t for t, _ in ups1.breakpoints} | {t for t, _ in ups2.breakpoints})
@@ -275,9 +280,11 @@ def distinguish_report(expr1: str, expr2: str) -> dict:
 
 
 def _distinguish(expr1: str, expr2: str, args) -> int:
+    sides = []
     for expression in (expr1, expr2):
-        _check_size(canonical_expression(expression), args.max_generators)
-    report = distinguish_report(expr1, expr2)
+        sides.append(canonical_factors(expression))
+        _check_size(sides[-1], args.max_generators)
+    report = _compare(*sides)
     if args.json:
         _emit_text(_json_text(report))
     elif report["distinguished"]:
@@ -336,10 +343,9 @@ def _svg_plot(ups: PiecewiseLinear) -> str:
 
 
 def cmd_plot(args) -> int:
-    canonical = canonical_expression(args.expression)
-    _check_size(canonical, args.max_generators)
-    complex_ = parse_knot_expression(canonical)
-    ups = upsilon(complex_)
+    factors = canonical_factors(args.expression)
+    _check_size(factors, args.max_generators)
+    ups = upsilon(knot_complex(factors))
     payload = ups.to_csv() if args.format == "csv" else _svg_plot(ups)
     try:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -352,7 +358,7 @@ def cmd_plot(args) -> int:
 
 def cmd_staircase(args) -> int:
     a, b = _torus_pair(args.p, args.q)
-    _check_size(f"T({args.p},{args.q})", args.max_generators)
+    _check_size(((1, args.p, args.q),), args.max_generators)
     complex_ = torus_knot_complex(args.p, args.q)
     steps = [] if a == 1 else list(step_vector(alexander_torus(a, b)).steps)
     _emit_text(_json_text({

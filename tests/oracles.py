@@ -10,8 +10,10 @@ and in the eager passes near the end, which the lazy sector engine
 replaced.  Then comes the walk over the generators that the engine made on
 every call before each complex carried its sector layout, the builders'
 tuples of named Generator values from before a complex stored its
-generators as columns, and last an expression's generator count as the size
-guard takes it, from its factors' counts.
+generators as columns, an expression's generator count as the size guard
+takes it, from its factors' counts, and last the recursive-descent scanner
+that read knot expressions one character at a time before one compiled
+pattern read them a token at a time.
 """
 
 from __future__ import annotations
@@ -24,12 +26,13 @@ from math import gcd, prod
 from cfk import (
     Generator,
     InvalidTorusKnotError,
+    KnotExpressionError,
     UnsupportedComplexError,
     alexander_torus,
     sector,
     step_vector,
 )
-from cfk.complexes import _mask, parse_knot_factors, torus_knot_size
+from cfk.complexes import _MAX_NESTING, _mask, parse_knot_factors, torus_knot_size
 from cfk.upsilon import _DirectChecker, level
 from cfk.upsilon2 import Gamma2Certificate, MergeWitness
 
@@ -567,3 +570,84 @@ def eager_expression_generators(text: str) -> tuple[Generator, ...]:
 def expression_size(text: str) -> int:
     """Generator count of the complex of text: tensor products multiply, mirrors keep."""
     return prod(torus_knot_size(p, q) for _, p, q in parse_knot_factors(text))
+
+
+# ---------------------------------------------------------------------------
+# knot expressions, read one character at a time by recursive descent
+
+
+class ExpressionScanner:
+    def __init__(self, text: str):
+        self.text = text
+        self.pos = 0
+        self.depth = 0
+
+    def skip_ws(self) -> None:
+        while self.pos < len(self.text) and self.text[self.pos].isspace():
+            self.pos += 1
+
+    def peek(self) -> str:
+        self.skip_ws()
+        return self.text[self.pos] if self.pos < len(self.text) else ""
+
+    def fail(self, message: str):
+        raise KnotExpressionError(message, self.pos)
+
+    def expect(self, ch: str) -> None:
+        if self.peek() != ch:
+            self.fail(f"expected {ch!r}")
+        self.pos += 1
+
+    def integer(self) -> int:
+        self.skip_ws()
+        start = self.pos
+        while self.pos < len(self.text) and self.text[self.pos].isdecimal():
+            self.pos += 1
+        if self.pos == start:
+            self.fail("expected an integer")
+        try:
+            return int(self.text[start:self.pos])
+        except ValueError:  # more digits than sys.get_int_max_str_digits()
+            digits, self.pos = self.pos - start, start
+            self.fail(f"integer of {digits} digits is too long")
+
+    def expr(self, sign: int) -> list[tuple[int, int, int]]:
+        factors = self.term(sign)
+        while self.peek() == "#":
+            self.pos += 1
+            factors.extend(self.term(sign))
+        return factors
+
+    def term(self, sign: int) -> list[tuple[int, int, int]]:
+        if self.peek() == "-":
+            self.pos += 1
+            sign = -sign
+        ch = self.peek()
+        if ch == "T":
+            self.pos += 1
+            self.expect("(")
+            p = self.integer()
+            self.expect(",")
+            q = self.integer()
+            self.expect(")")
+            return [(sign, p, q)]
+        if ch == "(":
+            if self.depth == _MAX_NESTING:
+                self.fail(f"parentheses nested deeper than {_MAX_NESTING}")
+            self.pos += 1
+            self.depth += 1
+            factors = self.expr(sign)
+            self.expect(")")
+            self.depth -= 1
+            return factors
+        self.fail("expected 'T(p,q)' or a parenthesised expression")
+
+
+def scanned_knot_factors(text: str) -> tuple[tuple[int, int, int], ...]:
+    """parse_knot_factors(text) by recursive descent, one character at a time."""
+    scanner = ExpressionScanner(text)
+    factors = scanner.expr(1)
+    scanner.skip_ws()
+    if scanner.pos != len(text):
+        scanner.fail("unexpected trailing input")
+    return tuple(factors)

@@ -229,6 +229,37 @@ class TestInvariants:
         )
         assert code == 0 and json.loads(out) == stored
 
+    def test_cache_whole_entry_with_cr_line_ends_is_served_with_lf(self, capsys, tmp_path):
+        from cfk.cli import _cache_path
+
+        entry = Path(_cache_path(str(tmp_path), "T(3,4)"))
+        # a changed value shows a hit; CRLF and lone CR each end some lines
+        stored = build_invariant_report("T(3,4)")
+        stored["generator_count"] = 1
+        lines = json.dumps(stored, indent=2).split("\n")
+        raw = "".join(line + ("\r\n", "\r")[k % 2] for k, line in enumerate(lines))
+        entry.write_bytes(raw.encode("utf-8"))
+        code, out, err = run_capture(
+            capsys, ["invariants", "T(3,4)", "--no-timing", "--cache", str(tmp_path)])
+        assert code == 0 and err == ""
+        assert out == "\n".join(lines) + "\n\n"
+        assert entry.read_bytes() == raw.encode("utf-8")
+
+    def test_cache_entry_that_is_not_utf8_is_a_miss(self, capsys, tmp_path):
+        from cfk.cli import _cache_path
+
+        entry = Path(_cache_path(str(tmp_path), "T(3,4)"))
+        # whole and a hit if read as Latin-1, or with the bad byte replaced
+        stored = build_invariant_report("T(3,4)")
+        stored["upsilon"]["breakpoints"][0][0] = "0é"
+        entry.write_bytes(json.dumps(stored, indent=2, ensure_ascii=False).encode("latin-1"))
+        argv = ["invariants", "T(3,4)", "--no-timing"]
+        code, out, err = run_capture(capsys, argv + ["--cache", str(tmp_path)])
+        assert code == 0 and err == ""
+        _, fresh, _ = run_capture(capsys, argv)
+        assert out == fresh
+        assert entry.read_bytes() + b"\n" == fresh.encode("utf-8")
+
     def test_cache_env_var(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setenv("CFK_CACHE_DIR", str(tmp_path / "envcache"))
         code, first, _ = run_capture(capsys, ["invariants", "T(2,3)", "--no-timing"])
@@ -606,6 +637,22 @@ def test_an_upsilon2_reference_is_found():
 TEN_TREFOILS = " # ".join(["T(2,3)"] * 10)
 
 
+@pytest.fixture
+def count_scans(monkeypatch):
+    """A list that gets the text of each scan of a knot expression."""
+    import cfk.complexes
+
+    scans = []
+    real = cfk.complexes.parse_knot_factors
+
+    def counting(text):
+        scans.append(text)
+        return real(text)
+
+    monkeypatch.setattr(cfk.complexes, "parse_knot_factors", counting)
+    return scans
+
+
 class TestSizeGuard:
     def test_refused_before_anything_is_built(self, capsys, monkeypatch, tmp_path):
         # every command that builds a complex answers from the factor sizes alone
@@ -614,7 +661,7 @@ class TestSizeGuard:
         def forbidden(*args, **kwargs):
             raise AssertionError("a complex was built")
 
-        monkeypatch.setattr(cfk.cli, "parse_knot_expression", forbidden)
+        monkeypatch.setattr(cfk.cli, "knot_complex", forbidden)
         monkeypatch.setattr(cfk.cli, "torus_knot_complex", forbidden)
         for argv, count in (
             (["invariants", TEN_TREFOILS], "59049"),
@@ -633,26 +680,20 @@ class TestSizeGuard:
             assert count in err
         assert not (tmp_path / "u.csv").exists()
 
-    def test_the_size_is_counted_from_one_parse(self, capsys, monkeypatch):
+    def test_the_size_is_counted_from_one_parse(self, capsys, monkeypatch, count_scans):
         import cfk.cli
-        import cfk.complexes
 
-        parses = []
-
-        class Counting(cfk.complexes._ExpressionScanner):
-            def __init__(self, text):
-                parses.append(text)
-                super().__init__(text)
-
-        monkeypatch.setattr(cfk.complexes, "_ExpressionScanner", Counting)
-        cfk.cli._check_size("T(3,4) # T(2,5)", 25)
-        assert parses == ["T(3,4) # T(2,5)"]
+        # the size is counted from the factors of the one scan
+        factors = cfk.cli.canonical_factors("T(3,4) # T(2,5)")
+        cfk.cli._check_size(factors, 25)
+        assert count_scans == ["T(3,4) # T(2,5)"]
         with pytest.raises(cfk.cli.ComplexTooLargeError, match="has 25 generators"):
-            cfk.cli._check_size("T(3,4) # T(2,5)", 24)
-        parses.clear()
-        # a miss: canonical form, the size, the report's canonical form, the complex
+            cfk.cli._check_size(factors, 24)
+        count_scans.clear()
+        # a miss: the canonical form, the size, the cache key and the complex
+        # all come from one scan
         code, _, _ = run_capture(capsys, ["invariants", "T(2,5) # T(4,3)", "--no-timing"])
-        assert code == 0 and len(parses) == 4
+        assert code == 0 and len(count_scans) == 1
 
     def test_limit_is_inclusive(self, capsys):
         # T(2,5) # T(5,6) has 45 generators
@@ -900,7 +941,7 @@ class TestParserReuse:
         )
         assert proc.returncode == 0 and proc.stdout == "0\n"
 
-    def test_a_hit_builds_nothing(self, capsys, tmp_path, monkeypatch):
+    def test_a_hit_builds_nothing(self, capsys, tmp_path, monkeypatch, count_scans):
         import cfk.cli
 
         argv = ["invariants", "T(3,4) # T(2,5)", "--no-timing", "--cache", str(tmp_path)]
@@ -910,9 +951,20 @@ class TestParserReuse:
         def forbidden(*args, **kwargs):
             raise AssertionError("a cache hit built something")
 
-        for name in ("parse_knot_expression", "upsilon", "_check_size"):
+        for name in ("knot_complex", "upsilon", "_check_size"):
             monkeypatch.setattr(cfk.cli, name, forbidden)
+        opened = []
+
+        def counting_open(*args, **kwargs):
+            opened.append(args[0])
+            return open(*args, **kwargs)
+
+        monkeypatch.setattr(cfk.cli, "open", counting_open, raising=False)
+        count_scans.clear()
         assert run_capture(capsys, argv) == (0, fresh, "")
+        # one scan of the expression and one open of the entry
+        assert count_scans == ["T(3,4) # T(2,5)"]
+        assert opened == [str(next(tmp_path.iterdir()))]
 
     def test_a_hit_encodes_nothing_and_prints_the_fresh_bytes(
             self, capsys, tmp_path, monkeypatch):

@@ -1,5 +1,7 @@
 import json
 import random
+import re
+import sys
 import time
 import tracemalloc
 from dataclasses import replace
@@ -7,6 +9,7 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from cfk import (
     BifilteredComplex,
@@ -23,9 +26,9 @@ from cfk import (
     torus_knot_complex,
     trivial_complex,
 )
-from cfk.complexes import _MAX_NESTING, parse_knot_factors, torus_knot_size
+from cfk.complexes import _MAX_NESTING, _TERM, parse_knot_factors, torus_knot_size
 from cfk.semigroup import StepVector
-from oracles import _h0_from_parts, expression_size
+from oracles import _h0_from_parts, expression_size, scanned_knot_factors
 
 
 def by_point(c):
@@ -481,6 +484,80 @@ class TestCanonicalExpression:
         assert canonical_expression("-T(3,4) # T(7,1) # -T(1,2)") == "-T(3,4)"
         assert canonical_expression("T(1,5) # -T(3,1)") == "T(1,1)"
         assert canonical_expression("T(1,1)") == "T(1,1)"
+
+
+# whitespace that str.isspace accepts past ASCII, a decimal digit past ASCII,
+# and a digit that is not decimal
+SPACES = [" ", "\t", "\n", "\u3000", "\x1c"]
+ALPHABET = ["T", "(", ")", ",", "-", "#", "0", "1", "2", "3", "9", "\u0663", "\u00b2", "x",
+            *SPACES]
+# integers at int()'s default digit limit, and nesting at the parser's limit
+LONG_INTEGERS = ["9" * 4300, "9" * 4301]
+LIMIT_PIECES = [*LONG_INTEGERS, *(opener * depth for opener in ("(", "-(")
+                                  for depth in (_MAX_NESTING, _MAX_NESTING + 1)),
+                ")" * _MAX_NESTING]
+
+spaces = st.lists(st.sampled_from(SPACES), max_size=2).map("".join)
+short_integers = st.integers(0, 30).map(str)
+integers = st.one_of(short_integers, short_integers, short_integers,
+                     st.sampled_from(["\u0663", "1\u0663", "07", *LONG_INTEGERS]))
+
+
+@st.composite
+def terms(draw, depth=0):
+    """A term of the grammar, with whitespace wherever the grammar allows it."""
+    ws = lambda: draw(spaces)  # noqa: E731
+    head = ws() + draw(st.sampled_from(["", "-"])) + ws()
+    if depth < 3 and draw(st.booleans()):
+        inner = [draw(terms(depth + 1)) for _ in range(draw(st.integers(1, 3)))]
+        return head + "(" + "#".join(inner) + ws() + ")"
+    return (head + "T" + ws() + "(" + ws() + draw(integers) + ws() + "," + ws()
+            + draw(integers) + ws() + ")")
+
+
+@st.composite
+def expressions(draw):
+    """A well-formed expression, maybe nested at the limit, maybe with a token
+    after it, maybe with one character changed."""
+    text = "#".join(draw(st.lists(terms(), min_size=1, max_size=3))) + draw(spaces)
+    depth = draw(st.sampled_from([0, 0, 0, 1, 2, _MAX_NESTING, _MAX_NESTING + 1]))
+    text = draw(st.sampled_from(["(", "-(", " ( "])) * depth + text + ")" * depth
+    text += draw(st.sampled_from(["", "", "", ")", "x", " T(2,3)", "(", "#", " -"]))
+    if draw(st.booleans()):
+        at = draw(st.integers(0, len(text)))
+        cut = draw(st.integers(0, 1))
+        text = text[:at] + draw(st.sampled_from(["", *ALPHABET])) + text[at + cut:]
+    return text
+
+
+def parse_outcome(parse, text):
+    """The factors parse reads from text, or its error's message and position."""
+    try:
+        return parse(text)
+    except KnotExpressionError as exc:
+        return str(exc), exc.position
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(text=st.one_of(
+    st.lists(st.sampled_from(ALPHABET + LIMIT_PIECES), max_size=24).map("".join),
+    expressions()))
+@example(text="\u3000T\x1c(2,\u0663)\x1c#-(T(2,3\u00b2))")
+@example(text="T(2," + "9" * 4300 + ")")
+@example(text="T(2," + "9" * 4301 + ")")
+@example(text="T(" + "9" * 4301 + ",3")
+@example(text="(" * _MAX_NESTING + "T(2,3)" + ")" * _MAX_NESTING)
+@example(text="-(" * (_MAX_NESTING + 1) + "T(2,3)" + ")" * (_MAX_NESTING + 1))
+def test_the_scanner_reads_as_the_recursive_descent(text):
+    # the same factors, or the same message at the same position
+    assert parse_outcome(parse_knot_factors, text) == parse_outcome(scanned_knot_factors, text)
+
+
+def test_the_token_pattern_reads_space_and_digits_as_str_does():
+    everything = "".join(map(chr, range(sys.maxunicode + 1)))
+    for pattern, accepts in ((r"\s", str.isspace), (r"\d", str.isdecimal)):
+        found = re.compile(pattern, _TERM.flags).findall(everything)
+        assert found == list(filter(accepts, everything))
 
 
 class TestJson:
