@@ -498,11 +498,11 @@ def _parse(argv: list[str]) -> argparse.Namespace:
 
 
 def run(argv=None) -> int:
-    if argv is None:
-        argv = sys.argv[1:]
-    argv = list(argv)
-    args = _parse(_pad_dash_expressions(argv))
-    _unpad_dash_expressions(args, argv)
+    argv = list(sys.argv[1:] if argv is None else argv)
+    dashed = any(a.startswith(_DASHED) for a in argv)  # else there is nothing to pad
+    args = _parse(_pad_dash_expressions(argv) if dashed else argv)
+    if dashed:
+        _unpad_dash_expressions(args, argv)
     # the one boundary for bad input; anything else is a bug and propagates
     try:
         return args.func(args)

@@ -25,11 +25,10 @@ import re
 from array import array
 from collections import namedtuple
 from collections.abc import Sequence
-from dataclasses import dataclass, field
 from functools import reduce
 from operator import eq, index, lt
 
-from .exactnum import check_integer
+from .exactnum import _Frozen, check_integer
 from .f2linalg import Echelon, first_entry
 from .semigroup import (
     StepVector,
@@ -52,14 +51,10 @@ class KnotExpressionError(ValueError):
         self.position = position
 
 
-@dataclass(frozen=True, slots=True)
-class Generator:
+class Generator(namedtuple("Generator", "name alg alex maslov")):
     """One bifiltered basis element."""
 
-    name: str
-    alg: int
-    alex: int
-    maslov: int
+    __slots__ = ()
 
 
 class GeneratorColumns(Sequence):
@@ -126,8 +121,7 @@ class GeneratorColumns(Sequence):
         return repr(tuple(self))
 
 
-@dataclass(frozen=True)
-class BifilteredComplex:
+class BifilteredComplex(_Frozen):
     """Finite generator set, GF(2) boundary, and a distinguished H_0 cycle.
 
     ``generators`` is any iterable of :class:`Generator`, stored as
@@ -146,11 +140,7 @@ class BifilteredComplex:
     part in equality, hashing or repr.
     """
 
-    generators: GeneratorColumns
-    boundary: tuple[tuple[int, ...], ...]
-    h0_rep: frozenset[int]
-    lam: int = field(init=False, repr=False, compare=False)
-    layout: SectorLayout = field(init=False, repr=False, compare=False)
+    _fields = ("generators", "boundary", "h0_rep")
 
     @classmethod
     def _derived(cls, generators: GeneratorColumns, boundary, h0_rep, lam: int,
@@ -171,20 +161,21 @@ class BifilteredComplex:
             object.__setattr__(c, "layout", layout)
         return c
 
-    def __post_init__(self):
+    def __init__(self, generators, boundary, h0_rep):
         """Check and canonicalise outside input once, then validate it."""
-        if not isinstance(self.generators, GeneratorColumns):
-            gens = tuple(self.generators)
+        if not isinstance(generators, GeneratorColumns):
+            gens = tuple(generators)
             for g in gens:
                 for name in ("alg", "alex", "maslov"):
                     check_integer(getattr(g, name), f"{name} of generator {g.name}")
             names = tuple(g.name for g in gens)
-            object.__setattr__(self, "generators", GeneratorColumns(
+            generators = GeneratorColumns(
                 *([getattr(g, name) for g in gens] for name in ("alg", "alex", "maslov")),
-                names.__getitem__, explicit_names=True))
-        object.__setattr__(self, "h0_rep", frozenset(self.h0_rep))
+                names.__getitem__, explicit_names=True)
+        object.__setattr__(self, "generators", generators)
+        object.__setattr__(self, "h0_rep", frozenset(h0_rep))
         rows = []
-        for i, row in enumerate(self.boundary):
+        for i, row in enumerate(boundary):
             row = row if type(row) is tuple else tuple(row)  # an iterator is read once
             for j in row:
                 check_integer(j, f"entry of boundary row {i}")

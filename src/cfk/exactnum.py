@@ -10,10 +10,8 @@ structural and pointwise equality.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Optional
 
 _LO = Fraction(0)
 _HI = Fraction(2)
@@ -58,8 +56,36 @@ def _collinear(p0, p1, p2) -> bool:
     return (v1 - v0) * (t2 - t1) == (v2 - v1) * (t1 - t0)
 
 
-@dataclass(frozen=True)
-class PiecewiseLinear:
+class _Frozen:
+    """A value whose fields, named in its class's ``_fields``, ``__init__`` sets once.
+
+    Values of one class with equal fields are equal and hash alike, the repr
+    reads ``Name(field=value, ...)``, and assigning or deleting raises AttributeError.
+    """
+
+    __slots__ = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        same = other.__class__ is self.__class__
+        return self._values() == other._values() if same else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot assign to or delete field '{name}'")
+
+    __delattr__ = __setattr__
+
+
+class PiecewiseLinear(_Frozen):
     """A piecewise-linear function on [0, 2], stored by its breakpoints.
 
     The constructor accepts any iterable of (t, value) pairs covering [0, 2]
@@ -67,10 +93,10 @@ class PiecewiseLinear:
     segments always have distinct slopes.
     """
 
-    breakpoints: tuple[tuple[Fraction, Fraction], ...]
+    _fields = ("breakpoints",)
 
-    def __post_init__(self):
-        pts = [(as_fraction(t), as_fraction(v)) for t, v in self.breakpoints]
+    def __init__(self, breakpoints):
+        pts = [(as_fraction(t), as_fraction(v)) for t, v in breakpoints]
         if len(pts) < 2:
             raise ValueError("a piecewise-linear function needs at least two breakpoints")
         for (a, _), (b, _) in zip(pts, pts[1:]):
@@ -90,7 +116,7 @@ class PiecewiseLinear:
     def _ts(self) -> list[Fraction]:
         return [t for t, _ in self.breakpoints]
 
-    def value_and_slopes(self, t) -> tuple[Fraction, Optional[Fraction], Optional[Fraction]]:
+    def value_and_slopes(self, t) -> tuple[Fraction, Fraction | None, Fraction | None]:
         """Exact value at t and the one-sided derivatives there, from one search.
 
         Between breakpoints the value is interpolated linearly.  A derivative

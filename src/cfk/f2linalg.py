@@ -12,8 +12,8 @@ one tagged :class:`Echelon`; the certificate verifiers keep their own.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Sequence
 from itertools import groupby, islice
-from typing import Iterable, Optional, Sequence
 
 
 class Echelon:
@@ -97,8 +97,7 @@ def by_threshold(thresholds: Sequence, columns, floor=None):
 
 
 def first_entry(batches: Iterable[tuple[object, list[Column]]], target: int,
-                ech: Optional[Echelon] = None,
-                ) -> tuple[Optional[object], Optional[int], list[int]]:
+                ech: Echelon | None = None) -> tuple[object | None, int | None, list[int]]:
     """First threshold at which target enters a filtered GF(2) span.
 
     ``batches`` yields (threshold, columns) in threshold order, each column a

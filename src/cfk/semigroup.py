@@ -9,11 +9,10 @@ exponent lists; the coefficient of t^(a_i) is (-1)^i.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import chain
 from math import gcd
 
-from .exactnum import check_integer
+from .exactnum import _Frozen, check_integer
 
 
 class InvalidTorusKnotError(ValueError):
@@ -34,14 +33,13 @@ def _torus_pair(p: int, q: int) -> tuple[int, int]:
     return a, b
 
 
-@dataclass(frozen=True)
-class AlexanderPolynomial:
+class AlexanderPolynomial(_Frozen):
     """Alternating-sign polynomial given by its strictly increasing exponents."""
 
-    exponents: tuple[int, ...]
+    _fields = ("exponents",)
 
-    def __post_init__(self):
-        exps = tuple(self.exponents)
+    def __init__(self, exponents):
+        exps = tuple(exponents)
         for e in exps:
             check_integer(e, "every exponent")
         object.__setattr__(self, "exponents", exps)
@@ -58,14 +56,13 @@ class AlexanderPolynomial:
                 raise ValueError("exponents are not symmetric about half the degree")
 
 
-@dataclass(frozen=True)
-class StepVector:
+class StepVector(_Frozen):
     """Alternating horizontal/vertical staircase steps, starting horizontal."""
 
-    steps: tuple[int, ...]
+    _fields = ("steps",)
 
-    def __post_init__(self):
-        steps = tuple(self.steps)
+    def __init__(self, steps):
+        steps = tuple(steps)
         for b in steps:
             check_integer(b, "every step")
         object.__setattr__(self, "steps", steps)

@@ -13,7 +13,7 @@ assumed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from itertools import chain, combinations
 
@@ -34,8 +34,7 @@ class BreakpointVerificationError(RuntimeError):
     """
 
 
-@dataclass(frozen=True)
-class SectorElement:
+class SectorElement(namedtuple("SectorElement", "index alg alex maslov")):
     """A U-translate of a generator, pinned to one homological grading.
 
     ``index`` is the generator's index in its complex and ``alg``, ``alex``
@@ -43,10 +42,7 @@ class SectorElement:
     ``c.generators[index]``, shifted by U^((its maslov - maslov) // 2).
     """
 
-    index: int
-    alg: int
-    alex: int
-    maslov: int
+    __slots__ = ()
 
 
 def sector(c: BifilteredComplex, m: int) -> tuple[SectorElement, ...]:
@@ -71,14 +67,10 @@ def level(t, e: SectorElement) -> Fraction:
     return half * e.alex + (1 - half) * e.alg
 
 
-@dataclass(frozen=True)
-class GammaCertificate:
-    """Witness for gamma(t) = s: a minimal-level cycle in the h0 class."""
+class GammaCertificate(namedtuple("GammaCertificate", "t s cycle levels")):
+    """Witness for gamma(t) = s: a minimal-level cycle in the h0 class and its levels at t."""
 
-    t: Fraction
-    s: Fraction
-    cycle: tuple[SectorElement, ...]
-    levels: tuple[Fraction, ...]
+    __slots__ = ()
 
 
 class _Memo(dict):

@@ -12,14 +12,13 @@ sign flipped on the minus side.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .complexes import BifilteredComplex, _mask
 from .exactnum import PiecewiseLinear, check_parameter
 from .upsilon import (
     CertificateError,
-    SectorElement,
     _DirectChecker,
     _SectorEngine,
     _check_elements,
@@ -30,21 +29,16 @@ class NotApplicableError(ValueError):
     """t0 is not a singularity with a positive slope jump."""
 
 
-@dataclass(frozen=True)
-class MergeWitness:
-    z_minus: frozenset[SectorElement]
-    z_plus: frozenset[SectorElement]
-    w: frozenset[SectorElement]
+class MergeWitness(namedtuple("MergeWitness", "z_minus z_plus w")):
+    """Three frozensets of :class:`SectorElement`: the side cycles and w."""
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Gamma2Certificate:
+class Gamma2Certificate(namedtuple("Gamma2Certificate", "t0 gamma gamma2 witness")):
     """gamma2 at t0 with the merging witness: dw = z_minus + z_plus."""
 
-    t0: Fraction
-    gamma: Fraction
-    gamma2: Fraction
-    witness: MergeWitness
+    __slots__ = ()
 
     def upsilon2(self) -> Fraction:
         return -2 * (self.gamma2 - self.gamma)

@@ -37,6 +37,11 @@ from cfk.upsilon import _DirectChecker, level
 from cfk.upsilon2 import Gamma2Certificate, MergeWitness
 
 
+def replace(record, **changes):
+    """A copy of one of the package's namedtuple records with some fields changed."""
+    return record._replace(**changes)
+
+
 # ---------------------------------------------------------------------------
 # naive GF(2) linear algebra on 0/1 lists
 

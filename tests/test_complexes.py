@@ -4,7 +4,6 @@ import re
 import sys
 import time
 import tracemalloc
-from dataclasses import replace
 from fractions import Fraction
 from math import gcd
 
@@ -28,7 +27,7 @@ from cfk import (
 )
 from cfk.complexes import _MAX_NESTING, _TERM, parse_knot_factors, torus_knot_size
 from cfk.semigroup import StepVector
-from oracles import _h0_from_parts, expression_size, scanned_knot_factors
+from oracles import _h0_from_parts, expression_size, replace, scanned_knot_factors
 
 
 def by_point(c):

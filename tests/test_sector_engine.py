@@ -12,7 +12,6 @@ import gc
 import random
 import sys
 from array import array
-from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
@@ -57,6 +56,7 @@ from oracles import (
     eager_side,
     level_slope,
     oracle_mask,
+    replace,
     sector_layout,
 )
 from test_basis_change import change_basis, filtered_moves

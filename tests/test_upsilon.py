@@ -1,6 +1,5 @@
 import random
 import re
-from dataclasses import replace
 from fractions import Fraction as F
 from math import gcd
 
@@ -31,7 +30,7 @@ from cfk.upsilon import (
     upsilon,
     verify_gamma_certificate,
 )
-from oracles import brute_gamma, closed_form_upsilon
+from oracles import brute_gamma, closed_form_upsilon, replace
 
 
 class TestLevel:
@@ -153,13 +152,17 @@ class TestGamma:
         with pytest.raises(CertificateError, match=message):
             verify_gamma_certificate(c, replace(cert, **{field: value}))
 
-    # the genuine cycle as a list holds the right elements in the wrong container
-    @pytest.mark.parametrize("cycle", [None, 5, [[1]], ((1, 0),), "list"], ids=repr)
+    # the genuine cycle as a list holds the right elements in the wrong
+    # container; as "tuples" it holds plain tuples equal to the right elements
+    @pytest.mark.parametrize("cycle", [None, 5, [[1]], ((1, 0),), "list", "tuples"], ids=repr)
     def test_malformed_cycle_rejected(self, cycle):
         c = torus_knot_complex(3, 4)
         cert = gamma_at(c, F(1))
         if cycle == "list":
             cycle = list(cert.cycle)
+        elif cycle == "tuples":
+            cycle = tuple(map(tuple, cert.cycle))
+            assert cycle == cert.cycle
         with pytest.raises(CertificateError, match="cycle must be a tuple of SectorElements"):
             verify_gamma_certificate(c, replace(cert, cycle=cycle))
 

@@ -23,7 +23,7 @@ from cfk.upsilon2 import (
     upsilon2_at,
     verify_gamma2_certificate,
 )
-from oracles import brute_gamma2, eager_side
+from oracles import brute_gamma2, eager_side, replace
 
 
 def points(elems):
@@ -227,8 +227,6 @@ class TestGamma2:
         # T(3,4) at 2/3: z_minus = x0 and z_plus = x2 merge through w = x1.
         # Each is a class cycle at level gamma on the other side too, but
         # there the other one's slope puts it strictly below
-        from dataclasses import replace
-
         c = torus_knot_complex(3, 4)
         cert = gamma2_at(c, F(2, 3))
         w = cert.witness
@@ -241,8 +239,6 @@ class TestGamma2:
         # T(5,7) at 4/5: gamma = 19/5, gamma2 = 23/5 and the grading-1
         # levels from 22/5 up are 22/5, 23/5, 27/5, ...; a gamma2 below gamma,
         # or strictly between two of these levels, is refused by name
-        from dataclasses import replace
-
         c = torus_knot_complex(5, 7)
         cert = gamma2_at(c, F(4, 5))
         assert (cert.gamma, cert.gamma2) == (F(19, 5), F(23, 5))
@@ -280,22 +276,20 @@ class TestGamma2:
               ("T(3,5)", 1, "gamma2", 2.0), ("T(4,5)", F(1, 2), "gamma2", 2.25))),
     ])
     def test_inexact_parameter_rejected(self, expr, t0, field, value):
-        from dataclasses import replace
-
         c = parse_knot_expression(expr)
         cert = gamma2_at(c, t0)
         with pytest.raises(CertificateError, match=f"{field} must be an int or a Fraction"):
             verify_gamma2_certificate(c, replace(cert, **{field: value}))
 
-    # "set" stands for the genuine elements of that field in a set, not a frozenset
+    # "set" stands for the genuine elements of that field in a set, not a
+    # frozenset, and "tuples" for a frozenset of plain tuples equal to them
     @pytest.mark.parametrize("field, value", [
         ("witness", None), ("witness", (frozenset(),) * 3),
         ("w", None), ("w", 7), ("w", frozenset({7})), ("w", "set"),
         ("z_minus", None), ("z_minus", "set"), ("z_plus", (1,)), ("z_plus", "set"),
+        ("z_minus", "tuples"), ("z_plus", "tuples"), ("w", "tuples"),
     ], ids=repr)
     def test_malformed_witness_rejected(self, field, value):
-        from dataclasses import replace
-
         c = torus_knot_complex(3, 4)
         cert = gamma2_at(c, F(2, 3))
         if field == "witness":
@@ -303,6 +297,9 @@ class TestGamma2:
         else:
             if value == "set":
                 value = set(getattr(cert.witness, field))
+            elif value == "tuples":
+                value = frozenset(map(tuple, getattr(cert.witness, field)))
+                assert value == getattr(cert.witness, field)
             tampered = replace(cert, witness=replace(cert.witness, **{field: value}))
             message = f"{field} must be a frozenset of SectorElements"
         with pytest.raises(CertificateError, match=message):
@@ -310,10 +307,11 @@ class TestGamma2:
 
 
 # each verifier refuses anything but its own certificate before it reads a
-# field: None, a string, the other verifier's certificate, and a look-alike
-# holding the genuine certificate's fields
+# field: None, a string, the other verifier's certificate, a look-alike
+# holding the genuine certificate's fields, and a bare tuple of them, which
+# compares equal to the genuine certificate
 @pytest.mark.parametrize("kind", ["gamma", "gamma2"])
-@pytest.mark.parametrize("value", [None, "x", "other", "look-alike"])
+@pytest.mark.parametrize("value", [None, "x", "other", "look-alike", "tuple"])
 def test_a_non_certificate_is_refused(kind, value):
     from types import SimpleNamespace
 
@@ -323,7 +321,9 @@ def test_a_non_certificate_is_refused(kind, value):
         "gamma": (verify_gamma_certificate, "gamma2", "GammaCertificate"),
         "gamma2": (verify_gamma2_certificate, "gamma", "Gamma2Certificate"),
     }[kind]
-    fake = {"other": certs[other], "look-alike": SimpleNamespace(**vars(certs[kind]))}
+    fake = {"other": certs[other], "look-alike": SimpleNamespace(**certs[kind]._asdict()),
+            "tuple": tuple(certs[kind])}
+    assert fake["tuple"] == certs[kind]
     with pytest.raises(CertificateError, match=f"^certificate must be a {name}$"):
         verify(c, fake.get(value, value))
 
