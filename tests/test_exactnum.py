@@ -4,10 +4,10 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, strategies as st
 
-from cfk import parse_knot_expression, torus_knot_complex
+from cfk import Generator, StepVector, alexander_torus, parse_knot_expression, torus_knot_complex
 from cfk.exactnum import CSV_HEADER, DomainError, PiecewiseLinear
-from cfk.upsilon import gamma_at
-from cfk.upsilon2 import upsilon2_at
+from cfk.upsilon import gamma_at, sector
+from cfk.upsilon2 import gamma2_at, upsilon2_at
 
 
 def tent(depth=F(-1)):
@@ -203,3 +203,58 @@ def test_inexact_parameter_refused(call, t):
     with pytest.raises(TypeError, match="floating point" if isinstance(t, float)
                        else "expected an int or a Fraction"):
         call(t)
+
+
+# the value classes that check their input, built twice each, and the
+# fields that their equality, hash and repr read
+FROZEN_VALUES = {
+    "PiecewiseLinear": (tent, ("breakpoints",)),
+    "AlexanderPolynomial": (lambda: alexander_torus(2, 3), ("exponents",)),
+    "StepVector": (lambda: StepVector((1, 1)), ("steps",)),
+    "BifilteredComplex": (lambda: torus_knot_complex(2, 3), ("generators", "boundary", "h0_rep")),
+}
+
+
+@pytest.mark.parametrize("name", FROZEN_VALUES)
+def test_a_value_class_is_a_frozen_value_over_its_fields(name):
+    build, fields = FROZEN_VALUES[name]
+    value, twin = build(), build()
+    values = tuple(getattr(value, f) for f in fields)
+    # equal and hashed as the tuple of its fields, as a frozen dataclass is
+    assert value is not twin and value == twin and hash(value) == hash(values)
+    assert repr(value) == f"{name}({', '.join(f'{f}={v!r}' for f, v in zip(fields, values))})"
+    # equal only to a value of its own class
+    other = type("Other", (type(value),), {})(*values)
+    assert value != other and other != value and value != values
+    for f in (*fields, "lam", "extra"):
+        with pytest.raises(AttributeError):
+            setattr(value, f, None)
+    for f in fields:
+        with pytest.raises(AttributeError):
+            delattr(value, f)
+    assert value == twin and tuple(getattr(value, f) for f in fields) == values
+
+
+# the plain records, and the fields their repr reads
+RECORDS = {
+    "Generator": (lambda: Generator("a", 0, 1, 2), ("name", "alg", "alex", "maslov")),
+    "SectorElement": (lambda: sector(torus_knot_complex(3, 4), 0)[1],
+                      ("index", "alg", "alex", "maslov")),
+    "GammaCertificate": (lambda: gamma_at(torus_knot_complex(3, 4), 1), ("t", "s", "cycle", "levels")),
+    "Gamma2Certificate": (lambda: gamma2_at(torus_knot_complex(3, 4), F(2, 3)),
+                          ("t0", "gamma", "gamma2", "witness")),
+    "MergeWitness": (lambda: gamma2_at(torus_knot_complex(3, 4), F(2, 3)).witness,
+                     ("z_minus", "z_plus", "w")),
+}
+
+
+@pytest.mark.parametrize("name", RECORDS)
+def test_a_record_reads_by_field_and_refuses_assignment(name):
+    build, fields = RECORDS[name]
+    record = build()
+    values = tuple(getattr(record, f) for f in fields)
+    assert record == build() and hash(record) == hash(values)
+    assert repr(record) == f"{name}({', '.join(f'{f}={v!r}' for f, v in zip(fields, values))})"
+    for f in fields:
+        with pytest.raises(AttributeError):
+            setattr(record, f, None)
