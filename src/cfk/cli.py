@@ -16,24 +16,46 @@ import functools
 import json
 import os
 import sys
-import tempfile
 import time
-from fractions import Fraction
 from gettext import gettext
+from importlib import import_module
 from math import gcd, log10, prod
 
-from .complexes import (
+from .expressions import (
+    InvalidTorusKnotError,
     KnotExpressionError,
     canonical_factors,
-    knot_complex,
     spell_expression,
-    torus_knot_complex,
-    torus_knot_size,
 )
-from .exactnum import PiecewiseLinear
-from .semigroup import InvalidTorusKnotError, _torus_pair, alexander_torus, step_vector
-from .upsilon import upsilon
-from .upsilon2 import upsilon2_at
+
+# The names that compute, by the module that holds them.  Each is bound as a
+# global of this module when a command first builds something (_bind) or when
+# another module first reads it (__getattr__), so that a cache hit, a syntax
+# error or --help loads none of these modules.  A name already bound, as a
+# patch binds it, is kept, and every call looks it up as a global.
+_COMPUTING = {
+    "fractions": ("Fraction",),
+    ".complexes": ("knot_complex", "torus_knot_complex", "torus_knot_size"),
+    ".exactnum": ("PiecewiseLinear",),
+    ".semigroup": ("_torus_pair", "alexander_torus", "step_vector"),
+    ".upsilon": ("upsilon",),
+    ".upsilon2": ("upsilon2_at",),
+}
+
+
+def _bind() -> None:
+    names = globals()
+    for module, attrs in _COMPUTING.items():
+        for attr in attrs:
+            if attr not in names:
+                names[attr] = getattr(import_module(module, __package__), attr)
+
+
+def __getattr__(name):
+    if not any(name in attrs for attrs in _COMPUTING.values()):
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    _bind()
+    return globals()[name]
 
 SCHEMA_VERSION = 1
 CACHE_ENV_VAR = "CFK_CACHE_DIR"
@@ -56,6 +78,7 @@ class ComplexTooLargeError(ValueError):
 
 def _check_size(factors, limit: int) -> None:
     """ComplexTooLargeError if the complex of factors (sign, p, q) would exceed limit generators."""
+    _bind()
     # T(p,q) with 2 <= p < q has at least q generators: refuse it before counting
     pairs = [_torus_pair(p, q) for _, p, q in factors]
     at_least = [b for a, b in pairs if a > max(limit, 1)]
@@ -98,6 +121,7 @@ def build_invariant_report(expression: str) -> dict:
 
 
 def _invariant_report(factors) -> dict:
+    _bind()
     complex_ = knot_complex(factors)
     ups = upsilon(complex_)
     entries = []
@@ -162,6 +186,8 @@ def _read_cache(path: str, canonical: str):
 
 def _write_cache(path: str, text: str) -> None:
     """Write an entry whole or not at all: a temp file beside it, then os.replace."""
+    import tempfile  # here, as only a miss with a cache writes
+
     directory = os.path.dirname(path)
     os.makedirs(directory, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
@@ -204,6 +230,7 @@ def recursion_report(p: int, q: int, max_generators: int = DEFAULT_MAX_GENERATOR
     Parameters equal to 1 denote the unknot complex, which makes the
     recursion bottom out.
     """
+    _bind()
     if _torus_pair(p, q) != (p, q) or p == q:
         raise InvalidTorusKnotError(f"need coprime 1 <= p < q, got ({p}, {q})")
     for pair in ((p, q), (p, q - p), (p, p + 1)):
@@ -242,6 +269,7 @@ def distinguish_report(expr1: str, expr2: str) -> dict:
 
 
 def _compare(factors1, factors2) -> dict:
+    _bind()
     complex1, complex2 = knot_complex(factors1), knot_complex(factors2)
     ups1, ups2 = upsilon(complex1), upsilon(complex2)
     report = {
@@ -357,8 +385,8 @@ def cmd_plot(args) -> int:
 
 
 def cmd_staircase(args) -> int:
-    a, b = _torus_pair(args.p, args.q)
     _check_size(((1, args.p, args.q),), args.max_generators)
+    a, b = _torus_pair(args.p, args.q)
     complex_ = torus_knot_complex(args.p, args.q)
     steps = [] if a == 1 else list(step_vector(alexander_torus(a, b)).steps)
     _emit_text(_json_text({

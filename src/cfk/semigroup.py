@@ -13,10 +13,7 @@ from itertools import chain
 from math import gcd
 
 from .exactnum import _Frozen, check_integer
-
-
-class InvalidTorusKnotError(ValueError):
-    """The pair (p, q) does not describe a torus knot in scope."""
+from .expressions import InvalidTorusKnotError
 
 
 def _torus_pair(p: int, q: int) -> tuple[int, int]:

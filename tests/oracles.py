@@ -32,7 +32,8 @@ from cfk import (
     sector,
     step_vector,
 )
-from cfk.complexes import _MAX_NESTING, _mask, parse_knot_factors, torus_knot_size
+from cfk.complexes import _mask, torus_knot_size
+from cfk.expressions import _MAX_NESTING, parse_knot_factors
 from cfk.upsilon import _DirectChecker, level
 from cfk.upsilon2 import Gamma2Certificate, MergeWitness
 

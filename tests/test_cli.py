@@ -640,16 +640,16 @@ TEN_TREFOILS = " # ".join(["T(2,3)"] * 10)
 @pytest.fixture
 def count_scans(monkeypatch):
     """A list that gets the text of each scan of a knot expression."""
-    import cfk.complexes
+    import cfk.expressions
 
     scans = []
-    real = cfk.complexes.parse_knot_factors
+    real = cfk.expressions.parse_knot_factors
 
     def counting(text):
         scans.append(text)
         return real(text)
 
-    monkeypatch.setattr(cfk.complexes, "parse_knot_factors", counting)
+    monkeypatch.setattr(cfk.expressions, "parse_knot_factors", counting)
     return scans
 
 

@@ -25,7 +25,8 @@ from cfk import (
     torus_knot_complex,
     trivial_complex,
 )
-from cfk.complexes import _MAX_NESTING, _TERM, parse_knot_factors, torus_knot_size
+from cfk.complexes import torus_knot_size
+from cfk.expressions import _MAX_NESTING, _TERM, parse_knot_factors
 from cfk.semigroup import StepVector
 from oracles import _h0_from_parts, expression_size, replace, scanned_knot_factors
 
