@@ -28,11 +28,12 @@ from .expressions import (
     spell_expression,
 )
 
-# The names that compute, by the module that holds them.  Each is bound as a
-# global of this module when a command first builds something (_bind) or when
-# another module first reads it (__getattr__), so that a cache hit, a syntax
-# error or --help loads none of these modules.  A name already bound, as a
-# patch binds it, is kept, and every call looks it up as a global.
+# The names that compute, by the module that holds them.  _bind makes each a
+# global of this module in the size guard, which every command passes before
+# it builds, and in recursion_report; __getattr__ does when another module
+# reads one first.  So a cache hit, a syntax error or --help loads none of
+# these modules.  A name already bound, as a patch binds it, is kept, and
+# every call looks it up as a global.
 _COMPUTING = {
     "fractions": ("Fraction",),
     ".complexes": ("knot_complex", "torus_knot_complex", "torus_knot_size"),
@@ -115,13 +116,7 @@ def _upsilon2s(complex_, ups: PiecewiseLinear):
         yield t0, jump, upsilon2_at(complex_, t0, ups=ups) if jump > 0 else None
 
 
-def build_invariant_report(expression: str) -> dict:
-    """Invariant report for a knot expression, without the timing field."""
-    return _invariant_report(canonical_factors(expression))
-
-
 def _invariant_report(factors) -> dict:
-    _bind()
     complex_ = knot_complex(factors)
     ups = upsilon(complex_)
     entries = []
@@ -263,13 +258,7 @@ def cmd_verify_recursion(args) -> int:
     return EXIT_OK if report["equal"] else EXIT_UNEQUAL
 
 
-def distinguish_report(expr1: str, expr2: str) -> dict:
-    """Compare upsilon and, where defined, secondary upsilon of two expressions."""
-    return _compare(canonical_factors(expr1), canonical_factors(expr2))
-
-
 def _compare(factors1, factors2) -> dict:
-    _bind()
     complex1, complex2 = knot_complex(factors1), knot_complex(factors2)
     ups1, ups2 = upsilon(complex1), upsilon(complex2)
     report = {

@@ -69,8 +69,6 @@ class StepVector(_Frozen):
             raise ValueError("steps must be positive")
         if steps != steps[::-1]:
             raise ValueError("step vector must be palindromic")
-        if sum(steps[0::2]) != sum(steps[1::2]):
-            raise ValueError("horizontal and vertical steps must balance")
 
     @property
     def vertical(self) -> tuple[int, ...]:

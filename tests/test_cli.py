@@ -10,13 +10,36 @@ from pathlib import Path
 import pytest
 
 from cfk import InvalidTorusKnotError, PiecewiseLinear, parse_knot_expression, upsilon
-from cfk.cli import SCHEMA_VERSION, build_invariant_report, distinguish_report, recursion_report, run
+from cfk.cli import SCHEMA_VERSION, recursion_report, run
+
+
+@pytest.fixture(autouse=True)
+def no_ambient_cache(monkeypatch):
+    """A cache directory set in the caller's environment would turn misses into hits."""
+    monkeypatch.delenv("CFK_CACHE_DIR", raising=False)
 
 
 def run_capture(capsys, argv):
     code = run(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def printed_report(capsys, argv):
+    """The JSON object that run(argv) prints, for an argv that exits 0 or 1."""
+    code, out, err = run_capture(capsys, argv)
+    assert code in (0, 1) and err == ""
+    return json.loads(out)
+
+
+def invariants_json(capsys, expression):
+    """The report of ``cfk invariants expression --no-timing``."""
+    return printed_report(capsys, ["invariants", expression, "--no-timing"])
+
+
+def distinguish_json(capsys, expr1, expr2):
+    """The report of ``cfk distinguish expr1 expr2 --json``."""
+    return printed_report(capsys, ["distinguish", expr1, expr2, "--json"])
 
 
 def child_env():
@@ -162,14 +185,14 @@ class TestInvariants:
         assert json.loads(entry.read_text(encoding="utf-8")) == json.loads(fresh)
 
     def test_cache_truncated_entry_is_a_miss(self, capsys, tmp_path):
-        report = json.dumps(build_invariant_report("T(3,4)"), indent=2)
+        report = json.dumps(invariants_json(capsys, "T(3,4)"), indent=2)
         self._bad_entry_is_a_miss(capsys, tmp_path, report[: len(report) // 2])
 
     def test_cache_empty_object_is_a_miss(self, capsys, tmp_path):
         self._bad_entry_is_a_miss(capsys, tmp_path, "{}")
 
     def test_cache_entry_for_another_expression_is_a_miss(self, capsys, tmp_path):
-        other = json.dumps(build_invariant_report("T(2,3)"), indent=2)
+        other = json.dumps(invariants_json(capsys, "T(2,3)"), indent=2)
         self._bad_entry_is_a_miss(capsys, tmp_path, other)
 
     def test_cache_partial_report_is_a_miss(self, capsys, tmp_path):
@@ -179,7 +202,7 @@ class TestInvariants:
     @pytest.mark.parametrize("version", [True, 1.0])
     def test_cache_schema_version_of_another_type_is_a_miss(self, capsys, tmp_path, version):
         # both compare equal to 1, but a hit would print them as stored
-        report = dict(build_invariant_report("T(3,4)"), schema_version=version)
+        report = dict(invariants_json(capsys, "T(3,4)"), schema_version=version)
         self._bad_entry_is_a_miss(capsys, tmp_path, json.dumps(report, indent=2))
 
     def test_timing_is_the_last_field_on_a_miss_and_on_a_hit(self, capsys, tmp_path):
@@ -202,7 +225,7 @@ class TestInvariants:
         from cfk.cli import _cache_path
 
         entry = Path(_cache_path(str(tmp_path), "T(3,4)"))
-        stored = json.dumps(build_invariant_report("T(3,4)"))
+        stored = json.dumps(invariants_json(capsys, "T(3,4)"))
         entry.write_text(stored, encoding="utf-8")
         argv = ["invariants", "T(3,4)", "--cache", str(tmp_path)]
         code, out, _ = run_capture(capsys, argv + ["--no-timing"])
@@ -211,7 +234,7 @@ class TestInvariants:
         assert code == 0
         report = json.loads(out)
         assert list(report)[-1] == "timing_ms" and type(report.pop("timing_ms")) is int
-        assert report == build_invariant_report("T(3,4)")
+        assert report == invariants_json(capsys, "T(3,4)")
         assert entry.read_text(encoding="utf-8") == stored
 
     def test_cache_whole_entry_is_a_hit(self, capsys, tmp_path):
@@ -221,7 +244,7 @@ class TestInvariants:
         cache.mkdir()
         entry = cache / os.path.basename(_cache_path(str(cache), "T(3,4)"))
         # a whole report is served as it stands, so a changed value shows a hit
-        stored = build_invariant_report("T(3,4)")
+        stored = invariants_json(capsys, "T(3,4)")
         stored["generator_count"] = 1
         entry.write_text(json.dumps(stored, indent=2), encoding="utf-8")
         code, out, _ = run_capture(
@@ -234,7 +257,7 @@ class TestInvariants:
 
         entry = Path(_cache_path(str(tmp_path), "T(3,4)"))
         # a changed value shows a hit; CRLF and lone CR each end some lines
-        stored = build_invariant_report("T(3,4)")
+        stored = invariants_json(capsys, "T(3,4)")
         stored["generator_count"] = 1
         lines = json.dumps(stored, indent=2).split("\n")
         raw = "".join(line + ("\r\n", "\r")[k % 2] for k, line in enumerate(lines))
@@ -250,7 +273,7 @@ class TestInvariants:
 
         entry = Path(_cache_path(str(tmp_path), "T(3,4)"))
         # whole and a hit if read as Latin-1, or with the bad byte replaced
-        stored = build_invariant_report("T(3,4)")
+        stored = invariants_json(capsys, "T(3,4)")
         stored["upsilon"]["breakpoints"][0][0] = "0é"
         entry.write_bytes(json.dumps(stored, indent=2, ensure_ascii=False).encode("latin-1"))
         argv = ["invariants", "T(3,4)", "--no-timing"]
@@ -436,6 +459,23 @@ class TestPlot:
         run_capture(capsys, ["plot", "T(5,7)", "--out", str(out2), "--format", "svg"])
         assert out2.read_text() == text
 
+    def test_svg_of_a_flat_upsilon(self, capsys, tmp_path):
+        # every value is 0, so the plot spans [-1, 1] and the curve is the axis
+        out_file = tmp_path / "flat.svg"
+        code, out, err = run_capture(
+            capsys, ["plot", "T(1,1)", "--out", str(out_file), "--format", "svg"]
+        )
+        assert (code, out, err) == (0, "", "")
+        assert out_file.read_text(encoding="utf-8") == (
+            '<svg xmlns="http://www.w3.org/2000/svg" width="640" height="480" '
+            'viewBox="0 0 640 480">\n'
+            '<line x1="48.00" y1="240.00" x2="592.00" y2="240.00" stroke="#999" '
+            'stroke-width="1"/>\n'
+            '<polyline fill="none" stroke="#1f5fa8" stroke-width="2" '
+            'points="48.00,240.00 592.00,240.00"/>\n'
+            "</svg>\n"
+        )
+
     def test_io_error_exits_3(self, capsys, tmp_path):
         code, _, err = run_capture(
             capsys,
@@ -496,12 +536,12 @@ class TestReportHelpers:
         with pytest.raises(InvalidTorusKnotError):
             recursion_report(p, q)
 
-    def test_build_report_counts(self):
-        report = build_invariant_report("T(2,5) # T(5,6)")
+    def test_build_report_counts(self, capsys):
+        report = invariants_json(capsys, "T(2,5) # T(5,6)")
         assert report["generator_count"] == 45
 
-    def test_distinguish_report_lists_separating_singularities(self):
-        report = distinguish_report("T(5,7)", "T(2,5) # T(5,6)")
+    def test_distinguish_report_lists_separating_singularities(self, capsys):
+        report = distinguish_json(capsys, "T(5,7)", "T(2,5) # T(5,6)")
         assert {"t": "4/5", "values": ["-8/5", "-12/5"]} in report[
             "separating_singularities"
         ]
@@ -510,17 +550,17 @@ class TestReportHelpers:
             "separating_singularities"
         ]
 
-    def test_report_solves_no_class_functional(self, monkeypatch):
+    def test_report_solves_no_class_functional(self, capsys, monkeypatch):
         # upsilon and every gamma2 build their own tables, and all of them
         # read the functional the builders derived
         solved = _count_functionals(monkeypatch)
-        report = build_invariant_report("-T(2,3) # T(5,6)")
+        report = invariants_json(capsys, "-T(2,3) # T(5,6)")
         assert sum(s["upsilon2"] is not None for s in report["singularities"]) >= 2
         assert solved == []
 
-    def test_distinguish_solves_no_class_functional(self, monkeypatch):
+    def test_distinguish_solves_no_class_functional(self, capsys, monkeypatch):
         solved = _count_functionals(monkeypatch)
-        report = distinguish_report("T(5,7)", "T(2,5) # T(5,6)")
+        report = distinguish_json(capsys, "T(5,7)", "T(2,5) # T(5,6)")
         assert report["by"] == "upsilon2"
         assert solved == []
 
@@ -540,19 +580,20 @@ def _record_upsilon2_calls(monkeypatch):
 
 
 class TestOneSingularityPass:
-    def test_invariants_computes_upsilon2_at_each_positive_jump_in_order(self, monkeypatch):
+    def test_invariants_computes_upsilon2_at_each_positive_jump_in_order(
+            self, capsys, monkeypatch):
         expression = "-T(2,3) # T(5,6)"
         calls = _record_upsilon2_calls(monkeypatch)
-        report = build_invariant_report(expression)
+        report = invariants_json(capsys, expression)
         jumps = {F(s["t"]): F(s["slope_jump"]) for s in report["singularities"]}
         assert min(jumps.values()) < 0 < max(jumps.values())  # both kinds of jump
         positive = [t0 for t0, jump in jumps.items() if jump > 0]
         assert positive == sorted(positive)
         assert calls == [(report["generator_count"], t0) for t0 in positive]
 
-    def test_distinguish_alternates_the_two_complexes(self, monkeypatch):
+    def test_distinguish_alternates_the_two_complexes(self, capsys, monkeypatch):
         calls = _record_upsilon2_calls(monkeypatch)
-        report = distinguish_report("T(5,7)", "T(2,5) # T(5,6)")
+        report = distinguish_json(capsys, "T(5,7)", "T(2,5) # T(5,6)")
         assert report["by"] == "upsilon2"
         c1 = parse_knot_expression("T(5,7)")
         n1 = len(c1.generators)
@@ -565,9 +606,9 @@ class TestOneSingularityPass:
         ("-T(2,3)", "-T(2,3)", None),  # no positive jump
     ])
     def test_distinguish_makes_no_call_without_a_positive_jump_to_compare(
-            self, monkeypatch, expr1, expr2, by):
+            self, capsys, monkeypatch, expr1, expr2, by):
         calls = _record_upsilon2_calls(monkeypatch)
-        report = distinguish_report(expr1, expr2)
+        report = distinguish_json(capsys, expr1, expr2)
         assert report.get("by") == by
         assert calls == []
 
@@ -577,13 +618,13 @@ class TestOneSingularityPass:
         ("T(5,7) # -T(3,4)", "T(2,5) # T(5,6) # -T(3,4)"),  # null at 2/3 and 4/3
         ("T(3,4) # -T(2,5)", "-T(2,5) # T(3,4)"),
     ])
-    def test_distinguish_lists_where_the_invariant_reports_differ(self, expr1, expr2):
-        reports = [build_invariant_report(e) for e in (expr1, expr2)]
+    def test_distinguish_lists_where_the_invariant_reports_differ(self, capsys, expr1, expr2):
+        reports = [invariants_json(capsys, e) for e in (expr1, expr2)]
         assert reports[0]["upsilon"] == reports[1]["upsilon"]
         values = [{s["t"]: s["upsilon2"] for s in r["singularities"]} for r in reports]
         expected = [{"t": t, "values": [v, values[1][t]]} for t, v in values[0].items()
                     if v is not None and v != values[1][t]]
-        report = distinguish_report(expr1, expr2)
+        report = distinguish_json(capsys, expr1, expr2)
         assert report.get("separating_singularities", []) == expected
         assert report["distinguished"] == bool(expected)
 
@@ -875,7 +916,7 @@ class TestParserReuse:
         cache = tmp_path / "cache"
         cache.mkdir()
         # a doctored entry shows whether a call read the cache
-        doctored = build_invariant_report("T(3,4)")
+        doctored = invariants_json(capsys, "T(3,4)")
         doctored["generator_count"] = 1
         entry = _cache_path(str(cache), "T(3,4)")
         with open(entry, "w", encoding="utf-8") as fh:

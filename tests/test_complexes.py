@@ -125,6 +125,28 @@ class TestValidation:
         with pytest.raises(ValueError, match="boundary of x1 references a missing generator"):
             BifilteredComplex(tuple(c.generators), ((), (5, 0), ()), c.h0_rep)
 
+    # T(2,3) is x0, x1, x2 in gradings 0, 1, 0 with d(x1) = x0 + x2
+    @pytest.mark.parametrize("boundary, h0_rep, message", [
+        (((), (0, 2)), {0}, "boundary table size does not match generator count"),
+        (((), (0, 2), ()), set(), "the distinguished homology representative is empty"),
+        (((), (0, 2), ()), {0, 3}, "h0 representative references a missing generator"),
+        (((), (0, 2), ()), {-1}, "h0 representative references a missing generator"),
+        (((), (0, 2), ()), {1}, "h0 representative must be supported in grading 0"),
+    ], ids=lambda v: v if isinstance(v, str) else repr(v))
+    def test_malformed_table_or_h0_rejected(self, boundary, h0_rep, message):
+        gens = tuple(torus_knot_complex(2, 3).generators)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            BifilteredComplex(gens, boundary, h0_rep)
+
+    def test_h0_that_is_not_a_cycle_rejected(self):
+        # in the dual of T(2,3) both grading-0 generators have boundary x1';
+        # their sum is the h0 representative, and each alone is not a cycle
+        c = dual(torus_knot_complex(2, 3))
+        assert c.h0_rep == {0, 2} and c.boundary == ((1,), (), (1,))
+        for h0_rep in ({0}, {2}):
+            with pytest.raises(ValueError, match="^h0 representative is not a cycle$"):
+                BifilteredComplex(tuple(c.generators), c.boundary, h0_rep)
+
 
 class TestDerivedClassFunctional:
     """The builders' lam goes through the same checks as the eliminated one."""

@@ -24,6 +24,11 @@ class TestConstruction:
         with pytest.raises(ValueError):
             PiecewiseLinear(((F(1, 2), 0), (2, 0)))
 
+    @pytest.mark.parametrize("breakpoints", [(), ((0, 0),), ((2, 0),)], ids=repr)
+    def test_requires_two_breakpoints(self, breakpoints):
+        with pytest.raises(ValueError, match="needs at least two breakpoints"):
+            PiecewiseLinear(breakpoints)
+
     def test_requires_increasing_abscissae(self):
         with pytest.raises(ValueError):
             PiecewiseLinear(((0, 0), (1, 1), (1, 2), (2, 0)))
@@ -64,6 +69,13 @@ class TestArithmetic:
 
     def test_equal_reflexive(self):
         assert tent() == tent()
+
+    @pytest.mark.parametrize("other", [1, F(1), 1.0, None], ids=repr)
+    def test_adding_anything_else_is_a_type_error(self, other):
+        with pytest.raises(TypeError):
+            tent() + other
+        with pytest.raises(TypeError):
+            other + tent()
 
     def test_sum_breakpoints_within_union(self):
         f = PiecewiseLinear(((0, 0), (F(1, 3), 1), (2, 0)))

@@ -1,7 +1,9 @@
 """Every name a module of the package imports is used in that module,
+every public function or class is exported or used inside the package,
 importing the command line loads none of the heavy standard modules, and
 the complexes and searches load only when a command computes, with the
-package's names where they were."""
+package's names where they were, and each computing command works as the
+first call in a fresh interpreter."""
 
 import ast
 import os
@@ -39,6 +41,44 @@ def test_an_unused_import_is_found():
     tree = ast.parse("import os\nfrom a.b import c as d, e\nfrom f import g\n"
                      "def h(x: e) -> None:\n    os.path\n")
     assert unused_imports(tree) == ["d (line 2)", "g (line 3)"]
+
+
+def unreached_definitions(trees: dict[str, ast.Module], public: set[str]) -> list[str]:
+    """module.name for each top-level function or class without a leading underscore
+    that is not in public and that no tree reads as a name or an attribute."""
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    return [f"{module}.{node.name}" for module, tree in trees.items() for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            and not node.name.startswith("_")
+            and node.name not in public and node.name not in read]
+
+
+def test_every_definition_is_public_or_reached_from_src():
+    # what only the tests call belongs in the tests (ROADMAP item 6)
+    import cfk
+
+    trees = {path.stem: ast.parse(path.read_text(), str(path)) for path in SOURCES}
+    assert unreached_definitions(trees, set(cfk.__all__)) == []
+
+
+def test_a_definition_only_the_tests_call_is_found():
+    trees = {
+        "a": ast.parse("def run():\n    return helper()\n"
+                       "def helper():\n    pass\n"
+                       "def report():\n    return helper()\n"
+                       "class Error(ValueError):\n    pass\n"
+                       "def _private():\n    pass\n"),
+        "b": ast.parse("from .a import run\nimport a\n"
+                       "def main():\n    a.Error\n    return run()\n"
+                       "def exported():\n    pass\n"),
+    }
+    assert unreached_definitions(trees, {"exported"}) == ["a.report", "b.main"]
 
 
 # dataclasses alone brings in inspect, ast, dis and tokenize; typing costs
@@ -97,6 +137,30 @@ def test_a_miss_loads_the_computing_modules_and_prints_the_same_bytes(capsys):
     assert loaded == sorted(set(COMPUTING_MODULES) - {"tempfile"})  # no cache to write
     assert run(argv) == 0
     assert text == capsys.readouterr().out
+
+
+# a command that reads a computing name before the size guard has bound it
+# would raise NameError here
+@pytest.mark.parametrize("argv", [
+    ["plot", "-T(2,3) # T(3,4)", "--out", "{out}"],
+    ["plot", "T(5,7)", "--out", "{out}", "--format", "svg"],
+    ["staircase", "3", "5"],
+    ["verify-recursion", "3", "5"],
+    ["verify-recursion", "3", "5", "--json"],
+    ["distinguish", "T(5,7)", "T(2,5) # T(5,6)"],
+    ["distinguish", "T(3,4)", "T(3,4)", "--json"],
+    ["conjecture", "5", "2", "--json"],
+], ids=" ".join)
+def test_each_computing_command_works_first_in_a_fresh_interpreter(capsys, tmp_path, argv):
+    from cfk.cli import run
+
+    fresh, here = tmp_path / "fresh", tmp_path / "here"
+    text, loaded = run_fresh([a.format(out=fresh) for a in argv])
+    assert loaded == sorted(set(COMPUTING_MODULES) - {"tempfile"})
+    assert run([a.format(out=here) for a in argv]) in (0, 1)
+    assert text == capsys.readouterr().out
+    if argv[0] == "plot":
+        assert text == "" and fresh.read_bytes() == here.read_bytes()
 
 
 PUBLIC_NAMES = [

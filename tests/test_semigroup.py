@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import product
 from math import gcd
 
 import pytest
@@ -108,6 +109,11 @@ class TestAlexanderType:
         with pytest.raises(ValueError):
             AlexanderPolynomial((0, 1, 5))
 
+    @pytest.mark.parametrize("exponents", [(0, 0, 0), (0, 2, 1, 3, 3)], ids=repr)
+    def test_rejects_exponents_that_do_not_increase(self, exponents):
+        with pytest.raises(ValueError, match="^exponents must be strictly increasing$"):
+            AlexanderPolynomial(exponents)
+
     @pytest.mark.parametrize("exponents", [
         (0, 1.5, 2), (0, 1.0, 2), (0, True, 2), (0, Fraction(1), 2), (0, "1", 2),
     ], ids=repr)
@@ -152,6 +158,22 @@ class TestStepVector:
     def test_type_rejects_odd_length(self):
         with pytest.raises(ValueError):
             StepVector((1, 2, 1))
+
+    @pytest.mark.parametrize("steps", [(0, 0), (1, -1, -1, 1), (2, 0, 0, 2)], ids=repr)
+    def test_type_rejects_steps_that_are_not_positive(self, steps):
+        with pytest.raises(ValueError, match="^steps must be positive$"):
+            StepVector(steps)
+
+    def test_an_even_palindrome_balances(self):
+        # step i pairs with step n-1-i, of the other parity, so the horizontal
+        # and vertical steps are one multiset: a palindrome needs no balance check
+        count = 0
+        for n in (2, 4, 6, 8):
+            for half in product((1, 2, 3), repeat=n // 2):
+                steps = StepVector(half + half[::-1]).steps
+                assert sorted(steps[0::2]) == sorted(steps[1::2])
+                count += 1
+        assert count == 120
 
     @pytest.mark.parametrize("steps", [
         (1.9, 1.9), (1.0, 1.0), (True, True), (Fraction(1), Fraction(1)), ("1", "1"),

@@ -166,6 +166,23 @@ class TestGamma:
         with pytest.raises(CertificateError, match="cycle must be a tuple of SectorElements"):
             verify_gamma_certificate(c, replace(cert, cycle=cycle))
 
+    def test_repeated_element_rejected(self):
+        c = torus_knot_complex(3, 4)
+        cert = gamma_at(c, F(1))
+        doubled = replace(cert, cycle=cert.cycle * 2, levels=cert.levels * 2)
+        with pytest.raises(CertificateError, match="certificate cycle repeats an element"):
+            verify_gamma_certificate(c, doubled)
+
+    def test_support_that_is_not_a_cycle_rejected(self):
+        # x1 tensored with x1 lies in grading 2, and its U-translate in the
+        # grading-0 sector has a nonzero boundary
+        c = parse_knot_expression("T(2,3) # T(2,3)")
+        e = next(e for e in sector(c, 0) if c.boundary[e.index])
+        t = F(1)
+        bad = GammaCertificate(t=t, s=level(t, e), cycle=(e,), levels=(level(t, e),))
+        with pytest.raises(CertificateError, match="certificate cycle is not a cycle"):
+            verify_gamma_certificate(c, bad)
+
 
 class TestUpsilon:
     def test_trefoil(self):

@@ -10,10 +10,13 @@ from cfk import (
     torus_knot_complex,
 )
 from cfk.exactnum import PiecewiseLinear
+from cfk.complexes import _bits
 from cfk.upsilon import (
     CertificateError,
     _SectorEngine,
     gamma_at,
+    level,
+    sector,
     upsilon,
     verify_gamma_certificate,
 )
@@ -250,6 +253,45 @@ class TestGamma2:
         # this w, which reaches above it, is what refuses it
         with pytest.raises(CertificateError, match="w uses an element above the threshold"):
             verify_gamma2_certificate(c, replace(cert, gamma2=cert.gamma))
+
+    def test_parameter_outside_the_interval_rejected(self):
+        c = torus_knot_complex(3, 4)
+        cert = gamma2_at(c, F(2, 3))
+        for t0 in (F(0), F(2), F(-2, 3), F(8, 3)):
+            with pytest.raises(CertificateError,
+                               match=r"t0 must lie in the open interval \(0, 2\)"):
+                verify_gamma2_certificate(c, replace(cert, t0=t0))
+
+    def test_sides_at_a_negative_jump_rejected(self):
+        # each side's least class cycle at a negative jump, which gamma2_at
+        # refuses: every check of the sides passes, and the slopes rise
+        from cfk.upsilon2 import Gamma2Certificate, MergeWitness
+
+        c = parse_knot_expression("-T(2,3) # T(5,6)")
+        t0 = next(t for t, jump in upsilon(c).singularities() if jump < 0)
+        even = sector(c, 0)
+        sides = [eager_side(c, t0, sign) for sign in (-1, 1)]
+        (gamma, slope_minus), (_, slope_plus) = (jet for jet, *_ in sides)
+        assert slope_minus < slope_plus
+        z_minus, z_plus = (frozenset(even[k] for k in _bits(z0)) for _, z0, *_ in sides)
+        cert = Gamma2Certificate(t0=t0, gamma=gamma, gamma2=gamma,
+                                 witness=MergeWitness(z_minus, z_plus, frozenset()))
+        with pytest.raises(CertificateError, match="the slope of gamma does not drop at t0"):
+            verify_gamma2_certificate(c, cert)
+
+    @pytest.mark.parametrize("expr, t0", [("T(5,7)", F(4, 5)), ("T(2,5) # T(5,6)", F(4, 5))])
+    def test_w_whose_boundary_is_not_the_sides_rejected(self, expr, t0):
+        # one element of w dropped, or one more grading-1 element within
+        # gamma2 added: each odd element here has a nonzero boundary
+        c = parse_knot_expression(expr)
+        cert = gamma2_at(c, t0)
+        w = cert.witness.w
+        within = [e for e in sector(c, 1) if e not in w and level(t0, e) <= cert.gamma2]
+        tampered = [w - {e} for e in w] + [w | {e} for e in within]
+        assert w and within
+        for bad in tampered:
+            with pytest.raises(CertificateError, match=r"dw does not equal z_minus \+ z_plus"):
+                verify_gamma2_certificate(c, replace(cert, witness=replace(cert.witness, w=bad)))
 
     def test_swapped_sides_rejected(self):
         from cfk.upsilon2 import Gamma2Certificate, MergeWitness
