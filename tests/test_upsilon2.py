@@ -9,8 +9,8 @@ from cfk import (
     parse_knot_expression,
     torus_knot_complex,
 )
-from cfk.exactnum import PiecewiseLinear
 from cfk.complexes import _bits
+from cfk.exactnum import PiecewiseLinear
 from cfk.upsilon import (
     CertificateError,
     _SectorEngine,
