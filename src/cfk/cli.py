@@ -35,9 +35,7 @@ from .expressions import (
 # these modules.  A name already bound, as a patch binds it, is kept, and
 # every call looks it up as a global.
 _COMPUTING = {
-    "fractions": ("Fraction",),
     ".complexes": ("knot_complex", "torus_knot_complex", "torus_knot_size"),
-    ".exactnum": ("PiecewiseLinear",),
     ".semigroup": ("_torus_pair", "alexander_torus", "step_vector"),
     ".upsilon": ("upsilon",),
     ".upsilon2": ("upsilon2_at",),
@@ -102,12 +100,8 @@ def _count_text(count) -> str:
         return f"a {digits + (count >= 10 ** digits)}-digit number of"
 
 
-def _fmt(x: Fraction) -> str:
-    return str(Fraction(x))
-
-
 def _breakpoints(ups: PiecewiseLinear) -> list[list[str]]:
-    return [[_fmt(t), _fmt(v)] for t, v in ups.breakpoints]
+    return [[str(t), str(v)] for t, v in ups.breakpoints]
 
 
 def _upsilon2s(complex_, ups: PiecewiseLinear):
@@ -121,11 +115,11 @@ def _invariant_report(factors) -> dict:
     ups = upsilon(complex_)
     entries = []
     for t0, jump, value in _upsilon2s(complex_, ups):
-        entry = {"t": _fmt(t0), "slope_jump": _fmt(jump)}
+        entry = {"t": str(t0), "slope_jump": str(jump)}
         if value is None:
             entry.update(upsilon2=None, reason="slope jump is not positive")
         else:
-            entry["upsilon2"] = _fmt(value)
+            entry["upsilon2"] = str(value)
         entries.append(entry)
     return {
         "schema_version": SCHEMA_VERSION,
@@ -238,7 +232,7 @@ def recursion_report(p: int, q: int, max_generators: int = DEFAULT_MAX_GENERATOR
         "p": p,
         "q": q,
         "equal": lhs == rhs,
-        "max_breakpoint_gap": _fmt(gap),
+        "max_breakpoint_gap": str(gap),
         "lhs_breakpoints": _breakpoints(lhs),
         "rhs_breakpoints": _breakpoints(rhs),
     }
@@ -272,12 +266,12 @@ def _compare(factors1, factors2) -> dict:
         report.update(
             distinguished=True,
             by="upsilon",
-            t=_fmt(witness),
-            values=[_fmt(ups1.evaluate(witness)), _fmt(ups2.evaluate(witness))],
+            t=str(witness),
+            values=[str(ups1.evaluate(witness)), str(ups2.evaluate(witness))],
         )
         return report
     pairs = zip(_upsilon2s(complex1, ups1), _upsilon2s(complex2, ups2))  # ups1 == ups2
-    separating = [{"t": _fmt(t0), "values": [_fmt(v1), _fmt(v2)]}
+    separating = [{"t": str(t0), "values": [str(v1), str(v2)]}
                   for (t0, _, v1), (_, _, v2) in pairs if v1 != v2]
     if separating:
         report.update(
@@ -329,8 +323,8 @@ def cmd_conjecture(args) -> int:
 def _svg_plot(ups: PiecewiseLinear) -> str:
     width, height, margin = 640, 480, 48
     values = [v for _, v in ups.breakpoints]
-    vmin = min(min(values), Fraction(0))
-    vmax = max(max(values), Fraction(0))
+    vmin = min(min(values), 0)
+    vmax = max(max(values), 0)
     if vmin == vmax:
         vmin -= 1
         vmax += 1
@@ -346,8 +340,8 @@ def _svg_plot(ups: PiecewiseLinear) -> str:
     lines = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
         f'viewBox="0 0 {width} {height}">',
-        f'<line x1="{sx(Fraction(0))}" y1="{sy(Fraction(0))}" x2="{sx(Fraction(2))}" '
-        f'y2="{sy(Fraction(0))}" stroke="#999" stroke-width="1"/>',
+        f'<line x1="{sx(0)}" y1="{sy(0)}" x2="{sx(2)}" '
+        f'y2="{sy(0)}" stroke="#999" stroke-width="1"/>',
         f'<polyline fill="none" stroke="#1f5fa8" stroke-width="2" points="{points}"/>',
     ]
     for t0, _ in ups.singularities():

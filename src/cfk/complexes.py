@@ -52,10 +52,9 @@ class Generator(namedtuple("Generator", "name alg alex maslov")):
 class GeneratorColumns(Sequence):
     """The generators of a complex, as a read-only sequence of :class:`Generator`.
 
-    The grades sit in three int columns, alg, Alexander and grading, each
-    stored as :func:`_compact` stores it, and ``name(i)`` builds the name
-    of generator i only when it is read.  A box sum chains its base: its
-    sequence is the base's followed by its own two entries.  Int indexing
+    The grades sit in ``columns``, three int columns, alg, Alexander and
+    grading, each stored as :func:`_compact` stores it, and ``name(i)``
+    builds the name of generator i only when it is read.  Int indexing
     and iterating give the Generator values a tuple would hold, and
     ``len``, ``==``, ``hash`` and ``repr`` behave as on that tuple;
     ``tuple(gens)`` is that tuple.  A slice is a TypeError.
@@ -66,37 +65,20 @@ class GeneratorColumns(Sequence):
     into a and b at its one '|' outside inner parentheses.
     """
 
-    __slots__ = ("_base", "_start", "_own", "name", "explicit_names")
+    __slots__ = ("columns", "name", "explicit_names")
 
-    def __init__(self, alg, alex, maslov, name, explicit_names=False, base=None):
-        self._base = base
-        self._start = 0 if base is None else len(base)
-        self._own = (_compact(alg), _compact(alex), _compact(maslov))
+    def __init__(self, alg, alex, maslov, name, explicit_names=False):
+        self.columns = (_compact(alg), _compact(alex), _compact(maslov))
         self.name = name
-        self.explicit_names = explicit_names or (base is not None and base.explicit_names)
-
-    @property
-    def columns(self) -> tuple:
-        """The alg, Alexander and grading columns over the whole sequence."""
-        if self._base is None:
-            return self._own
-        return tuple(map(_extended, self._base.columns, self._own))
+        self.explicit_names = explicit_names
 
     def __len__(self) -> int:
-        return self._start + len(self._own[0])
-
-    def _locate(self, i: int):
-        """The sequence in the chain that stores entry i, and i's place among its own."""
-        gens = self
-        while i < gens._start:
-            gens = gens._base
-        return gens, i - gens._start
+        return len(self.columns[0])
 
     def __getitem__(self, i):
         i = range(len(self))[index(i)]  # as a tuple reads an int i
-        gens, k = self._locate(i)
-        alg, alex, maslov = gens._own
-        return Generator(self.name(i), alg[k], alex[k], maslov[k])
+        alg, alex, maslov = self.columns
+        return Generator(self.name(i), alg[i], alex[i], maslov[i])
 
     def __iter__(self):
         return map(Generator, map(self.name, range(len(self))), *self.columns)
@@ -266,7 +248,7 @@ class SectorLayout(namedtuple("SectorLayout", "ids grades position")):
 
 def _compact(values):
     """The values in the narrowest int array that holds them, or a tuple past 64 bits."""
-    for code in "hiq":
+    for code in "bhiq":
         try:
             return array(code, values)
         except OverflowError:
@@ -448,7 +430,8 @@ def direct_sum_with_box(c: BifilteredComplex, corner_alg: int, corner_alex: int,
               (top_maslov, top_maslov - 1))
     base_name = base.name
     gens = GeneratorColumns(
-        *grades, lambda i: base_name(i) if i < k else f"box{k}{'tb'[i - k]}", base=base)
+        *map(_extended, base.columns, grades),
+        lambda i: base_name(i) if i < k else f"box{k}{'tb'[i - k]}", base.explicit_names)
     return BifilteredComplex._derived(
         gens, c.boundary + ((k + 1,), ()), c.h0_rep, c.lam,
         _sector_layout(*grades, k, c.layout))

@@ -389,14 +389,16 @@ class TestRepresentation:
         for i in range(len(c.generators)):
             assert boxed.boundary[i] is c.boundary[i]
         assert tuple(boxed.generators)[:len(c.generators)] == tuple(c.generators)
-        # the new row tuple and the extended layout, about 12 KB; 17 KB when
-        # the box copied the base's tuple of Generator objects
+        # the new row tuple, its own copy of the base's grade columns (8-bit
+        # arrays here) and the extended layout, about 12.5 KB; 17 KB when the
+        # box copied the base's tuple of Generator objects
         assert held <= 14 * 1024
 
     def test_memory_per_complex(self):
         # about 292 KB with frozenset rows and instance dicts on the generators,
-        # 127 KB with a Generator object and a name string per generator, and
-        # about 47 KB with int columns and names built on demand
+        # 127 KB with a Generator object and a name string per generator,
+        # about 48 KB with int columns and names built on demand, and 45 KB
+        # with 8-bit arrays where the values fit
         parse_knot_expression("T(2,3)")
         tracemalloc.start()
         try:

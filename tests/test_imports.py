@@ -163,6 +163,33 @@ def test_each_computing_command_works_first_in_a_fresh_interpreter(capsys, tmp_p
         assert text == "" and fresh.read_bytes() == here.read_bytes()
 
 
+def runtime_reads(tree: ast.Module) -> set[str]:
+    """The names tree reads as a value, leaving out what only annotations read."""
+    annotations = [node.annotation for node in ast.walk(tree)
+                   if isinstance(node, (ast.arg, ast.AnnAssign)) and node.annotation]
+    annotations += [node.returns for node in ast.walk(tree)
+                    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    and node.returns]
+    in_annotations = {id(node) for a in annotations for node in ast.walk(a)}
+    return {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)
+            and isinstance(node.ctx, ast.Load) and id(node) not in in_annotations}
+
+
+def test_every_computing_name_is_read_at_run_time():
+    # _bind loads a module for each name: one only an annotation reads costs
+    # every computing command its import for nothing
+    from cfk import cli
+
+    tree = ast.parse((SRC / "cfk" / "cli.py").read_text())
+    names = {name for attrs in cli._COMPUTING.values() for name in attrs}
+    assert names - runtime_reads(tree) == set()
+
+
+def test_a_name_only_annotations_read_is_found():
+    tree = ast.parse("def f(x: A, *, y: B = C) -> D:\n    z: E = F\n    return G(x)\n")
+    assert runtime_reads(tree) == {"C", "F", "G", "x"}
+
+
 PUBLIC_NAMES = [
     "AlexanderPolynomial", "BifilteredComplex", "BreakpointVerificationError",
     "CertificateError", "DomainError", "Gamma2Certificate", "GammaCertificate",

@@ -56,6 +56,7 @@ from oracles import (
     eager_side,
     level_slope,
     oracle_mask,
+    eager_box_generators,
     replace,
     sector_layout,
 )
@@ -532,6 +533,17 @@ def sequences(layout):
     return [*ids, *(s for pair in grades for s in pair), position]
 
 
+def is_narrowest(s) -> bool:
+    """Is s the narrowest of the 8-, 16-, 32- and 64-bit int arrays that holds its
+    values, or a tuple when none does?"""
+    lo, hi = min(s, default=0), max(s, default=0)
+    fits = [code for code in "bhiq" if -(1 << 8 * array(code).itemsize - 1) <= lo
+            and hi < 1 << 8 * array(code).itemsize - 1]
+    if not fits:
+        return type(s) is tuple
+    return type(s) is array and s.typecode == fits[0]
+
+
 def test_every_builder_carries_the_walked_layout():
     rng = random.Random(23)
     built = [torus_knot_complex(1, 1), staircase_complex(step_vector(alexander_torus(3, 7)))]
@@ -546,8 +558,7 @@ def test_every_builder_carries_the_walked_layout():
     assert len(built) >= 60
     for c in built:
         assert walked(c.layout) == sector_layout(c), c.to_json_dict()
-        # these grades and indices all fit the narrowest array, of 16-bit ints
-        assert all(type(s) is array and s.itemsize == 2 for s in sequences(c.layout))
+        assert all(map(is_narrowest, sequences(c.layout)))
 
 
 @pytest.mark.parametrize("corner", [2**40, 2**70])
@@ -558,6 +569,19 @@ def test_grades_past_the_narrow_arrays_are_kept_exactly(corner):
     assert max(c.layout.grades[0][0]) == corner
     assert upsilon2_at(c, F(2, 3)) == F(-4, 3)
     assert upsilon2_at(c, F(2, 3)) == upsilon2_at(parse_knot_expression("T(3,4)"), F(2, 3))
+
+
+def test_nested_boxes_widen_the_columns_and_the_layout_as_their_grades_need():
+    c = parse_knot_expression("T(2,3)")
+    want = tuple(c.generators)
+    assert all(s.typecode == "b" for s in [*c.generators.columns, *sequences(c.layout)])
+    for corner in (200, 2**40, 2**70):
+        args = (corner, -corner, 3, 5, 2)
+        c, want = direct_sum_with_box(c, *args), eager_box_generators(want, *args)
+        assert c.generators == want
+        assert walked(c.layout) == sector_layout(c)
+        assert all(map(is_narrowest, [*c.generators.columns, *sequences(c.layout)]))
+    assert [type(s) for s in c.generators.columns] == [tuple, tuple, array]
 
 
 def test_a_query_walks_no_generator(monkeypatch):
