@@ -537,11 +537,11 @@ def is_narrowest(s) -> bool:
     """Is s the narrowest of the 8-, 16-, 32- and 64-bit int arrays that holds its
     values, or a tuple when none does?"""
     lo, hi = min(s, default=0), max(s, default=0)
-    fits = [code for code in "bhiq" if -(1 << 8 * array(code).itemsize - 1) <= lo
-            and hi < 1 << 8 * array(code).itemsize - 1]
-    if not fits:
-        return type(s) is tuple
-    return type(s) is array and s.typecode == fits[0]
+    for code in "bhiq":
+        bound = 1 << 8 * array(code).itemsize - 1
+        if -bound <= lo and hi < bound:
+            return type(s) is array and s.typecode == code
+    return type(s) is tuple
 
 
 def test_every_builder_carries_the_walked_layout():
