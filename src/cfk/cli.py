@@ -30,10 +30,9 @@ from .expressions import (
 
 # The names that compute, by the module that holds them.  _bind makes each a
 # global of this module in the size guard, which every command passes before
-# it builds, and in recursion_report; __getattr__ does when another module
-# reads one first.  So a cache hit, a syntax error or --help loads none of
-# these modules.  A name already bound, as a patch binds it, is kept, and
-# every call looks it up as a global.
+# it builds, or __getattr__ does when another module reads one first.  So a
+# cache hit, a syntax error or --help loads none of these modules.  A name
+# already bound, as a patch binds it, is kept, and every call reads it as a global.
 _COMPUTING = {
     ".complexes": ("knot_complex", "torus_knot_complex", "torus_knot_size"),
     ".semigroup": ("_torus_pair", "alexander_torus", "step_vector"),
@@ -194,15 +193,14 @@ def cmd_invariants(args) -> int:
     factors = canonical_factors(args.expression)
     canonical = spell_expression(factors)
     cache_dir = args.cache or os.environ.get(CACHE_ENV_VAR)
-    text = None
-    if cache_dir:
-        text = _read_cache(_cache_path(cache_dir, canonical), canonical)
+    path = _cache_path(cache_dir, canonical) if cache_dir else None
+    text = _read_cache(path, canonical) if path else None
     if text is None:
         _check_size(factors, args.max_generators)
         text = _json_text(_invariant_report(factors))
-        if cache_dir:
+        if path:
             try:
-                _write_cache(_cache_path(cache_dir, canonical), text)
+                _write_cache(path, text)
             except OSError as exc:
                 print(f"error: cannot write to cache {cache_dir}: {exc}", file=sys.stderr)
                 return EXIT_IO
@@ -213,43 +211,31 @@ def cmd_invariants(args) -> int:
     return EXIT_OK
 
 
-def recursion_report(p: int, q: int, max_generators: int = DEFAULT_MAX_GENERATORS) -> dict:
-    """Compare upsilon of T(p,q) against T(p,q-p) plus T(p,p+1).
-
-    Parameters equal to 1 denote the unknot complex, which makes the
-    recursion bottom out.
-    """
-    _bind()
-    if _torus_pair(p, q) != (p, q) or p == q:
+def cmd_verify_recursion(args) -> int:
+    """Compare upsilon of T(p,q) against T(p,q-p) plus T(p,p+1); a 1 stands for the unknot."""
+    p, q = args.p, args.q
+    _check_size(((1, p, q),), args.max_generators)  # refuses a pair not positive and coprime
+    if p >= q:
         raise InvalidTorusKnotError(f"need coprime 1 <= p < q, got ({p}, {q})")
-    for pair in ((p, q), (p, q - p), (p, p + 1)):
-        _check_size(((1, *pair),), max_generators)
+    for pair in ((p, q - p), (p, p + 1)):
+        _check_size(((1, *pair),), args.max_generators)
     lhs = upsilon(torus_knot_complex(p, q))
     rhs = upsilon(torus_knot_complex(p, q - p)) + upsilon(torus_knot_complex(p, p + 1))
     gap = max(abs(v) for _, v in (lhs + -rhs).breakpoints)  # peaks at a breakpoint
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "p": p,
-        "q": q,
-        "equal": lhs == rhs,
-        "max_breakpoint_gap": str(gap),
-        "lhs_breakpoints": _breakpoints(lhs),
-        "rhs_breakpoints": _breakpoints(rhs),
-    }
-
-
-def cmd_verify_recursion(args) -> int:
-    report = recursion_report(args.p, args.q, args.max_generators)
     if args.json:
-        _emit_text(_json_text(report))
+        _emit_text(_json_text({
+            "schema_version": SCHEMA_VERSION,
+            "p": p,
+            "q": q,
+            "equal": lhs == rhs,
+            "max_breakpoint_gap": str(gap),
+            "lhs_breakpoints": _breakpoints(lhs),
+            "rhs_breakpoints": _breakpoints(rhs),
+        }))
     else:
-        verdict = "EQUAL" if report["equal"] else "UNEQUAL"
-        print(
-            f"upsilon[T({args.p},{args.q})] vs upsilon[T({args.p},{args.q - args.p})]"
-            f" + upsilon[T({args.p},{args.p + 1})]: {verdict}"
-            f" (max breakpoint gap {report['max_breakpoint_gap']})"
-        )
-    return EXIT_OK if report["equal"] else EXIT_UNEQUAL
+        print(f"upsilon[T({p},{q})] vs upsilon[T({p},{q - p})] + upsilon[T({p},{p + 1})]: "
+              f"{'EQUAL' if lhs == rhs else 'UNEQUAL'} (max breakpoint gap {gap})")
+    return EXIT_OK if lhs == rhs else EXIT_UNEQUAL
 
 
 def _compare(factors1, factors2) -> dict:

@@ -247,7 +247,10 @@ class SectorLayout(namedtuple("SectorLayout", "ids grades position")):
 
 
 def _compact(values):
-    """The values in the narrowest int array that holds them, or a tuple past 64 bits."""
+    """The values in the narrowest int array that holds them, or a tuple past 64 bits;
+    an array, which only :func:`_extended` hands in, is already that, and is kept."""
+    if isinstance(values, array):
+        return values
     for code in "bhiq":
         try:
             return array(code, values)

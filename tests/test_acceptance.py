@@ -5,9 +5,12 @@ asserts its wall-clock budget as well.  Run with ``pytest -v -s`` to see the
 per-criterion lines.
 """
 
+import json
 import random
 import time
+from contextlib import redirect_stdout
 from fractions import Fraction as F
+from io import StringIO
 from math import gcd
 
 import pytest
@@ -22,7 +25,7 @@ from cfk import (
     tensor,
     torus_knot_complex,
 )
-from cfk.cli import recursion_report
+from cfk.cli import run
 from cfk.upsilon import CertificateError, gamma_at, level, upsilon, verify_gamma_certificate
 from cfk.upsilon2 import (
     Gamma2Certificate,
@@ -133,7 +136,10 @@ def test_acceptance_5_recursion_sweep():
     for p in range(2, 12):
         for q in range(p + 1, 13):
             if gcd(p, q) == 1:
-                assert recursion_report(p, q)["equal"], (p, q)
+                out = StringIO()
+                with redirect_stdout(out):
+                    run(["verify-recursion", str(p), str(q), "--json"])
+                assert json.loads(out.getvalue())["equal"], (p, q)
     done("ACCEPTANCE 5 (torus-knot upsilon recursion, p < q <= 12)")
 
 

@@ -9,8 +9,8 @@ from pathlib import Path
 
 import pytest
 
-from cfk import InvalidTorusKnotError, PiecewiseLinear, parse_knot_expression, upsilon
-from cfk.cli import SCHEMA_VERSION, recursion_report, run
+from cfk import PiecewiseLinear, parse_knot_expression, upsilon
+from cfk.cli import SCHEMA_VERSION, run
 
 
 @pytest.fixture(autouse=True)
@@ -40,6 +40,11 @@ def invariants_json(capsys, expression):
 def distinguish_json(capsys, expr1, expr2):
     """The report of ``cfk distinguish expr1 expr2 --json``."""
     return printed_report(capsys, ["distinguish", expr1, expr2, "--json"])
+
+
+def recursion_json(capsys, p, q):
+    """The report of ``cfk verify-recursion p q --json``."""
+    return printed_report(capsys, ["verify-recursion", str(p), str(q), "--json"])
 
 
 def child_env():
@@ -525,16 +530,31 @@ def _count_functionals(monkeypatch):
 
 
 class TestReportHelpers:
-    def test_recursion_report_gap_zero(self):
-        report = recursion_report(5, 7)
+    def test_recursion_report_gap_zero(self, capsys):
+        report = recursion_json(capsys, 5, 7)
         assert report["equal"] and report["max_breakpoint_gap"] == "0"
+
+    REFUSALS = {
+        (0, 3): "torus knot parameters must be positive integers, got (0, 3)",
+        (4, 6): "(4, 6) are not coprime",
+        (5, 3): "need coprime 1 <= p < q, got (5, 3)",
+        (1, 1): "need coprime 1 <= p < q, got (1, 1)",
+    }
 
     @pytest.mark.parametrize("p, q", [
         (True, 3), (2, True), (2.0, 3), (2, "5"), (0, 3), (4, 6), (5, 3), (1, 1),
     ], ids=repr)
-    def test_recursion_report_refuses_a_pair_out_of_scope(self, p, q):
-        with pytest.raises(InvalidTorusKnotError):
-            recursion_report(p, q)
+    def test_recursion_report_refuses_a_pair_out_of_scope(self, capsys, p, q):
+        # each parameter as Python writes it: what is not an int, argparse refuses
+        argv = ["verify-recursion", repr(p), repr(q), "--json"]
+        if type(p) is type(q) is int:
+            assert run_capture(capsys, argv) == (2, "", f"error: {self.REFUSALS[p, q]}\n")
+            return
+        with pytest.raises(SystemExit) as info:
+            run(argv)
+        assert info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "invalid int value" in captured.err
 
     def test_build_report_counts(self, capsys):
         report = invariants_json(capsys, "T(2,5) # T(5,6)")
@@ -628,7 +648,8 @@ class TestOneSingularityPass:
         assert report.get("separating_singularities", []) == expected
         assert report["distinguished"] == bool(expected)
 
-    def test_recursion_gap_is_the_largest_difference_at_either_breakpoints(self, monkeypatch):
+    def test_recursion_gap_is_the_largest_difference_at_either_breakpoints(
+            self, capsys, monkeypatch):
         # the torus knot recursion always holds, so fake upsilons give a nonzero gap
         rng = random.Random(1)
 
@@ -640,11 +661,11 @@ class TestOneSingularityPass:
         cli = sys.modules["cfk.cli"]
         for _ in range(40):
             lhs, rhs1, rhs2 = (random_function() for _ in range(3))
-            fakes = iter([lhs, rhs1, rhs2])  # in the order recursion_report asks
+            fakes = iter([lhs, rhs1, rhs2])  # in the order verify-recursion asks
             monkeypatch.setattr(cli, "upsilon", lambda c: next(fakes))
             rhs = rhs1 + rhs2
             ts = {t for t, _ in lhs.breakpoints} | {t for t, _ in rhs.breakpoints}
-            report = recursion_report(2, 3)
+            report = recursion_json(capsys, 2, 3)
             assert report["max_breakpoint_gap"] == str(max(abs(lhs(t) - rhs(t)) for t in ts))
             assert report["equal"] == (lhs == rhs)
 

@@ -8,6 +8,8 @@ uniqueness, through every builder; names the builders make are unique by
 construction and never read while a complex is built.
 """
 
+from operator import is_
+
 import pytest
 from hypothesis import given, seed, settings, strategies as st
 
@@ -141,3 +143,18 @@ def test_the_builders_read_no_name(monkeypatch):
     assert len(c.generators) == 87 and not c.generators.explicit_names
     with pytest.raises(AssertionError, match="a builder read a name"):
         c.generators[0]
+
+
+@pytest.mark.parametrize("corner", [3, 200, 2**40, 2**70])
+def test_a_box_sum_stores_the_columns_it_extended(monkeypatch, corner):
+    # each box column is built once, in its narrowest form, and kept as built
+    handed = []
+    original = GeneratorColumns.__init__
+
+    def recording(self, alg, alex, maslov, *args, **kwargs):
+        handed.append((alg, alex, maslov))
+        original(self, alg, alex, maslov, *args, **kwargs)
+
+    monkeypatch.setattr(GeneratorColumns, "__init__", recording)
+    c = direct_sum_with_box(parse_knot_expression("T(3,4)"), corner, -corner, 1, 2, 0)
+    assert list(map(is_, c.generators.columns, handed[-1])) == [True, True, True]

@@ -1,6 +1,7 @@
 """Every name a module of the package imports is used in that module,
 every public function or class is exported or used inside the package,
-importing the command line loads none of the heavy standard modules, and
+the command line defines no public function but its commands and entry
+points, importing the command line loads none of the heavy standard modules, and
 the complexes and searches load only when a command computes, with the
 package's names where they were, and each computing command works as the
 first call in a fresh interpreter."""
@@ -80,6 +81,30 @@ def test_a_definition_only_the_tests_call_is_found():
     }
     assert unreached_definitions(trees, {"exported"}) == ["a.report", "b.main"]
 
+
+
+def stray_commands(tree: ast.Module) -> list[str]:
+    """The top-level functions without a leading underscore that are not run,
+    main, build_parser or a cmd_* handler."""
+    return [node.name for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and not node.name.startswith(("_", "cmd_"))
+            and node.name not in ("run", "main", "build_parser")]
+
+
+def test_the_command_line_defines_no_report_function():
+    # a command builds its own report after the size guard, the one door
+    # into the search stack; a program runs it through run(argv)
+    tree = ast.parse((SRC / "cfk" / "cli.py").read_text())
+    assert stray_commands(tree) == []
+
+
+def test_a_report_function_beside_the_commands_is_found():
+    tree = ast.parse("def run():\n    pass\ndef main():\n    pass\n"
+                     "def build_parser():\n    pass\ndef cmd_x(args):\n    pass\n"
+                     "def _helper():\n    pass\nclass Error(ValueError):\n    pass\n"
+                     "def report(p, q):\n    pass\nasync def fetch():\n    pass\n")
+    assert stray_commands(tree) == ["report", "fetch"]
 
 # dataclasses alone brings in inspect, ast, dis and tokenize; typing costs
 # about as much again.  Every cfk process pays for what ``import cfk.cli``

@@ -641,3 +641,25 @@ def test_a_query_leaves_no_reference_cycle():
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def test_a_functional_that_finds_no_class_is_an_assertion_error():
+    # lam = 0, through the builders' door, which checks nothing: no cycle has
+    # lam = 1, so the class is reachable at no threshold
+    c = torus_knot_complex(3, 4)
+    corrupt = BifilteredComplex._derived(c.generators, c.boundary, c.h0_rep, 0, c.layout)
+    with pytest.raises(AssertionError, match="not reachable at any level"):
+        upsilon(corrupt)
+    with pytest.raises(AssertionError, match="not reachable at any level"):
+        gamma2_at(corrupt, F(2, 3), ups=upsilon(c))
+
+
+def test_side_classes_that_never_merge_are_an_assertion_error():
+    # no boundary, through the builders' door: x0 and x2 are then two classes
+    # at level 1 at t0 = 2/3, each side takes one, and no grading-1 element
+    # joins them
+    c = torus_knot_complex(3, 4)
+    corrupt = BifilteredComplex._derived(c.generators, ((),) * 5, c.h0_rep, c.lam, c.layout)
+    assert upsilon(corrupt) == upsilon(c)
+    with pytest.raises(AssertionError, match="side classes must merge"):
+        gamma2_at(corrupt, F(2, 3))
