@@ -1,10 +1,10 @@
 """Every name a module of the package imports is used in that module,
 every public function or class is exported or used inside the package,
 the command line defines no public function but its commands and entry
-points, importing the command line loads none of the heavy standard modules, and
-the complexes and searches load only when a command computes, with the
-package's names where they were, and each computing command works as the
-first call in a fresh interpreter."""
+points, importing the command line loads none of the heavy standard
+modules, and the complexes and searches load only when a command
+computes, with the package's names where they were, and each computing
+command works as the first call in a fresh interpreter."""
 
 import ast
 import os
@@ -82,7 +82,6 @@ def test_a_definition_only_the_tests_call_is_found():
     assert unreached_definitions(trees, {"exported"}) == ["a.report", "b.main"]
 
 
-
 def stray_commands(tree: ast.Module) -> list[str]:
     """The top-level functions without a leading underscore that are not run,
     main, build_parser or a cmd_* handler."""
@@ -105,6 +104,7 @@ def test_a_report_function_beside_the_commands_is_found():
                      "def _helper():\n    pass\nclass Error(ValueError):\n    pass\n"
                      "def report(p, q):\n    pass\nasync def fetch():\n    pass\n")
     assert stray_commands(tree) == ["report", "fetch"]
+
 
 # dataclasses alone brings in inspect, ast, dis and tokenize; typing costs
 # about as much again.  Every cfk process pays for what ``import cfk.cli``
