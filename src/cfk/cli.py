@@ -383,8 +383,18 @@ def _add_size_option(parser: argparse.ArgumentParser) -> None:
              f"(default {DEFAULT_MAX_GENERATORS})")
 
 
+class _Parser(argparse.ArgumentParser):
+    # an argument that starts -T( or -( is a mirrored expression, never an
+    # option; argparse names no public hook for this.  Subparsers inherit the
+    # class, and any other argument, a negative number too, goes by argparse
+    def _parse_optional(self, arg_string):
+        if arg_string.startswith(("-T(", "-(")):
+            return None  # a positional
+        return super()._parse_optional(arg_string)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="cfk",
         description="Exact upsilon and secondary upsilon invariants of "
                     "staircase knot complexes.",
@@ -444,23 +454,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_DASHED = ("-T(", "-(")
-
-
-def _pad_dash_expressions(argv):
-    # argparse reads "-T(2,3)" as an option; a leading space makes it a
-    # positional.  run() takes the space off again once parsed.
-    return [" " + a if a.startswith(_DASHED) else a for a in argv]
-
-
-def _unpad_dash_expressions(args, argv) -> None:
-    # so that a syntax error's position indexes the user's own text
-    padded = {" " + a for a in argv if a.startswith(_DASHED)}
-    for name, value in vars(args).items():
-        if isinstance(value, str) and value in padded:
-            setattr(args, name, value[1:])
-
-
 @functools.cache
 def _parser() -> tuple[argparse.ArgumentParser, dict]:
     # the top parser and its subparsers by command name, built on the first
@@ -495,11 +488,7 @@ def _parse(argv: list[str]) -> argparse.Namespace:
 
 
 def run(argv=None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
-    dashed = any(a.startswith(_DASHED) for a in argv)  # else there is nothing to pad
-    args = _parse(_pad_dash_expressions(argv) if dashed else argv)
-    if dashed:
-        _unpad_dash_expressions(args, argv)
+    args = _parse(list(sys.argv[1:] if argv is None else argv))
     # the one boundary for bad input; anything else is a bug and propagates
     try:
         return args.func(args)

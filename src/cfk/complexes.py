@@ -248,8 +248,8 @@ class SectorLayout(namedtuple("SectorLayout", "ids grades position")):
 
 def _compact(values):
     """The values in the narrowest int array that holds them, or a tuple past 64 bits;
-    an array, which only :func:`_extended` hands in, is already that, and is kept."""
-    if isinstance(values, array):
+    an array or a tuple, which only :func:`_extended` hands in, is already that, and is kept."""
+    if isinstance(values, (array, tuple)):
         return values
     for code in "bhiq":
         try:
@@ -338,7 +338,7 @@ def _solve_lam(maslov, bnd, masks: list[int], h0: int) -> int:
 
 def trivial_complex() -> BifilteredComplex:
     """One generator at (0, 0), grading 0, named u0: the unknot complex."""
-    gens = GeneratorColumns((0,), (0,), (0,), "u{}".format)
+    gens = GeneratorColumns([0], [0], [0], "u{}".format)
     return BifilteredComplex._derived(gens, ((),), frozenset({0}), 1)
 
 

@@ -97,7 +97,8 @@ class TestInvariants:
         ("-T(2,x)", 5), ("T(2,x)", 4), ("-(T(2,3) # T(2,x))", 15), ("(T(2,3) # T(2,x))", 14),
     ])
     def test_parse_error_position_indexes_the_argument(self, capsys, expression, position):
-        # a dashed argument is padded for argparse; the position must not count the pad
+        # the expression reaches the parser as typed, so the position indexes the
+        # argument itself, a mirror's leading dash included
         assert expression[position] == "x"
         code, out, err = run_capture(capsys, ["invariants", expression])
         assert (code, out) == (2, "")
@@ -337,6 +338,42 @@ class TestInvariants:
         code, out, _ = run_capture(capsys, ["invariants", "-T(3,4)", "--no-timing"])
         assert code == 0
         assert json.loads(out)["expression"] == "-T(3,4)"
+
+
+class TestMirroredArguments:
+    """An argument that starts -T( or -( is an expression, read as it was typed."""
+
+    def test_a_usage_error_quotes_a_leftover_expression_as_typed(self, capsys):
+        with pytest.raises(SystemExit) as exit_:
+            run(["invariants", "T(2,3)", "-T(2,5)"])
+        assert exit_.value.code == 2
+        assert capsys.readouterr().err.endswith("cfk: error: unrecognized arguments: -T(2,5)\n")
+
+    def test_a_usage_error_quotes_an_expression_in_place_of_a_command_as_typed(self, capsys):
+        with pytest.raises(SystemExit) as exit_:
+            run(["-T(2,3)"])
+        assert exit_.value.code == 2
+        assert "invalid choice: '-T(2,3)'" in capsys.readouterr().err
+
+    def test_an_option_value_that_looks_like_a_mirror_reaches_its_option(
+            self, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run_capture(capsys, ["plot", "T(2,3)", "--out", "-(x).csv"])
+        assert (code, out, err) == (0, "", "")
+        assert os.listdir(tmp_path) == ["-(x).csv"]
+        assert (tmp_path / "-(x).csv").read_text().splitlines()[1:] == [
+            "0,1,0,1", "1,1,-1,1", "2,1,0,1"]
+
+    def test_a_cache_directory_that_looks_like_a_mirror_is_used(
+            self, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        argv = ["invariants", "-T(3,4)", "--cache", "-T(c)", "--no-timing"]
+        code, miss, _ = run_capture(capsys, argv)
+        assert code == 0 and json.loads(miss)["expression"] == "-T(3,4)"
+        assert os.listdir(tmp_path) == ["-T(c)"]
+        (entry,) = os.listdir(tmp_path / "-T(c)")
+        assert (tmp_path / "-T(c)" / entry).read_text() + "\n" == miss
+        assert run_capture(capsys, argv) == (0, miss, "")
 
 
 class TestVerifyRecursion:
@@ -1080,9 +1117,9 @@ PARSES = [
 
 def top_parse(argv):
     """parse_args of a fresh top parser, which hands a command word to its subparser."""
-    from cfk.cli import _pad_dash_expressions, build_parser
+    from cfk.cli import build_parser
 
-    return build_parser().parse_args(_pad_dash_expressions(argv))
+    return build_parser().parse_args(argv)
 
 
 @pytest.fixture
@@ -1114,9 +1151,9 @@ class TestDirectDispatch:
 
     @pytest.mark.parametrize("argv", PARSES, ids=" ".join)
     def test_a_parse_gives_the_top_parsers_namespace(self, argv):
-        from cfk.cli import _pad_dash_expressions, _parse
+        from cfk.cli import _parse
 
-        args, expected = _parse(_pad_dash_expressions(argv)), top_parse(argv)
+        args, expected = _parse(argv), top_parse(argv)
         assert args == expected and list(vars(args)) == list(vars(expected))
 
     @pytest.mark.parametrize("argv", [

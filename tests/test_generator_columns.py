@@ -8,6 +8,7 @@ uniqueness, through every builder; names the builders make are unique by
 construction and never read while a complex is built.
 """
 
+from array import array
 from operator import is_
 
 import pytest
@@ -22,6 +23,7 @@ from cfk import (
     tensor,
     torus_knot_complex,
 )
+import cfk.complexes
 from cfk.complexes import GeneratorColumns
 from oracles import eager_box_generators, eager_expression_generators
 
@@ -158,3 +160,24 @@ def test_a_box_sum_stores_the_columns_it_extended(monkeypatch, corner):
     monkeypatch.setattr(GeneratorColumns, "__init__", recording)
     c = direct_sum_with_box(parse_knot_expression("T(3,4)"), corner, -corner, 1, 2, 0)
     assert list(map(is_, c.generators.columns, handed[-1])) == [True, True, True]
+
+
+@pytest.mark.parametrize("corner", [3, 200, 2**40, 2**70])
+def test_storing_a_box_sums_columns_tries_no_array_type(monkeypatch, corner):
+    # _extended stores each box column at its narrowest, a tuple past 64 bits
+    # once it has tried the four array types; storing that column tries none again
+    c = direct_sum_with_box(parse_knot_expression("T(3,4)"), corner, -corner, 1, 2, 0)
+    tries = []
+
+    class CountingArray(type):
+        def __instancecheck__(cls, value):
+            return isinstance(value, array)
+
+        def __call__(cls, code, *values):
+            tries.append(code)
+            return array(code, *values)
+
+    monkeypatch.setattr(cfk.complexes, "array", CountingArray("array", (), {}))
+    stored = GeneratorColumns(*c.generators.columns, c.generators.name).columns
+    assert tries == []
+    assert list(map(is_, stored, c.generators.columns)) == [True, True, True]
