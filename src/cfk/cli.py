@@ -35,7 +35,7 @@ from .expressions import (
 # already bound, as a patch binds it, is kept, and every call reads it as a global.
 _COMPUTING = {
     ".complexes": ("knot_complex", "torus_knot_complex", "torus_knot_size"),
-    ".semigroup": ("_torus_pair", "alexander_torus", "step_vector"),
+    ".semigroup": ("_torus_pair",),
     ".upsilon": ("upsilon",),
     ".upsilon2": ("upsilon2_at",),
 }
@@ -65,8 +65,8 @@ EXIT_UNEQUAL = 1
 EXIT_USAGE = 2
 EXIT_IO = 3
 
-# above T(11,13) # T(7,12), 2911 generators and about 3 minutes of search;
-# 8 x T(2,3) has 6561
+# above T(11,13) # T(7,12), 2911 generators and 100-130 s of Upsilon search
+# (2 CPUs, Python 3.11.7); 8 x T(2,3) has 6561
 DEFAULT_MAX_GENERATORS = 5000
 
 
@@ -355,9 +355,10 @@ def cmd_plot(args) -> int:
 
 def cmd_staircase(args) -> int:
     _check_size(((1, args.p, args.q),), args.max_generators)
-    a, b = _torus_pair(args.p, args.q)
     complex_ = torus_knot_complex(args.p, args.q)
-    steps = [] if a == 1 else list(step_vector(alexander_torus(a, b)).steps)
+    # the generators run along the staircase, each step right or down
+    alg, alex, _ = complex_.generators.columns
+    steps = [a1 - a0 + x0 - x1 for a0, a1, x0, x1 in zip(alg, alg[1:], alex, alex[1:])]
     _emit_text(_json_text({
         "schema_version": SCHEMA_VERSION,
         "p": args.p,

@@ -67,8 +67,8 @@ def level(t, e: SectorElement) -> Fraction:
     return half * e.alex + (1 - half) * e.alg
 
 
-class GammaCertificate(namedtuple("GammaCertificate", "t s cycle levels")):
-    """Witness for gamma(t) = s: a minimal-level cycle in the h0 class and its levels at t."""
+class GammaCertificate(namedtuple("GammaCertificate", "t s cycle")):
+    """Witness for gamma(t) = s: a minimal-level cycle in the h0 class, a frozenset of elements."""
 
     __slots__ = ()
 
@@ -226,11 +226,8 @@ def gamma_at(c: BifilteredComplex, t) -> GammaCertificate:
     """gamma(t) with a re-checkable witness cycle."""
     engine = _SectorEngine(c)
     t = check_parameter(t)
-    s, combo = engine.gamma(t)
-    elems = tuple(engine.elements(0, combo))
-    levels = tuple(level(t, e) for e in elems)
-    assert max(levels) == s
-    return GammaCertificate(t=t, s=s, cycle=elems, levels=levels)
+    s, cycle = engine.gamma(t)
+    return GammaCertificate(t=t, s=s, cycle=frozenset(engine.elements(0, cycle)))
 
 
 def verify_gamma_certificate(c: BifilteredComplex, cert: GammaCertificate) -> None:
@@ -244,20 +241,12 @@ def verify_gamma_certificate(c: BifilteredComplex, cert: GammaCertificate) -> No
         raise CertificateError("certificate must be a GammaCertificate")
     _check_exact(cert.t, "t")
     _check_exact(cert.s, "s")
-    if not isinstance(cert.levels, tuple):
-        raise CertificateError("levels must be a tuple")
-    for lv in cert.levels:
-        _check_exact(lv, "every level")
     if not 0 <= cert.t <= 2:
         raise CertificateError("t must lie in [0, 2]")
-    _check_elements(cert.cycle, tuple, "cycle")
-    if len(set(cert.cycle)) != len(cert.cycle):
-        raise CertificateError("certificate cycle repeats an element")
+    _check_elements(cert.cycle, "cycle")
     tables = _DirectChecker(c)
     scale, keys, _ = tables.keys(cert.t)
     _, top, _ = tables.least_class_cycle(cert.cycle, keys, "certificate cycle")
-    if tuple(Fraction(keys[tables.even_pos[e]], scale) for e in cert.cycle) != cert.levels:
-        raise CertificateError("stored levels do not match recomputation")
     if top != cert.s * scale:
         raise CertificateError("threshold is not attained by the support")
 
@@ -286,10 +275,10 @@ def _span(rows: dict[int, int], vectors) -> dict[int, int]:
     return rows
 
 
-def _check_elements(elems, kind: type, name: str) -> None:
-    """CertificateError unless elems is a kind (tuple or frozenset) of SectorElements."""
-    if not isinstance(elems, kind) or not all(isinstance(e, SectorElement) for e in elems):
-        raise CertificateError(f"{name} must be a {kind.__name__} of SectorElements")
+def _check_elements(elems, name: str) -> None:
+    """CertificateError unless elems is a frozenset of SectorElements."""
+    if not isinstance(elems, frozenset) or not all(isinstance(e, SectorElement) for e in elems):
+        raise CertificateError(f"{name} must be a frozenset of SectorElements")
 
 
 class _DirectChecker:

@@ -116,7 +116,7 @@ def verify_gamma2_certificate(c: BifilteredComplex, cert: Gamma2Certificate,
     if not isinstance(cert.witness, MergeWitness):
         raise CertificateError("witness must be a MergeWitness")
     for name in ("z_minus", "z_plus", "w"):
-        _check_elements(getattr(cert.witness, name), frozenset, name)
+        _check_elements(getattr(cert.witness, name), name)
     tables = _DirectChecker(c)
     scale, keys, odd_keys = tables.keys(t0)  # 2b times the levels at t0 = a/b
     gamma, gamma2 = cert.gamma * scale, cert.gamma2 * scale

@@ -5,12 +5,14 @@ import random
 import sys
 import time
 from fractions import Fraction as F
+from math import gcd
 from pathlib import Path
 
 import pytest
 
-from cfk import PiecewiseLinear, parse_knot_expression, upsilon
+from cfk import AlexanderPolynomial, PiecewiseLinear, parse_knot_expression, upsilon
 from cfk.cli import SCHEMA_VERSION, run
+from oracles import alexander_by_telescoping
 
 
 @pytest.fixture(autouse=True)
@@ -550,6 +552,28 @@ class TestStaircase:
     def test_invalid(self, capsys):
         code, _, _ = run_capture(capsys, ["staircase", "4", "6"])
         assert code == 2
+
+    def test_the_steps_are_the_gaps_of_the_alexander_exponents(self, capsys):
+        pairs = [(p, q) for q in range(1, 16) for p in range(1, q + 1) if gcd(p, q) == 1]
+        for p, q in pairs:
+            # the unknot's polynomial 1 has one exponent, and so no gap
+            exps = alexander_by_telescoping(p, q) if p > 1 else (0,)
+            gaps = [b - a for a, b in zip(exps, exps[1:])]
+            for args in ((p, q), (q, p)):
+                report = printed_report(capsys, ["staircase", *map(str, args)])
+                assert report["steps"] == gaps, args
+
+    def test_the_alexander_polynomial_is_built_once(self, capsys, monkeypatch):
+        built = []
+        real = AlexanderPolynomial.__init__
+
+        def counting(self, exponents):
+            built.append(1)
+            real(self, exponents)
+
+        monkeypatch.setattr(AlexanderPolynomial, "__init__", counting)
+        code, _, _ = run_capture(capsys, ["staircase", "5", "7"])
+        assert code == 0 and len(built) == 1
 
 
 def _count_functionals(monkeypatch):

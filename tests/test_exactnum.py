@@ -252,7 +252,7 @@ RECORDS = {
     "Generator": (lambda: Generator("a", 0, 1, 2), ("name", "alg", "alex", "maslov")),
     "SectorElement": (lambda: sector(torus_knot_complex(3, 4), 0)[1],
                       ("index", "alg", "alex", "maslov")),
-    "GammaCertificate": (lambda: gamma_at(torus_knot_complex(3, 4), 1), ("t", "s", "cycle", "levels")),
+    "GammaCertificate": (lambda: gamma_at(torus_knot_complex(3, 4), 1), ("t", "s", "cycle")),
     "Gamma2Certificate": (lambda: gamma2_at(torus_knot_complex(3, 4), F(2, 3)),
                           ("t0", "gamma", "gamma2", "witness")),
     "MergeWitness": (lambda: gamma2_at(torus_knot_complex(3, 4), F(2, 3)).witness,

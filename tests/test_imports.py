@@ -1,10 +1,11 @@
 """Every name a module of the package imports is used in that module,
 every public function or class is exported or used inside the package,
 the command line defines no public function but its commands and entry
-points, importing the command line loads none of the heavy standard
-modules, and the complexes and searches load only when a command
-computes, with the package's names where they were, and each computing
-command works as the first call in a fresh interpreter."""
+points, no module holds an assert statement, importing the command line
+loads none of the heavy standard modules, and the complexes and searches
+load only when a command computes, with the package's names where they
+were, and each computing command works as the first call in a fresh
+interpreter."""
 
 import ast
 import os
@@ -104,6 +105,23 @@ def test_a_report_function_beside_the_commands_is_found():
                      "def _helper():\n    pass\nclass Error(ValueError):\n    pass\n"
                      "def report(p, q):\n    pass\nasync def fetch():\n    pass\n")
     assert stray_commands(tree) == ["report", "fetch"]
+
+
+def assert_statements(tree: ast.Module) -> list[int]:
+    """The lines of the assert statements in tree."""
+    return sorted(node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert))
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_module_holds_an_assert_statement(path):
+    # python -O strips an assert: a guard raises AssertionError itself
+    assert assert_statements(ast.parse(path.read_text(), str(path))) == []
+
+
+def test_an_assert_statement_is_found():
+    tree = ast.parse("def f(x):\n    if x:\n        assert x > 0, 'x'\n"
+                     "    raise AssertionError('kept')\nassert f\n")
+    assert assert_statements(tree) == [3, 5]
 
 
 # dataclasses alone brings in inspect, ast, dis and tokenize; typing costs

@@ -204,8 +204,9 @@ def test_verifiers_never_read_the_memoised_functional():
         checks.append(lambda cert=cert: verify_gamma_certificate(c, cert))
         lowered = replace(cert, s=cert.s - F(1, 5))
         checks.append(lambda cert=lowered: verify_gamma_certificate(c, cert))
-        for e in forge(cert.cycle[0]):
-            forged = replace(cert, cycle=(e, *cert.cycle[1:]))
+        first = min(cert.cycle, key=lambda e: e.index)
+        for e in forge(first):
+            forged = replace(cert, cycle=cert.cycle - {first} | {e})
             forgeries.append(lambda cert=forged: verify_gamma_certificate(c, cert))
     for cert in genuine:
         w = cert.witness
@@ -301,10 +302,6 @@ def test_a_value_off_the_key_grid_is_refused(expr):
             with pytest.raises(CertificateError,
                                match="^threshold is not attained by the support$"):
                 verify_gamma_certificate(c, replace(cert, s=cert.s + off))
-            levels = (cert.levels[0] + off, *cert.levels[1:])
-            with pytest.raises(CertificateError,
-                               match="^stored levels do not match recomputation$"):
-                verify_gamma_certificate(c, replace(cert, levels=levels))
     # a parameter given as an int is a/b with b = 1
     verify_gamma_certificate(c, replace(gamma_at(c, 1), t=1))
 

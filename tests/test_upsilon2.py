@@ -27,6 +27,7 @@ from cfk.upsilon2 import (
     verify_gamma2_certificate,
 )
 from oracles import brute_gamma2, eager_side, replace
+from test_sector_engine import random_complexes
 
 
 def points(elems):
@@ -451,6 +452,27 @@ class TestStability:
                 assert ub == ups
                 for t0, expected in values.items():
                     assert upsilon2_at(boxed, t0, ups=ub) == expected
+
+
+def test_upsilon_and_upsilon2_are_symmetric_about_one():
+    # Upsilon(2 - t) = Upsilon(t) for every knot complex, so the slope jump
+    # at 2 - t0 is the one at t0; Upsilon2 at each positive jump t0 < 1 must
+    # equal Upsilon2 at 2 - t0 as well
+    pairs = [(2, 3), (2, 5), (3, 4), (3, 5), (2, 7), (4, 5), (3, 7)]
+    drawn = [(expr, c) for expr, c in random_complexes(39, 80, pairs)
+             if len(c.generators) <= 150][:60]
+    assert len(drawn) == 60
+    compared = 0
+    for expr, c in drawn:
+        ups = upsilon(c)
+        for t, value in ups.breakpoints:
+            assert ups(2 - t) == value, (expr, t)
+        jumps = dict(ups.singularities())
+        assert jumps == {2 - t0: jump for t0, jump in jumps.items()}, expr
+        for t0 in (t0 for t0, jump in jumps.items() if jump > 0 and t0 < 1):
+            assert upsilon2_at(c, t0, ups=ups) == upsilon2_at(c, 2 - t0, ups=ups), (expr, t0)
+            compared += 1
+    assert compared >= 20
 
 
 def test_integer_side_keys_match_fraction_levels():
